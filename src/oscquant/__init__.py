@@ -4,7 +4,8 @@ Subpackages build on each other roughly in this order:
 
 - ``coeffs``     exact rational-function scalars with a series-order marker
 - ``algebra``    the oscillator Lie algebra, PBW monomials, tensor powers,
-                 and rewrite engines for deformed enveloping algebras
+                 and the one rewrite engine, shared by the deformed
+                 enveloping algebras and the coordinate rings
 - ``bialgebra``  classical r-matrices, Schouten brackets, cocommutators,
                  and the classification of coboundary Lie bialgebra families
 - ``poisson``    the oscillator group, invariant vector fields, and the
@@ -12,7 +13,8 @@ Subpackages build on each other roughly in this order:
 - ``lm``         exponential-coproduct construction of the quantized
                  coalgebras and their closed forms
 - ``hopf``       the deformed Hopf algebra presentations (relations,
-                 coproducts, counits, antipodes, deformed Casimirs)
+                 coproducts, counits, antipodes, deformed Casimirs) and the
+                 Hopf-axiom checks every presentation shares
 - ``funalg``     the dual quantum function algebras on the oscillator group
 - ``rmatrix``    universal R-matrices, quantum Yang-Baxter checks, a 3x3
                  matrix representation, FRT reconstruction, and semiclassical

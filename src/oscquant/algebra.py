@@ -22,15 +22,10 @@ algebra instance, which is what makes order-8 coproduct checks tractable.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from itertools import product as _cartesian
 
 from .coeffs import Coefficient, CoefficientField
-
-# Deep PBW straightening of long words recurses on word structure.
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
 
 A, AP, AM, M = range(4)
 GEN_NAMES = ("A", "Ap", "Am", "M")
@@ -40,20 +35,6 @@ GEN_MONOS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 def mono_degree(mono) -> int:
     return sum(mono)
-
-
-def word_of_mono(mono) -> tuple[int, ...]:
-    out = []
-    for g in range(4):
-        out.extend([g] * mono[g])
-    return tuple(out)
-
-
-def mono_of_word(word) -> tuple[int, ...]:
-    mono = [0, 0, 0, 0]
-    for g in word:
-        mono[g] += 1
-    return tuple(mono)
 
 
 def mono_str(mono, names=GEN_NAMES) -> str:
@@ -66,21 +47,6 @@ def mono_str(mono, names=GEN_NAMES) -> str:
         elif e:
             parts.append(f"{name}^{e}")
     return "*".join(parts)
-
-
-def _top_gen(mono):
-    for g in (3, 2, 1, 0):
-        if mono[g]:
-            return g
-    return None
-
-
-def _inc(mono, g):
-    return mono[:g] + (mono[g] + 1,) + mono[g + 1 :]
-
-
-def _dec(mono, g):
-    return mono[:g] + (mono[g] - 1,) + mono[g + 1 :]
 
 
 def _acc(terms, key, c):
@@ -125,7 +91,15 @@ def lie_brackets(field: CoefficientField):
 
 
 class Algebra:
-    """Associative algebra on A, Ap, Am, M presented by adjacent-swap rules.
+    """Associative algebra presented by adjacent-swap rules on a letter table.
+
+    Each letter is a ``(slot, step)`` pair: multiplying a monomial by the
+    letter adds ``step`` to exponent ``slot``.  Here the letters are the
+    generators A, Ap, Am, M, each stepping its own slot by +1; subclasses
+    supply other tables (see :class:`.funalg.FunAlgebra`).  A normal word
+    lists its letters by slot, and a product is normal-ordered by the rules
+    ``X_hi * X_lo = X_lo * X_hi + tail`` for letters in higher/lower slots;
+    absent pairs commute.
 
     ``order=None`` demands length-reducing rules (the classical case) and
     computes exactly; a finite ``order`` truncates every coefficient at that
@@ -136,39 +110,46 @@ class Algebra:
     _classical: dict = {}
 
     names = GEN_NAMES
+    letter_names = GEN_NAMES
     unit_mono = UNIT_MONO
+    letters = ((A, 1), (AP, 1), (AM, 1), (M, 1))
 
     def __init__(self, field: CoefficientField, tails, order: int | None = None, label: str = ""):
         self.field = field
         self.order = order
         self.label = label
         self.tails = {}
-        for hi in range(1, 4):
-            for lo in range(hi):
-                raw = tails.get((hi, lo), {})
-                tail = {}
-                for m, c in raw.items():
-                    c = c.truncate(order)
-                    if c.is_zero:
-                        continue
-                    if mono_degree(m) >= 2:
-                        if c.marker_degree < 1:
-                            raise ValueError(
-                                f"rule ({GEN_NAMES[hi]},{GEN_NAMES[lo]}) has unmarked "
-                                f"length-{mono_degree(m)} tail term; rewriting would not terminate"
-                            )
-                        if order is None:
-                            raise ValueError(
-                                "series-type rewrite rules need a finite truncation order"
-                            )
-                    tail[m] = c
-                self.tails[(hi, lo)] = tail
+        for pair, raw in tails.items():
+            hi, lo = pair
+            if self.letters[hi][0] <= self.letters[lo][0]:
+                raise ValueError(f"swap rule {pair} is not an ordered pair")
+            tail = {}
+            for m, c in raw.items():
+                c = c.truncate(order)
+                if c.is_zero:
+                    continue
+                self._check_tail(pair, m, c)
+                tail[m] = c
+            if tail:
+                self.tails[pair] = tail
         self._mg_cache: dict = {}
         self._mm_cache: dict = {}
 
+    def _check_tail(self, pair, mono, c):
+        """Reject a tail term under which rewriting might not terminate."""
+        if mono_degree(mono) >= 2:
+            if c.marker_degree < 1:
+                hi, lo = (self.letter_names[g] for g in pair)
+                raise ValueError(
+                    f"rule ({hi},{lo}) has unmarked length-{mono_degree(mono)} tail term; "
+                    "rewriting would not terminate"
+                )
+            if self.order is None:
+                raise ValueError("series-type rewrite rules need a finite truncation order")
+
     def __repr__(self):
         tag = "exact" if self.order is None else f"order {self.order}"
-        return f"<Algebra {self.label or 'U(h4)'} ({tag})>"
+        return f"<{type(self).__name__} {self.label or 'unlabeled'} ({tag})>"
 
     @classmethod
     def classical(cls, field: CoefficientField, order: int | None = None) -> "Algebra":
@@ -178,19 +159,70 @@ class Algebra:
             inst = cls._classical[key] = cls(field, oscillator_tails(field), order, "U(h4)")
         return inst
 
+    # -- letters and normal words ---------------------------------------
+
+    @classmethod
+    def letter_at(cls, slot, exponent):
+        """The letter stepping ``slot`` towards an exponent of that sign."""
+        return cls.letters.index((slot, 1 if exponent > 0 else -1))
+
+    @classmethod
+    def first_letter(cls, mono):
+        """The leftmost letter of the normal word for ``mono`` (None for 1)."""
+        for slot, e in enumerate(mono):
+            if e:
+                return cls.letter_at(slot, e)
+        return None
+
+    @classmethod
+    def last_letter(cls, mono):
+        """The rightmost letter of the normal word for ``mono`` (None for 1)."""
+        for slot in range(len(mono) - 1, -1, -1):
+            if mono[slot]:
+                return cls.letter_at(slot, mono[slot])
+        return None
+
+    @classmethod
+    def shift(cls, mono, letter, times=1):
+        """``mono`` with ``letter`` appended ``times`` times (removed if negative)."""
+        slot, step = cls.letters[letter]
+        return mono[:slot] + (mono[slot] + times * step,) + mono[slot + 1 :]
+
+    @classmethod
+    def word_of(cls, mono) -> tuple[int, ...]:
+        """The normal word of a monomial, as letter indices."""
+        word = []
+        for slot, e in enumerate(mono):
+            if e:
+                word.extend([cls.letter_at(slot, e)] * abs(e))
+        return tuple(word)
+
+    @classmethod
+    def mono_of(cls, word) -> tuple[int, ...]:
+        """The monomial whose letters are those of ``word``, in any order."""
+        mono = cls.unit_mono
+        for g in word:
+            mono = cls.shift(mono, g)
+        return mono
+
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "Element":
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT_MONO: self.field.one})
+        return Element(self, {self.unit_mono: self.field.one})
 
-    def gen(self, i: int) -> "Element":
-        return Element(self, {GEN_MONOS[i]: self.field.one})
+    def letter(self, g: int) -> "Element":
+        return Element(self, {self.shift(self.unit_mono, g): self.field.one})
+
+    gen = letter
+
+    def coord(self, name: str) -> "Element":
+        return self.letter(self.letter_names.index(name))
 
     def gens(self) -> tuple["Element", ...]:
-        return tuple(self.gen(i) for i in range(4))
+        return tuple(self.letter(g) for g in range(len(self.letters)))
 
     def monomial(self, mono, coeff=None) -> "Element":
         coeff = self.field.one if coeff is None else coeff
@@ -200,7 +232,7 @@ class Algebra:
         return Element(self, {m: c for m, c in terms.items() if not c.is_zero})
 
     def tensor_unit(self, arity: int) -> "TensorElement":
-        return TensorElement(self, arity, {(UNIT_MONO,) * arity: self.field.one})
+        return TensorElement(self, arity, {(self.unit_mono,) * arity: self.field.one})
 
     def tensor_zero(self, arity: int) -> "TensorElement":
         return TensorElement(self, arity, {})
@@ -216,21 +248,21 @@ class Algebra:
         return out
 
     def _mul_mono_gen(self, mono, g):
-        """Normal form of (sorted monomial) * X_g, as a term dict."""
+        """Normal form of (normal monomial) * letter g, as a term dict."""
         key = (mono, g)
         hit = self._mg_cache.get(key)
         if hit is not None:
             return hit
-        j = _top_gen(mono)
-        if j is None or g >= j:
-            out = {_inc(mono, g): self.field.one}
+        j = self.last_letter(mono)
+        if j is None or self.letters[g][0] >= self.letters[j][0]:
+            out = {self.shift(mono, g): self.field.one}
         else:
-            prefix = _dec(mono, j)
+            prefix = self.shift(mono, j, -1)
             out = {}
             for m2, c2 in self._mul_mono_gen(prefix, g).items():
                 for m3, c3 in self._mul_mono_gen(m2, j).items():
                     _acc(out, m3, c2 * c3)
-            for tm, tc in self.tails[(j, g)].items():
+            for tm, tc in self.tails.get((j, g), {}).items():
                 for m4, c4 in self.mul_mono(prefix, tm).items():
                     _acc(out, m4, tc * c4)
             out = self._clean(out)
@@ -238,18 +270,18 @@ class Algebra:
         return out
 
     def mul_mono(self, m1, m2):
-        """Normal form of the product of two sorted monomials, as a term dict."""
-        if m2 == UNIT_MONO:
+        """Normal form of the product of two normal monomials, as a term dict."""
+        if m2 == self.unit_mono:
             return {m1: self.field.one}
-        if m1 == UNIT_MONO:
+        if m1 == self.unit_mono:
             return {m2: self.field.one}
         key = (m1, m2)
         hit = self._mm_cache.get(key)
         if hit is not None:
             return hit
-        j = _top_gen(m2)
+        j = self.last_letter(m2)
         out = {}
-        for mi, ci in self.mul_mono(m1, _dec(m2, j)).items():
+        for mi, ci in self.mul_mono(m1, self.shift(m2, j, -1)).items():
             for mo, co in self._mul_mono_gen(mi, j).items():
                 _acc(out, mo, ci * co)
         out = self._clean(out)
@@ -257,7 +289,7 @@ class Algebra:
         return out
 
     def normalize_word(self, word, rightmost: bool = False) -> "Element":
-        """Normal form of a free word of generator indices.
+        """Normal form of a free word of letter indices.
 
         The default strategy folds left to right through the memoized
         engine.  ``rightmost=True`` runs an independent naive rewriter that
@@ -267,7 +299,7 @@ class Algebra:
         if not rightmost:
             e = self.one()
             for g in word:
-                e = e * self.gen(g)
+                e = e * self.letter(g)
             return e
         out: dict = {}
         stack = [(self.field.one, tuple(word))]
@@ -275,20 +307,24 @@ class Algebra:
             c, w = stack.pop()
             idx = None
             for i in range(len(w) - 2, -1, -1):
-                if w[i] > w[i + 1]:
+                if self.letters[w[i]][0] > self.letters[w[i + 1]][0]:
                     idx = i
                     break
             if idx is None:
-                _acc(out, mono_of_word(w), c)
+                _acc(out, self.mono_of(w), c)
                 continue
             hi, lo = w[idx], w[idx + 1]
             pre, post = w[:idx], w[idx + 2 :]
             stack.append((c, pre + (lo, hi) + post))
-            for tm, tc in self.tails[(hi, lo)].items():
+            for tm, tc in self.tails.get((hi, lo), {}).items():
                 cc = (c * tc).truncate(self.order)
                 if not cc.is_zero:
-                    stack.append((cc, pre + word_of_mono(tm) + post))
+                    stack.append((cc, pre + self.word_of(tm) + post))
         return Element(self, self._clean(out))
+
+
+word_of_mono = Algebra.word_of
+mono_of_word = Algebra.mono_of
 
 
 def _coerce_scalar(field: CoefficientField, x):

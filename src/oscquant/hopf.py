@@ -31,7 +31,6 @@ from .algebra import (
     AP,
     GEN_NAMES,
     M,
-    UNIT_MONO,
     Algebra,
     Element,
     TensorElement,
@@ -105,11 +104,14 @@ def sinh_over(alg: Algebra, c: Coefficient) -> Element:
 class HopfPresentation:
     """A deformed normal ordering plus its coalgebra and antipode data.
 
-    ``images``/``antipode`` map generator labels to coproduct tensors and
-    antipode elements; ``counit`` is zero on every generator.  ``r`` is the
-    classical r-matrix whose cocommutator the order-h part must reproduce.
-    The coproduct and antipode extend to arbitrary elements as (anti)algebra
-    morphisms through ``delta``/``antipode_of``, memoized per monomial.
+    ``images``/``antipode`` map letter names to coproduct tensors and
+    antipode elements; ``counit`` starts at zero on every letter.  ``r`` is
+    the classical r-matrix whose cocommutator the order-h part must
+    reproduce.  The coproduct and antipode extend to arbitrary elements as
+    (anti)algebra morphisms through ``delta``/``antipode_of``, memoized per
+    monomial.  The axiom checks run over the letters ``images`` names.  A
+    coproduct with no antipode (``antipode=None``) still supports the
+    homomorphism, coassociativity and counit checks.
     """
 
     def __init__(self, key, label, alg, images, antipode, casimir, r):
@@ -119,7 +121,7 @@ class HopfPresentation:
         self.field = alg.field
         self.order = alg.order
         self.images = images
-        self.counit = {name: alg.field.zero for name in GEN_NAMES}
+        self.counit = {name: alg.field.zero for name in alg.letter_names}
         self.antipode = antipode
         self.casimir = casimir
         self.r = r
@@ -127,22 +129,23 @@ class HopfPresentation:
         self._antipode_cache: dict = {}
 
     def __repr__(self):
-        return f"<HopfPresentation {self.key} (order {self.order})>"
+        return f"<{type(self).__name__} {self.key} (order {self.order})>"
 
     def delta_mono(self, mono) -> TensorElement:
         hit = self._delta_cache.get(mono)
         if hit is None:
-            if mono == UNIT_MONO:
-                hit = self.alg.tensor_unit(2)
+            alg = self.alg
+            g = alg.first_letter(mono)
+            if g is None:
+                hit = alg.tensor_unit(2)
             else:
-                g = next(i for i in range(4) if mono[i])
-                rest = mono[:g] + (mono[g] - 1,) + mono[g + 1 :]
-                hit = self.images[GEN_NAMES[g]] * self.delta_mono(rest)
+                rest = alg.shift(mono, g, -1)
+                hit = self.images[alg.letter_names[g]] * self.delta_mono(rest)
             self._delta_cache[mono] = hit
         return hit
 
     def delta(self, e: Element) -> TensorElement:
-        """The coproduct, extended multiplicatively over PBW monomials."""
+        """The coproduct, extended multiplicatively over normal monomials."""
         out = self.alg.tensor_zero(2)
         for mono, c in e.terms.items():
             out = out + self.delta_mono(mono).scale(c)
@@ -151,24 +154,35 @@ class HopfPresentation:
     def antipode_mono(self, mono) -> Element:
         hit = self._antipode_cache.get(mono)
         if hit is None:
-            if mono == UNIT_MONO:
-                hit = self.alg.one()
+            alg = self.alg
+            g = alg.last_letter(mono)
+            if g is None:
+                hit = alg.one()
             else:
-                g = next(i for i in (3, 2, 1, 0) if mono[i])
-                rest = mono[:g] + (mono[g] - 1,) + mono[g + 1 :]
-                hit = self.antipode[GEN_NAMES[g]] * self.antipode_mono(rest)
+                rest = alg.shift(mono, g, -1)
+                hit = self.antipode[alg.letter_names[g]] * self.antipode_mono(rest)
             self._antipode_cache[mono] = hit
         return hit
 
     def antipode_of(self, e: Element) -> Element:
-        """The antipode, extended anti-multiplicatively over PBW monomials."""
+        """The antipode, extended anti-multiplicatively over normal monomials."""
         out = self.alg.zero()
         for mono, c in e.terms.items():
             out = out + self.antipode_mono(mono).scale(c)
         return out
 
     def counit_scalar(self, mono) -> Coefficient:
-        return self.field.one if mono == UNIT_MONO else self.field.zero
+        """The counit of a monomial: the product of its letters' counits."""
+        alg, one = self.alg, self.field.one
+        out = one
+        for slot, e in enumerate(mono):
+            if e:
+                c = self.counit[alg.letter_names[alg.letter_at(slot, e)]]
+                if c.is_zero:
+                    return c
+                if c != one:
+                    out = out * c ** abs(e)
+        return out
 
 
 def uz_presentation(order: int) -> HopfPresentation:
@@ -336,41 +350,35 @@ def presentation(key: str, order: int) -> HopfPresentation:
 
 
 def homomorphism_check(p: HopfPresentation):
-    """Delta(X_i X_j) == Delta(X_i) Delta(X_j) for all 16 generator pairs.
+    """Delta(X_i X_j) == Delta(X_i) Delta(X_j) for every pair of letters.
 
     The ordered pairs split definitionally; the misordered ones exercise
     compatibility of the coproduct with the rewrite rules.
     """
     residuals = []
-    for i in range(4):
-        for j in range(4):
-            lhs = p.delta(p.alg.gen(i) * p.alg.gen(j))
-            rhs = p.images[GEN_NAMES[i]] * p.images[GEN_NAMES[j]]
-            diff = lhs - rhs
+    for a, ta in p.images.items():
+        for b, tb in p.images.items():
+            diff = p.delta(p.alg.coord(a) * p.alg.coord(b)) - ta * tb
             if not diff.is_zero:
-                residuals.append((f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", diff))
+                residuals.append((f"{a}*{b}", diff))
     return not residuals, residuals
 
 
 def coassociativity_check(p: HopfPresentation):
-    """(Delta (x) id) o Delta == (id (x) Delta) o Delta on every generator."""
+    """(Delta (x) id) o Delta == (id (x) Delta) o Delta on every letter."""
     residuals = []
-    for name in GEN_NAMES:
-        t = p.images[name]
-        lhs = apply_slot_map(t, 0, p.delta_mono)
-        rhs = apply_slot_map(t, 1, p.delta_mono)
-        diff = lhs - rhs
+    for name, t in p.images.items():
+        diff = apply_slot_map(t, 0, p.delta_mono) - apply_slot_map(t, 1, p.delta_mono)
         if not diff.is_zero:
             residuals.append((name, diff))
     return not residuals, residuals
 
 
 def counit_check(p: HopfPresentation):
-    """(eps (x) id) o Delta = id = (id (x) eps) o Delta on every generator."""
+    """(eps (x) id) o Delta = id = (id (x) eps) o Delta on every letter."""
     residuals = []
-    for i, name in enumerate(GEN_NAMES):
-        t = p.images[name]
-        g = p.alg.gen(i)
+    for name, t in p.images.items():
+        g = p.alg.coord(name)
         left = t.contract(0, p.counit_scalar)
         right = t.contract(1, p.counit_scalar)
         if left != g:
@@ -381,13 +389,12 @@ def counit_check(p: HopfPresentation):
 
 
 def antipode_check(p: HopfPresentation):
-    """m(gamma (x) id)Delta(X) = eps(X) 1 = m(id (x) gamma)Delta(X)."""
+    """m(gamma (x) id)Delta(X) = eps(X) 1 = m(id (x) gamma)Delta(X) per letter."""
     residuals = []
-    for name in GEN_NAMES:
-        t = p.images[name]
-        left = t.fold_slots(maps=[p.antipode_mono, None])
-        right = t.fold_slots(maps=[None, p.antipode_mono])
-        # counit vanishes on generators, so both sides must be zero
+    for name, t in p.images.items():
+        want = p.alg.one().scale(p.counit[name])
+        left = t.fold_slots(maps=[p.antipode_mono, None]) - want
+        right = t.fold_slots(maps=[None, p.antipode_mono]) - want
         if not left.is_zero:
             residuals.append((f"gamma-left {name}", left))
         if not right.is_zero:

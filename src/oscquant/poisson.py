@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product as _cartesian
 from typing import NamedTuple
 
+from .algebra import _acc
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -75,15 +76,6 @@ class GroupRing:
         if isinstance(val, Coefficient):
             return self.one().scale(val)
         return val
-
-
-def _acc(terms, key, c):
-    prev = terms.get(key)
-    c = c if prev is None else prev + c
-    if c.is_zero:
-        terms.pop(key, None)
-    else:
-        terms[key] = c
 
 
 class GroupFunction:

@@ -707,10 +707,10 @@ def frt_relations(key: str, order: int | None = None):
             c = e.canonical()
             extracted[c.render()] = c
     necessary = {}
-    for pair in alg.swaps:
+    for pair in alg.tails:
         reduced = FunAlgebra(
             field,
-            {p: t for p, t in alg.swaps.items() if p != pair},
+            {p: t for p, t in alg.tails.items() if p != pair},
             order,
             f"{alg.label} minus one rule",
         )

@@ -2,15 +2,22 @@
 
 Everything runs in process through ``cli.main`` so exit codes and emitted
 text are asserted directly; the worker-pool path is exercised once and
-compared report-for-report against the inline path.
+compared report-for-report against the inline path.  One test runs a fresh
+interpreter, to see what importing the package does to it.
 """
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 from oscquant import cli
+from oscquant.algebra import AP, tensor
 from oscquant.cli import main
 
 
@@ -187,6 +194,54 @@ def test_verify_prop1_order0(capsys):
     rc, out, _ = run(capsys, ["verify", "--target", "prop1", "--order", "0"])
     assert rc == 0
     assert "summary: 18 checks: 18 pass, 0 fail, 0 finding" in out
+
+
+def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
+    """A wrong image of Am fails coassociativity and the counit law, and the
+    residuals of both name it.  The extra Ap(x)1 has a unit leg, so the
+    counit sees it: a term like Ap(x)Ap would pass (id (x) eps)."""
+    built = cli.lm_coproduct
+
+    def perturbed(spec, order):
+        cp = built(spec, order)
+        alg = cp.algebra()
+        extra = tensor(alg.gen(AP), alg.one()).scale(spec.field.marked_param("x"))
+        return dataclasses.replace(cp, images={**cp.images, "Am": cp.images["Am"] + extra})
+
+    monkeypatch.setattr(cli, "lm_coproduct", perturbed)
+    rc, payload, _ = run_json(
+        capsys,
+        ["verify", "--target", "prop1", "--family", "II-standard", "--order", "3", "--format", "json"],
+    )
+    assert rc == 1
+    reports = {r["check"]: r for r in payload["reports"]}
+    for check in ("lm-coassociativity", "lm-counit"):
+        assert reports[check]["status"] == "fail"
+        lines = reports[check]["residuals"]
+        named = [line for line in lines if line.split(": ")[0].split()[-1] == "Am"]
+        # each names the generator and carries the nonzero residual itself
+        assert named and all(": " in line for line in named), lines
+    assert reports["lm-first-order"]["status"] == "pass"
+
+
+def test_import_keeps_recursion_limit_and_deep_checks_pass():
+    """Importing the package leaves the interpreter's recursion limit alone,
+    and the order-8 Hopf checks run within the default limit."""
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(1000)\n"
+        "import oscquant.cli as cli\n"
+        "assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()\n"
+        "sys.exit(cli.main(['verify', '--target', 'prop4', '--order', '8']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(cli.ORDER_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
 
 
 def test_verify_prop2_json(capsys):

@@ -50,6 +50,15 @@ def test_unmarked_tail_rejected():
         FunAlgebra(field, bad)
 
 
+def test_misordered_swap_rule_rejected():
+    field = CoefficientField.get("z")
+    z = field.marked_param("z")
+    # same slot (E and its inverse) or lower slot first: not a swap rule
+    for pair in ((L_EINV, L_E), (L_AP, L_M)):
+        with pytest.raises(ValueError, match="not an ordered pair"):
+            FunAlgebra(field, {pair: {FUN_UNIT: z}})
+
+
 @pytest.mark.parametrize("key", KEYS)
 def test_exponential_letter_inverts(key):
     alg = fun_presentation(key).alg
@@ -280,25 +289,15 @@ def test_coproduct_of_composite_monomial():
 
 
 def test_detects_wrong_antipode():
+    from oscquant.hopf import HopfPresentation, antipode_check
+
     p = fun_presentation("IIs")
     alg = p.alg
     broken = dict(p.antipode)
     broken["m"] = -alg.letter(L_M)  # drop the a+ a- correction
-
-    class Crippled:
-        pass
-
-    q = Crippled()
-    q.alg = alg
-    q.field = p.field
-    q.images = p.images
+    q = HopfPresentation(p.key, p.label, alg, p.images, broken, None, p.r)
     q.counit = p.counit
-    q.antipode = broken
-    q._antipode_cache = {}
-    q.antipode_mono = lambda mono: type(p).antipode_mono(q, mono)
-    from oscquant.funalg import fun_antipode_check
-
-    ok, residuals = fun_antipode_check(q)
+    ok, residuals = antipode_check(q)
     assert not ok
     assert any("m" == tag.split()[-1] for tag, _ in residuals)
 
