@@ -9,8 +9,13 @@ Truncating a computation at order N then simply means dropping numerator terms
 whose h-degree exceeds N.
 
 Canonical form of a coefficient: numerator and denominator are coprime
-(polynomial GCD divided out) and the denominator is monic, so its leading
-coefficient is positive and equal coefficients are structurally equal.
+and the denominator is monic, so equal coefficients are structurally equal.
+Almost every coefficient built here is a polynomial, with denominator 1.
+Those all share their field's one unit polynomial, and canonicalizing them is
+free: no polynomial GCD, no exact division.  Only a real denominator takes the
+GCD path, which divides the GCD out and makes the denominator monic.  A
+denominator that equals 1 without being the shared object (say, one rebuilt
+from a pickle) is recognized by equality and replaced by the shared one.
 Denominators stay h-free for everything this package constructs; ``truncate``
 enforces that invariant at the point where it matters.
 
@@ -48,9 +53,12 @@ class CoefficientField:
         self.params = params
         self.ring, self._h, *gens = _poly_ring(" ".join((MARKER,) + params), QQ, lex)
         self._gens = dict(zip(params, gens))
-        self.zero = Coefficient(self, self.ring.zero, self.ring.one)
-        self.one = Coefficient(self, self.ring.one, self.ring.one)
-        self.hbar = Coefficient(self, self._h, self.ring.one)
+        # The one denominator of every polynomial coefficient: ``ring.one``
+        # builds a new polynomial on each access.
+        self._one = self.ring.one
+        self.zero = Coefficient(self, self.ring.zero, self._one)
+        self.one = Coefficient(self, self._one, self._one)
+        self.hbar = Coefficient(self, self._h, self._one)
 
     @classmethod
     def get(cls, *params: str) -> "CoefficientField":
@@ -65,23 +73,23 @@ class CoefficientField:
 
     def param(self, name: str) -> "Coefficient":
         """The parameter as a plain (unscaled) coefficient."""
-        return Coefficient(self, self._gens[name], self.ring.one)
+        return Coefficient(self, self._gens[name], self._one)
 
     def marked_param(self, name: str) -> "Coefficient":
         """The parameter carrying one power of the series marker (h * p)."""
-        return Coefficient(self, self._h * self._gens[name], self.ring.one)
+        return Coefficient(self, self._h * self._gens[name], self._one)
 
     def rational(self, p, q=1) -> "Coefficient":
         """An explicit rational number as a coefficient."""
         val = Fraction(p) / Fraction(q)
         if not val:
             return self.zero
-        return Coefficient(self, self.ring.ground_new(QQ(val.numerator, val.denominator)), self.ring.one)
+        return Coefficient(self, self.ring.ground_new(QQ(val.numerator, val.denominator)), self._one)
 
     def new(self, num, den=None) -> "Coefficient":
         """Canonicalize a raw numerator/denominator pair of ring elements."""
         if den is None:
-            den = self.ring.one
+            den = self._one
         return _canon(self, num, den)
 
     def from_string(self, text: str) -> "Coefficient":
@@ -91,19 +99,22 @@ class CoefficientField:
 
 
 def _canon(field: CoefficientField, num, den) -> "Coefficient":
+    one = field._one
+    if den is one or den == one:
+        return Coefficient(field, num, one) if num else field.zero
     if not den:
         raise ZeroDivisionError("coefficient with zero denominator")
     if not num:
         return field.zero
     g = num.gcd(den)
-    if g != field.ring.one:
+    if g != one:
         num = num.quo(g)
         den = den.quo(g)
     lc = den.LC
     if lc != QQ(1):
         num = num.quo_ground(lc)
         den = den.quo_ground(lc)
-    return Coefficient(field, num, den)
+    return Coefficient(field, num, one if den == one else den)
 
 
 class Coefficient:
@@ -126,7 +137,7 @@ class Coefficient:
     # -- basic protocol -------------------------------------------------
 
     def __repr__(self):
-        if self.den == self.field.ring.one:
+        if self.den == self.field._one:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -149,17 +160,18 @@ class Coefficient:
 
     @property
     def is_one(self) -> bool:
-        return self.num == self.field.ring.one and self.den == self.field.ring.one
+        one = self.field._one
+        return self.num == one and self.den == one
 
     def _check(self, other) -> "Coefficient | None":
         """Coerce to a coefficient of this field; None means "not my type"."""
+        if isinstance(other, Coefficient):
+            if other.field is not self.field:
+                raise ValueError("coefficients from different fields; convert explicitly")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.field.rational(other)
-        if not isinstance(other, Coefficient):
-            return None
-        if other.field is not self.field:
-            raise ValueError("coefficients from different fields; convert explicitly")
-        return other
+        return None
 
     # -- field arithmetic -----------------------------------------------
 
@@ -167,7 +179,7 @@ class Coefficient:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return _canon(self.field, self.num + other.num, self.den)
         return _canon(self.field, self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -189,6 +201,15 @@ class Coefficient:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        # Structure constants are mostly the field's own unit: a product with
+        # it builds nothing new.
+        one = self.field._one
+        if other.num is other.den is one:
+            return self
+        if self.num is self.den is one:
+            return other
+        if self.den is other.den is one:
+            return _canon(self.field, self.num * other.num, one)
         return _canon(self.field, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -217,7 +238,7 @@ class Coefficient:
     # -- marker (series order) bookkeeping ------------------------------
 
     def _h_range(self, poly) -> tuple[int, int]:
-        degs = [mono[0] for mono, _ in poly.terms()]
+        degs = [mono[0] for mono in poly.itermonoms()]
         return (min(degs), max(degs))
 
     @property
@@ -232,7 +253,7 @@ class Coefficient:
 
     @property
     def den_has_marker(self) -> bool:
-        return not self.is_zero and self._h_range(self.den)[1] > 0
+        return self.den is not self.field._one and not self.is_zero and self._h_range(self.den)[1] > 0
 
     def truncate(self, order: int | None) -> "Coefficient":
         """Drop numerator terms above h-degree ``order`` (None = exact)."""
@@ -273,7 +294,7 @@ class Coefficient:
 
     def strip_marker(self) -> "Coefficient":
         """Substitute h -> 1 (used when rendering internally-scaled results)."""
-        one = self.field.ring.one
+        one = self.field._one
         return _canon(self.field, self.num.compose(self.field._h, one), self.den.compose(self.field._h, one))
 
     def subs(self, mapping: dict[str, "Coefficient | int | Fraction"]) -> "Coefficient":

@@ -366,18 +366,23 @@ def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
     return CoproductMap(spec=spec, order=order, images=images, basis_note=note)
 
 
-def first_order_check(spec: LMSpec, r: RMatrixSkew) -> bool:
-    """Antisymmetrized order-h part of the coproduct equals delta from r."""
+def first_order_check(spec: LMSpec, r: RMatrixSkew):
+    """Antisymmetrized order-h part of the coproduct equals delta from r.
+
+    Returns ``(ok, residuals)`` like the :mod:`.hopf` checks, with one
+    ``(label, lhs - target)`` residual per generator whose cocommutator
+    differs."""
     cp = lm_coproduct(spec, order=1)
     exact = Algebra.classical(spec.field)
+    residuals = []
     for label, target in cocommutator_map(r).items():
         t = cp.images[label]
         lhs = rebase((t - t.swap()).h_part(1), exact)
         if not target.is_zero and target.marker_degree() >= 1:
             target = target.h_part(1)
         if lhs != target:
-            return False
-    return True
+            residuals.append((label, lhs - target))
+    return not residuals, residuals
 
 
 # -- the published coproduct table ---------------------------------------

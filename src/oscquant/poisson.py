@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as _cartesian
+from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import _acc

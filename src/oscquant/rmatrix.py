@@ -40,14 +40,10 @@ from .algebra import (
     tensor,
     spread,
 )
-from .bialgebra import RMatrixSkew
 from .coeffs import Coefficient, CoefficientField
 from .funalg import (
-    FUN_NAMES,
-    FUN_UNIT,
     LETTER_NAMES,
     FunAlgebra,
-    FunPresentation,
     fun_presentation,
     semiclassical_check,  # noqa: F401  (re-exported; defined on coordinate rings)
 )

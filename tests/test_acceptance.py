@@ -239,7 +239,7 @@ def test_06_lm_engine():
             assert row.match, order
             assert row.closed  # compared against the decoded closed form
         for key, fam in FAMILIES.items():
-            assert first_order_check(family_spec(fam), fam.r(marked=True)), key
+            assert first_order_check(family_spec(fam), fam.r(marked=True))[0], key
 
 
 def test_07_table_III():

@@ -224,6 +224,25 @@ def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
     assert reports["lm-first-order"]["status"] == "pass"
 
 
+def test_verify_prop1_reports_a_wrong_r_by_generator(capsys, monkeypatch):
+    """A negated r fails the first-order line, and each residual names the
+    generator whose cocommutator differs and carries the difference."""
+    fam = cli.FAMILIES["Iplus-nonstandard"]
+    wrong = dataclasses.replace(fam, coeff_exprs={k: f"-({v})" for k, v in fam.coeff_exprs.items()})
+    monkeypatch.setitem(cli.FAMILIES, fam.key, wrong)
+    rc, payload, _ = run_json(
+        capsys,
+        ["verify", "--target", "prop1", "--family", fam.key, "--order", "2", "--format", "json"],
+    )
+    assert rc == 1
+    reports = {r["check"]: r for r in payload["reports"]}
+    first = reports["lm-first-order"]
+    assert first["status"] == "fail"
+    named = {line.split(": ")[0] for line in first["residuals"]}
+    assert named and named <= {"Ap", "Am", "M", "A"}, first["residuals"]
+    assert all(line.split(": ", 1)[1] for line in first["residuals"])
+
+
 def test_import_keeps_recursion_limit_and_deep_checks_pass():
     """Importing the package leaves the interpreter's recursion limit alone,
     and the order-8 Hopf checks run within the default limit."""

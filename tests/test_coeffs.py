@@ -170,6 +170,91 @@ class TestMarker:
         assert lhs == rhs
 
 
+def reference(num, den):
+    """The canonical (num, den) by the GCD route, whatever the denominator."""
+    if not num:
+        return F.ring.zero, F.ring.one
+    g = num.gcd(den)
+    num, den = num.quo(g), den.quo(g)
+    lc = den.LC
+    return num.quo_ground(lc), den.quo_ground(lc)
+
+
+def both_kinds(a):
+    """``a`` and its numerator alone: a real denominator and denominator 1."""
+    return [a, F.new(a.num)]
+
+
+def fresh_unit(a):
+    """``a`` with an equal denominator that is not the field's shared unit."""
+    return Coefficient(F, a.num, F.ring.one)
+
+
+class TestDenominatorOne:
+    def check(self, got, num, den):
+        assert (got.num, got.den) == reference(num, den)
+        if got.den == F.ring.one:
+            assert got.den is F._one
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs(), coeffs(), st.integers(0, 3))
+    def test_arithmetic_matches_the_gcd_route(self, a0, b0, n):
+        for a in both_kinds(a0):
+            for b in both_kinds(b0):
+                self.check(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
+                self.check(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
+                self.check(a * b, a.num * b.num, a.den * b.den)
+                if not b.is_zero:
+                    self.check(a / b, a.num * b.den, a.den * b.num)
+            self.check(a**n, a.num**n, a.den**n)
+
+    def test_polynomials_share_the_unit(self):
+        x = F.param("x")
+        for c in (F.zero, F.one, F.hbar, x, F.rational(3, 2), F.marked_param("y"), x * x - F.one,
+                  (x**2 - F.one) / (x - F.one), F.new(x.num), F.one * x, x * F.one, x**3):
+            assert c.den is F._one, c
+        assert F.one * x is x and x * F.one is x
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs(), coeffs())
+    def test_an_equal_unit_that_is_another_object(self, a0, b):
+        a = F.new(a0.num)
+        c = fresh_unit(a)
+        assert c.den is not F._one
+        assert c == a and hash(c) == hash(a)
+        assert c.is_one == a.is_one and repr(c) == repr(a)
+        assert not c.den_has_marker and c.marker_degree == a.marker_degree
+        for got, want in [(c + b, a + b), (b - c, b - a), (c * b, a * b), (b * c, b * a), (c**2, a**2)]:
+            assert got == want and hash(got) == hash(want)
+            if got.den == F.ring.one:
+                assert got.den is F._one
+        # truncate hands back its input when nothing is above the order
+        assert c.truncate(1) == a.truncate(1) and hash(c.truncate(1)) == hash(a.truncate(1))
+        if not a.is_zero:
+            assert b / c == b / a
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs(), st.integers(0, 3))
+    def test_marker_bookkeeping_on_both_kinds(self, a0, n):
+        for a in both_kinds(a0):
+            if a.is_zero:
+                continue
+            num_h = [m[0] for m in a.num.itermonoms()]
+            den_h = [m[0] for m in a.den.itermonoms()]
+            assert a.den_has_marker == (max(den_h) > 0)
+            assert a.marker_degree == min(num_h) - min(den_h)
+            if a.den_has_marker:
+                with pytest.raises(ValueError):
+                    a.truncate(n)
+                continue
+            kept = {m: c for m, c in a.num.terms() if m[0] <= n}
+            self.check(a.truncate(n), F.ring.from_dict(kept), a.den)
+
+    def test_truncate_still_refuses_a_marked_denominator(self):
+        with pytest.raises(ValueError):
+            (F.one / (F.one + F.hbar)).truncate(2)
+
+
 class TestSubs:
     def test_polynomial_substitution(self):
         x, y = F.param("x"), F.param("y")
