@@ -34,6 +34,7 @@ from .algebra import (
     Algebra,
     TensorElement,
     exp_series,
+    mat_mul,
     rebase,
     spread,
     tensor,
@@ -66,16 +67,8 @@ def _coeff_matrix(field: CoefficientField, rows):
     return rows
 
 
-def _cm_mul(field, a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), field.zero) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _cm_commute(field, a, b) -> bool:
-    return _cm_mul(field, a, b) == _cm_mul(field, b, a)
+def _cm_commute(a, b) -> bool:
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ class LMSpec:
         mats = nu + (mu or ())
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
-                if not _cm_commute(self.field, a, b):
+                if not _cm_commute(a, b):
                     raise NoncommutingEntries("mu/nu matrices must pairwise commute")
 
 
@@ -167,16 +160,7 @@ def matrix_exp(mat, order: int | None = None):
     ]
     term = [list(r) for r in total]
     for k in range(1, order + 1):
-        nxt = []
-        for i in range(n):
-            nxt_row = []
-            for j in range(n):
-                s = alg.zero()
-                for l in range(n):
-                    s = s + term[i][l] * rows[l][j]
-                nxt_row.append(s.scale(Fraction(1, k)).truncate(order))
-            nxt.append(nxt_row)
-        term = nxt
+        term = [[e.scale(Fraction(1, k)).truncate(order) for e in r] for r in mat_mul(term, rows)]
         if all(e.is_zero for r in term for e in r):
             break
         for i in range(n):

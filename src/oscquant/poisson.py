@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import _acc
+from .algebra import _acc, _Terms
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -48,6 +48,8 @@ DERIV_VARS = ("theta", "a_plus", "a_minus", "m")
 
 class GroupRing:
     """Commutative coordinate ring of one or more copies of the group."""
+
+    order = None  # functions on the group are exact
 
     def __init__(self, field: CoefficientField, sites: int = 1):
         self.field = field
@@ -78,110 +80,22 @@ class GroupRing:
         return val
 
 
-class GroupFunction:
+class GroupFunction(_Terms):
     """A finite sum of coordinate monomials with exact coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring: GroupRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
+    ring = _Terms.parent
 
     def __repr__(self):
         return group_str(self) or "0"
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _unit(self):
+        return self.ring.one()
 
-    def _coerce(self, other):
-        if isinstance(other, GroupFunction):
-            if other.ring is not self.ring:
-                raise ValueError("group functions from different rings")
-            return other
-        if isinstance(other, (int, Fraction, Coefficient)):
-            c = other if isinstance(other, Coefficient) else self.ring.field.rational(other)
-            return self.ring.one().scale(c)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return GroupFunction(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupFunction(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c) -> "GroupFunction":
-        if isinstance(c, (int, Fraction)):
-            c = self.ring.field.rational(c)
-        if c.is_zero:
-            return self.ring.zero()
-        return GroupFunction(self.ring, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self.scale(other)
-        if not isinstance(other, GroupFunction):
-            return NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("group functions from different rings")
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(
-                    tuple(a + b for a, b in zip(s1, s2)) for s1, s2 in zip(k1, k2)
-                )
-                _acc(out, key, c1 * c2)
-        return GroupFunction(self.ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("group functions are not generally invertible")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def map_coeffs(self, fn) -> "GroupFunction":
-        out = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero:
-                out[k] = v
-        return GroupFunction(self.ring, out)
-
-    def strip_marker(self):
-        return self.map_coeffs(lambda c: c.strip_marker())
-
-    def h_part(self, k: int):
-        return self.map_coeffs(lambda c: c.h_part(k))
+    @staticmethod
+    def _key_product(k1, k2):
+        return tuple(tuple(a + b for a, b in zip(s1, s2)) for s1, s2 in zip(k1, k2))
 
     def derive(self, var: str, site: int = 0) -> "GroupFunction":
         """Partial derivative; d/dtheta also differentiates E-powers."""
@@ -257,14 +171,6 @@ def group_matrix(coords: dict):
         [one, coords["a_minus"] * coords["E"], coords["m"] + coords["a_minus"] * coords["a_plus"]],
         [zero, coords["E"], coords["a_plus"]],
         [zero, zero, one],
-    ]
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n)]
-        for i in range(n)
     ]
 
 

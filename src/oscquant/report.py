@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import Element, TensorElement, coeff_prefix, element_str, tensor_str
+from .algebra import TensorElement, coeff_prefix
 from .bialgebra import GEN_LABELS, GEN_MONOS, WEDGE_SLOTS, RMatrixSkew, wedge
 from .coeffs import Coefficient
 from .poisson import GroupFunction, group_str
@@ -31,19 +31,7 @@ def render_residual(obj) -> str:
     """One deterministic line of text for any residual object."""
     if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str):
         return f"{obj[0]}: {render_residual(obj[1])}"
-    if isinstance(obj, TensorElement):
-        s = tensor_str(obj)
-    elif isinstance(obj, Element):
-        s = element_str(obj)
-    elif isinstance(obj, GroupFunction):
-        s = group_str(obj)
-    elif isinstance(obj, Coefficient):
-        s = repr(obj)
-    elif hasattr(obj, "entries") and hasattr(obj, "dim"):  # exact sparse matrix
-        items = sorted(obj.entries.items())
-        s = "; ".join(f"({i},{j})={c!r}" for (i, j), c in items) if items else "0"
-    else:
-        s = str(obj)
+    s = str(obj)  # containers and coefficients render through their repr
     if len(s) > _RESIDUAL_CHARS:
         s = s[:_RESIDUAL_CHARS] + " ...(truncated)"
     return s

@@ -34,13 +34,15 @@ from .algebra import (
     M,
     Element,
     TensorElement,
+    _acc,
+    _Terms,
     embed,
     exp_series,
     rebase,
     tensor,
     spread,
 )
-from .coeffs import Coefficient, CoefficientField
+from .coeffs import CoefficientField
 from .funalg import (
     LETTER_NAMES,
     FunAlgebra,
@@ -306,15 +308,23 @@ def conjugation_identity_check(order: int):
 # -- exact 3×3 representation -------------------------------------------
 
 
-class ScalarMatrix:
-    """Sparse exact matrix over a coefficient field."""
+class ScalarMatrix(_Terms):
+    """Sparse exact square matrix over a coefficient field.
 
-    __slots__ = ("field", "dim", "entries")
+    Its parent is the field and its shape the size, so matrices over
+    different fields or of different sizes never combine.
+    """
+
+    __slots__ = ("dim",)
+
+    field = _Terms.parent
+    entries = _Terms.terms
+    order = None
+    __mul__ = _Terms.__mul__
 
     def __init__(self, field: CoefficientField, dim: int, entries):
-        self.field = field
+        super().__init__(field, {k: c for k, c in entries.items() if not c.is_zero})
         self.dim = dim
-        self.entries = {k: c for k, c in entries.items() if not c.is_zero}
 
     @classmethod
     def identity(cls, field, dim):
@@ -324,50 +334,28 @@ class ScalarMatrix:
     def zero(cls, field, dim):
         return cls(field, dim, {})
 
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return ScalarMatrix(self.field, self.dim, out)
+    @property
+    def shape(self):
+        return self.dim
 
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
+    def _like(self, entries):
+        return ScalarMatrix(self.field, self.dim, entries)
 
-    def __mul__(self, other):
+    def _unit(self):
+        return ScalarMatrix.identity(self.field, self.dim)
+
+    def __repr__(self):
+        return "; ".join(f"({i},{j})={c!r}" for (i, j), c in sorted(self.entries.items())) or "0"
+
+    def _product(self, other):
         by_row: dict = {}
         for (k, j), c in other.entries.items():
             by_row.setdefault(k, []).append((j, c))
         out: dict = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                key = (i, j)
-                v = a * b
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                _acc(out, (i, j), a * b)
         return ScalarMatrix(self.field, self.dim, out)
-
-    def scale(self, c: Coefficient):
-        return ScalarMatrix(self.field, self.dim, {k: v * c for k, v in self.entries.items()})
-
-    @property
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
 
     def kron(self, other):
         d = other.dim
@@ -536,14 +524,16 @@ _T_ENTRIES = {
 }
 
 
-class FreeElement:
+class FreeElement(_Terms):
     """A finite sum of free words over the coordinate letters."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
+
+    field = _Terms.parent
+    order = None
 
     def __init__(self, field, terms):
-        self.field = field
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
+        super().__init__(field, {w: c for w, c in terms.items() if not c.is_zero})
 
     @classmethod
     def unit(cls, field):
@@ -553,40 +543,12 @@ class FreeElement:
     def letter(cls, field, name):
         return cls(field, {(name,): field.one})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            v = c if v is None else v + c
-            if v.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return FreeElement(self.field, out)
+    def _unit(self):
+        return FreeElement.unit(self.field)
 
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                v = c1 * c2
-                prev = out.get(w)
-                v = v if prev is None else prev + v
-                if v.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-        return FreeElement(self.field, out)
-
-    def scale(self, c):
-        return FreeElement(self.field, {w: v * c for w, v in self.terms.items()})
-
-    @property
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def _key_product(w1, w2):
+        return w1 + w2
 
     def canonical(self):
         """Scale the commutator part to coefficient 1.
@@ -620,30 +582,25 @@ class FreeElement:
         return total
 
 
-def _t_matrix(make_unit, make_letter, mul, add):
+def _t_matrix(make_unit, make_letter):
     out = {}
     for pos, spec in _T_ENTRIES.items():
         total = None
         for term in spec.split(" + "):
             piece = make_unit()
             for name in term.split():
-                piece = mul(piece, make_unit() if name == "1" else make_letter(name))
-            total = piece if total is None else add(total, piece)
+                piece = piece * (make_unit() if name == "1" else make_letter(name))
+            total = piece if total is None else total + piece
         out[pos] = total
     return out
 
 
 def fun_t_matrix(alg: FunAlgebra) -> dict:
-    return _t_matrix(alg.one, alg.coord, lambda a, b: a * b, lambda a, b: a + b)
+    return _t_matrix(alg.one, alg.coord)
 
 
 def free_t_matrix(field) -> dict:
-    return _t_matrix(
-        lambda: FreeElement.unit(field),
-        lambda n: FreeElement.letter(field, n),
-        lambda a, b: a * b,
-        lambda a, b: a + b,
-    )
+    return _t_matrix(lambda: FreeElement.unit(field), lambda n: FreeElement.letter(field, n))
 
 
 def _frt_defect(r9: ScalarMatrix, tmat: dict, zero):

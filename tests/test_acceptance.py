@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from oscquant.algebra import A, AM, AP, GEN_MONOS, M, Algebra, lie_brackets, tensor
+from oscquant.algebra import A, AM, AP, GEN_MONOS, M, Algebra, lie_brackets, mat_mul, tensor
 from oscquant.bialgebra import (
     FAMILIES,
     ad_invariant_check,
@@ -40,7 +40,6 @@ from oscquant.poisson import (
     group_matrix,
     jacobi_check,
     left_fields,
-    mat_mul,
     multiplicativity_check,
     right_fields,
     site_coords,

@@ -23,7 +23,9 @@ from oscquant.algebra import (
     tensor,
     word_of_mono,
 )
-from oscquant.coeffs import CoefficientField
+from oscquant.coeffs import Coefficient, CoefficientField
+from oscquant.poisson import GroupRing
+from oscquant.rmatrix import FreeElement, ScalarMatrix
 
 F = CoefficientField.get("z")
 CL = Algebra.classical(F)
@@ -289,3 +291,68 @@ class TestElementOps:
     def test_degree(self):
         assert (CL.monomial((1, 2, 0, 1)) + CL.gen(A)).degree == 4
         assert CL.zero().degree == 0
+
+
+# -- the shared sparse linear-combination core --------------------------
+
+OTHER_FIELD = CoefficientField.get("x", "bp", "yp")
+
+
+def _free(field, *words):
+    return FreeElement(field, {tuple(w.split()): field.rational(i + 1) for i, w in enumerate(words)})
+
+
+def _matrix(field, dim, *cells):
+    return ScalarMatrix(field, dim, {cell: field.rational(i + 2) for i, cell in enumerate(cells)})
+
+
+def _containers(kind):
+    """Two operands ``a``, ``b`` of one container kind, and operands of the
+    same kind over another parent (or field) or of another shape."""
+    z = F.marked_param("z")
+    if kind == "Element":
+        a = UZ.gen(A) + UZ.gen(AP).scale(z)
+        b = UZ.gen(AM) * UZ.gen(AP) - 3
+        return a, b, [CL.gen(A), Algebra.classical(OTHER_FIELD, 4).gen(A)]
+    if kind == "TensorElement":
+        a = tensor(UZ.gen(A), UZ.gen(AP)).scale(z)
+        b = tensor(UZ.gen(AP), UZ.gen(M)) + tensor(UZ.one(), UZ.gen(A))
+        return a, b, [tensor(CL.gen(A), CL.gen(AP)), tensor(UZ.gen(A), UZ.gen(A), UZ.gen(A))]
+    if kind == "GroupFunction":
+        ring = GroupRing(F)
+        a = ring.coord("a_plus") * ring.coord("E") + ring.coord("theta").scale(z)
+        b = ring.coord("Einv") - ring.coord("m") * 2
+        return a, b, [GroupRing(F).coord("m"), GroupRing(F, 2).coord("m"), GroupRing(OTHER_FIELD).coord("m")]
+    if kind == "FreeElement":
+        a = _free(F, "E a_plus", "m")
+        b = _free(F, "a_plus E", "m", "")
+        return a, b, [_free(OTHER_FIELD, "m")]
+    a = _matrix(F, 3, (0, 1), (1, 1))
+    b = _matrix(F, 3, (1, 1), (2, 0))
+    return a, b, [_matrix(F, 9, (0, 1)), _matrix(OTHER_FIELD, 3, (0, 1))]
+
+
+CONTAINERS = ("Element", "TensorElement", "GroupFunction", "FreeElement", "ScalarMatrix")
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_shared_linear_laws(kind):
+    a, b, others = _containers(kind)
+    assert type(a).__name__ == kind
+    assert a + b - b == a
+    assert (-a + a).is_zero
+    assert a - a == 0 and a + 1 - a == 1
+    assert a.scale(0).is_zero and (a * 0).is_zero
+    for x in (a, b, a + b, a - b, a + b - b, a.scale(F.marked_param("z")), a * Fraction(1, 2)):
+        assert all(not c.is_zero for c in x.terms.values())
+    # int and Fraction scalars lift to coefficients of the container's field
+    for x in (a + 2, 2 - a, a.scale(Fraction(1, 3)), Fraction(1, 3) * a, a / 3):
+        assert all(isinstance(c, Coefficient) and c.field is F for c in x.terms.values())
+    assert a / 3 == a.scale(Fraction(1, 3)) == Fraction(1, 3) * a
+    for op in (lambda: a + OTHER_FIELD.one, lambda: a.scale(OTHER_FIELD.one), lambda: a == OTHER_FIELD.one):
+        with pytest.raises(ValueError):
+            op()
+    for o in others:
+        for op in (lambda: a + o, lambda: a - o, lambda: a * o, lambda: a == o):
+            with pytest.raises(ValueError):
+                op()

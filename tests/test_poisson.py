@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscquant.algebra import mat_mul
 from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant.poisson import (
@@ -15,7 +16,6 @@ from oscquant.poisson import (
     group_matrix,
     jacobi_check,
     left_fields,
-    mat_mul,
     multiplicativity_check,
     right_fields,
     site_coords,

@@ -1,5 +1,7 @@
 """Universal R-matrices: series checks, exact matrix image, FRT relations."""
 
+import operator
+
 import pytest
 
 from oscquant.algebra import A, AM, AP, M
@@ -182,6 +184,25 @@ def test_exact_qybe_identity_matrix():
     field = CoefficientField.get("z")
     ok, _ = qybe_exact_matrix(ScalarMatrix.identity(field, 9))
     assert ok
+
+
+def test_scalar_matrices_of_other_sizes_or_fields_do_not_mix():
+    """A 3×3 and a 9×9 matrix, or matrices over two fields, neither combine
+    nor compare; a "size 3" sum holding entries out to (8, 8) is refused."""
+    field, other = CoefficientField.get("z"), CoefficientField.get("x", "bp", "yp")
+    small = ScalarMatrix.identity(field, 3)
+    for mismatched in (ScalarMatrix.identity(field, 9), ScalarMatrix.identity(other, 3)):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ValueError):
+                op(small, mismatched)
+
+
+def test_scalar_matrix_repr_lists_sorted_entries():
+    field = CoefficientField.get("z")
+    z = field.param("z")
+    mat = ScalarMatrix(field, 3, {(1, 2): z, (0, 0): field.one, (0, 2): -z})
+    assert repr(mat) == "(0,0)=1; (0,2)=-z; (1,2)=z"
+    assert repr(ScalarMatrix.zero(field, 3)) == "0"
 
 
 def test_d_matrix_dense_dump():
