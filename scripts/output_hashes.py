@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Print sha256 prefixes of the program's outputs, to show that a change
+leaves them as they were.
+
+Four outputs are hashed, each as one sha256 over its pieces concatenated
+with no separator (the first 16 hex digits are printed):
+
+``tables``          ``tables --which W --format F`` for W in I, II, III and
+                    F in text, json, latex: stdout, then ``\\nexit=<rc>\\n``;
+``verify``          ``verify --order 6 --format json --jobs 1``;
+``prop2+prop4``     ``verify --target prop2`` at orders 2-8, then ``prop4``
+                    at orders 2-8;
+``prop1``           ``verify --target prop1`` at orders 2-5.
+
+A ``verify`` document is hashed whole, with every ``wall_time_s`` removed,
+as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
+``tables`` runs at the built-in default order.
+
+Run from the repository root::
+
+    PYTHONPATH=src python3 scripts/output_hashes.py            # all four
+    PYTHONPATH=src python3 scripts/output_hashes.py tables prop1
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+from oscquant.cli import ORDER_ENV, main as cli_main
+
+TIME_KEY = "wall_time_s"
+
+
+def strip_times(obj):
+    """A copy of a JSON value with every ``wall_time_s`` key removed."""
+    if isinstance(obj, dict):
+        return {k: strip_times(v) for k, v in obj.items() if k != TIME_KEY}
+    if isinstance(obj, list):
+        return [strip_times(v) for v in obj]
+    return obj
+
+
+def verify_piece(stdout: str) -> str:
+    """The hashed form of one ``verify --format json`` document."""
+    return json.dumps(strip_times(json.loads(stdout)), sort_keys=True)
+
+
+def digest(pieces) -> str:
+    """The first 16 hex digits of the sha256 of the pieces joined with no separator."""
+    h = hashlib.sha256()
+    for piece in pieces:
+        h.update(piece.encode("utf-8"))
+    return h.hexdigest()[:16]
+
+
+def run_cli(argv):
+    """(stdout, exit code) of one in-process command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli_main(argv)
+    return buf.getvalue(), rc
+
+
+def tables_pieces():
+    for which in ("I", "II", "III"):
+        for fmt in ("text", "json", "latex"):
+            out, rc = run_cli(["tables", "--which", which, "--format", fmt])
+            yield f"{out}\nexit={rc}\n"
+
+
+def verify_pieces(target, orders):
+    for order in orders:
+        argv = ["verify", "--order", str(order), "--format", "json", "--jobs", "1"]
+        if target is not None:
+            argv += ["--target", target]
+        yield verify_piece(run_cli(argv)[0])
+
+
+OUTPUTS = {
+    "tables": tables_pieces,
+    "verify": lambda: verify_pieces(None, [6]),
+    "prop2+prop4": lambda: (
+        piece
+        for target in ("prop2", "prop4")
+        for piece in verify_pieces(target, range(2, 9))
+    ),
+    "prop1": lambda: verify_pieces("prop1", range(2, 6)),
+}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outputs", nargs="*", help=f"outputs to hash, of {', '.join(OUTPUTS)} (default: all)")
+    args = ap.parse_args(argv)
+    unknown = [name for name in args.outputs if name not in OUTPUTS]
+    if unknown:
+        ap.error(f"unknown outputs: {', '.join(unknown)}")
+    os.environ.pop(ORDER_ENV, None)
+    for name in args.outputs or OUTPUTS:
+        print(f"{name} {digest(OUTPUTS[name]())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,11 +58,63 @@ def _acc(terms, key, c):
         terms[key] = c
 
 
-def _graded_items(terms, order):
-    """Term items paired with their marker valuation (0 when exact)."""
-    if order is None:
-        return [(k, c, 0) for k, c in terms.items()]
-    return [(k, c, c.marker_degree) for k, c in terms.items()]
+def _grade(c):
+    """(valuation, polynomial top) of a term about to be multiplied under truncation."""
+    top = c.poly_top
+    if top is None and c.den_has_marker:
+        raise ValueError(f"cannot truncate {c!r}: denominator carries the marker")
+    return c.marker_degree, top
+
+
+def _pair_walk(lhs, rhs, order):
+    """The one bilinear pair loop: every product of a term of ``lhs`` by a
+    term of ``rhs`` that can survive truncation at ``order``, in the order
+    lhs × rhs, as ``(k1, k2, c)`` with ``c = c1*c2`` truncated and nonzero.
+
+    ``rhs`` is a term dict, or a function of the left key giving one.
+    Valuations add exactly, so the right-hand terms that cannot survive are
+    filtered out once per distinct left valuation.  Polynomial tops add
+    exactly too, so a product of two polynomials whose tops sum to at most
+    the order is not truncated.  A term whose denominator carries the marker
+    raises ``ValueError``, as ``truncate`` does.
+    """
+    rhs_of = rhs if callable(rhs) else lambda _: rhs
+    exact = order is None
+    # (id(right dict), left valuation) -> (the dict, its terms that can survive)
+    rows_at: dict = {}
+    for k1, c1 in lhs.items():
+        r = rhs_of(k1)
+        d1, t1 = (0, None) if exact else _grade(c1)
+        got = rows_at.get((id(r), d1))
+        if got is None:
+            rows = []
+            for k2, c2 in r.items():
+                d2, t2 = (0, None) if exact else _grade(c2)
+                if exact or d1 + d2 <= order:
+                    rows.append((k2, c2, t2))
+            got = rows_at[(id(r), d1)] = (r, rows)
+        one = c1.field.one
+        for k2, c2, t2 in got[1]:
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+            if not exact and (t1 is None or t2 is None or t1 + t2 > order):
+                c = c.truncate(order)
+            if not c.is_zero:
+                yield k1, k2, c
+
+
+def _times(c, consts, order):
+    """``c``, already truncated, times each constant.  A constant that is the
+    field's unit costs nothing, and valuations add exactly, so a product
+    above ``order`` is zero without being formed."""
+    one = c.field.one
+    ks = [k for k in consts if k is not one]
+    if not ks:
+        return c
+    if order is not None and c.marker_degree + sum(k.marker_degree for k in ks) > order:
+        return c.field.zero
+    for k in ks:
+        c = c * k
+    return c if order is None else c.truncate(order)
 
 
 def oscillator_tails(field: CoefficientField):
@@ -466,9 +518,8 @@ class _Terms:
         """The bilinear extension of ``_key_product`` (key times key is one key)."""
         key_product = self._key_product
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _acc(out, key_product(k1, k2), c1 * c2)
+        for k1, k2, c in _pair_walk(self.terms, other.terms, self.order):
+            _acc(out, key_product(k1, k2), c)
         return self._like(out)
 
     def __pow__(self, n: int):
@@ -531,22 +582,14 @@ class Element(_Terms):
         return max((mono_degree(m) for m in self.terms), default=0)
 
     def _product(self, other):
-        order = self.alg.order
+        alg, order = self.alg, self.alg.order
         out: dict = {}
-        # valuations add exactly, so pairs over the truncation order can be
-        # skipped before the (expensive) coefficient product
-        lhs = _graded_items(self.terms, order)
-        rhs = _graded_items(other.terms, order)
-        for m1, c1, d1 in lhs:
-            for m2, c2, d2 in rhs:
-                if order is not None and d1 + d2 > order:
-                    continue
-                c = (c1 * c2).truncate(order)
-                if c.is_zero:
-                    continue
-                for m, cm in self.alg.mul_mono(m1, m2).items():
-                    _acc(out, m, (c * cm).truncate(order))
-        return Element(self.alg, {m: c for m, c in out.items() if not c.is_zero})
+        for m1, m2, c in _pair_walk(self.terms, other.terms, order):
+            for m, cm in alg.mul_mono(m1, m2).items():
+                v = _times(c, (cm,), order)
+                if not v.is_zero:
+                    _acc(out, m, v)
+        return Element(alg, out)
 
     def coeff(self, mono) -> Coefficient:
         return self.terms.get(tuple(mono), self.alg.field.zero)
@@ -580,27 +623,13 @@ class TensorElement(_Terms):
     def _product(self, other):
         alg, order = self.alg, self.alg.order
         out: dict = {}
-        lhs = _graded_items(self.terms, order)
-        rhs = _graded_items(other.terms, order)
-        for k1, c1, d1 in lhs:
-            for k2, c2, d2 in rhs:
-                if order is not None and d1 + d2 > order:
-                    continue
-                c = (c1 * c2).truncate(order)
-                if c.is_zero:
-                    continue
-                slot_terms = [alg.mul_mono(k1[s], k2[s]).items() for s in range(self.arity)]
-                for combo in _cartesian(*slot_terms):
-                    cc = c
-                    for _, cs in combo:
-                        cc = cc * cs
-                    # a product by the field's unit hands back c, already truncated
-                    if cc is not c:
-                        cc = cc.truncate(order)
-                        if cc.is_zero:
-                            continue
-                    _acc(out, tuple(m for m, _ in combo), cc)
-        return TensorElement(alg, self.arity, {k: c for k, c in out.items() if not c.is_zero})
+        for k1, k2, c in _pair_walk(self.terms, other.terms, order):
+            slot_terms = [alg.mul_mono(k1[s], k2[s]).items() for s in range(self.arity)]
+            for combo in _cartesian(*slot_terms):
+                v = _times(c, [cs for _, cs in combo], order)
+                if not v.is_zero:
+                    _acc(out, tuple(m for m, _ in combo), v)
+        return TensorElement(alg, self.arity, out)
 
     def permute(self, perm) -> "TensorElement":
         """Reorder slots: new slot s holds old slot perm[s]."""
@@ -676,6 +705,14 @@ def embed(t: TensorElement, positions: tuple[int, ...], arity: int) -> TensorEle
             key[p] = k[s]
         _acc(out, tuple(key), c)
     return TensorElement(t.alg, arity, out)
+
+
+def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
+    """Replace slot ``pos`` by its arity-2 image under f (mono -> tensor)."""
+    out: dict = {}
+    for key, k2, c in _pair_walk(t.terms, lambda key: f(key[pos]).terms, t.alg.order):
+        _acc(out, key[:pos] + k2 + key[pos + 1 :], c)
+    return TensorElement(t.alg, t.arity + 1, out)
 
 
 def spread(x: Element, arity: int) -> TensorElement:

@@ -39,6 +39,7 @@ from .algebra import (
     Algebra,
     Element,
     TensorElement,
+    apply_slot_map,
     embed,
     mono_degree,
     tensor,
@@ -166,13 +167,14 @@ def three_wedge_coefficients(t: TensorElement) -> dict:
     return out
 
 
-def mcybe_check(r: RMatrixSkew):
+def mcybe_check(r: RMatrixSkew, br: TensorElement | None = None):
     """(ok, residuals): ad-invariance of [[r,r]] under all four generators.
 
     Residuals are the non-invariant wedge components of [[r,r]] (everything
-    except the Ap^Am^M direction), named by their wedge slot.
+    except the Ap^Am^M direction), named by their wedge slot.  ``br`` is
+    [[r,r]] when the caller has already built it.
     """
-    br = schouten(r)
+    br = schouten(r) if br is None else br
     alg = r.algebra()
     invariant = all(tensor_adjoint(alg.gen(i), br).is_zero for i in range(4))
     residuals = [
@@ -222,7 +224,8 @@ def classify(r: RMatrixSkew, nonzero=()) -> Classification:
     coefficients have undeclared free parameters.
     """
     nonzero = frozenset(nonzero)
-    ok, residuals = mcybe_check(r)
+    br = schouten(r)
+    ok, residuals = mcybe_check(r, br)
     if not ok:
         raise NotCoboundary(residuals)
     c1, c2 = r.c[0], r.c[1]
@@ -238,9 +241,9 @@ def classify(r: RMatrixSkew, nonzero=()) -> Classification:
         family = "Iminus"
     else:
         family = "II"
-    br = three_wedge_coefficients(schouten(r))
-    sc = br.get((AP, AM, M), r.field.zero)
-    flavor = "nonstandard" if not br else "standard"
+    wedges = three_wedge_coefficients(br)
+    sc = wedges.get((AP, AM, M), r.field.zero)
+    flavor = "nonstandard" if not wedges else "standard"
     return Classification(family=family, flavor=flavor, trivial=r.is_zero, schouten_coeff=sc)
 
 
@@ -290,28 +293,6 @@ def cocycle_check(r: RMatrixSkew):
             if lhs != rhs:
                 residuals.append((GEN_LABELS[i], GEN_LABELS[j], lhs - rhs))
     return not residuals, residuals
-
-
-def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
-    """Replace slot ``pos`` by the arity-2 image under f (mono -> tensor)."""
-    alg = t.alg
-    terms: dict = {}
-    for key, c in t.terms.items():
-        img = f(key[pos])
-        for k2, c2 in img.terms.items():
-            v = c * c2
-            if alg.order is not None:
-                v = v.truncate(alg.order)
-            if v.is_zero:
-                continue
-            new_key = key[:pos] + k2 + key[pos + 1 :]
-            prev = terms.get(new_key)
-            v = v if prev is None else prev + v
-            if v.is_zero:
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = v
-    return TensorElement(alg, t.arity + 1, terms)
 
 
 def cojacobi_check(r: RMatrixSkew):

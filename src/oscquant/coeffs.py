@@ -125,7 +125,7 @@ class Coefficient:
     arguments to be canonical.
     """
 
-    __slots__ = ("field", "num", "den", "_hash", "_mdeg")
+    __slots__ = ("field", "num", "den", "_hash", "_mdeg", "_htop")
 
     def __init__(self, field: CoefficientField, num, den):
         self.field = field
@@ -133,6 +133,7 @@ class Coefficient:
         self.den = den
         self._hash = None
         self._mdeg = None
+        self._htop = None
 
     # -- basic protocol -------------------------------------------------
 
@@ -241,15 +242,33 @@ class Coefficient:
         degs = [mono[0] for mono in poly.itermonoms()]
         return (min(degs), max(degs))
 
+    def _grade(self):
+        if self.is_zero:
+            self._mdeg = self._htop = 0
+        else:
+            low, self._htop = self._h_range(self.num)
+            self._mdeg = low if self.den is self.field._one else low - self._h_range(self.den)[0]
+
     @property
     def marker_degree(self) -> int:
         """h-adic valuation: the lowest series order present in this scalar."""
         if self._mdeg is None:
-            if self.is_zero:
-                self._mdeg = 0
-            else:
-                self._mdeg = self._h_range(self.num)[0] - self._h_range(self.den)[0]
+            self._grade()
         return self._mdeg
+
+    @property
+    def top_degree(self) -> int:
+        """The highest h-degree in the numerator (0 for zero)."""
+        if self._htop is None:
+            self._grade()
+        return self._htop
+
+    @property
+    def poly_top(self) -> int | None:
+        """``top_degree`` of a polynomial (its denominator is the field's shared
+        unit), None otherwise: a product of polynomials whose tops sum to at
+        most the order has nothing to truncate."""
+        return self.top_degree if self.den is self.field._one else None
 
     @property
     def den_has_marker(self) -> bool:
@@ -261,7 +280,7 @@ class Coefficient:
             return self
         if self.den_has_marker:
             raise ValueError(f"cannot truncate {self!r}: denominator carries the marker")
-        if self._h_range(self.num)[1] <= order:
+        if self.top_degree <= order:
             return self
         ring = self.field.ring
         kept = {mono: c for mono, c in self.num.terms() if mono[0] <= order}

@@ -34,12 +34,13 @@ from .algebra import (
     Algebra,
     Element,
     TensorElement,
+    apply_slot_map,
     exp_series,
     rebase,
     spread,
     tensor,
 )
-from .bialgebra import RMatrixSkew, apply_slot_map, cocommutator_map
+from .bialgebra import RMatrixSkew, cocommutator_map
 from .coeffs import Coefficient, CoefficientField
 
 PRESENTATION_KEYS = ("Uz", "IIn", "IIs")

@@ -320,9 +320,9 @@ def multiplicativity_check(r: RMatrixSkew):
     Delta pulls coordinates back through the group law and the doubled
     bracket is the site-wise sum.
     """
-    ok, _ = mcybe_check(r)
+    ok, residuals = mcybe_check(r)
     if not ok:
-        raise NotCoboundary(mcybe_check(r)[1])
+        raise NotCoboundary(residuals)
     single = GroupRing(r.field, 1)
     double = GroupRing(r.field, 2)
     images = group_compose(site_coords(double, 0), site_coords(double, 1))

@@ -1,6 +1,7 @@
 """Engine tests: PBW straightening, deformed rewriting, tensors, exp."""
 
 from fractions import Fraction
+from itertools import product as _cartesian
 from math import factorial
 
 import pytest
@@ -16,6 +17,8 @@ from oscquant.algebra import (
     UNIT_MONO,
     Algebra,
     Element,
+    TensorElement,
+    apply_slot_map,
     embed,
     exp_series,
     lie_brackets,
@@ -356,3 +359,108 @@ def test_shared_linear_laws(kind):
         for op in (lambda: a + o, lambda: a - o, lambda: a * o, lambda: a == o):
             with pytest.raises(ValueError):
                 op()
+
+
+# -- the pair walk against a naive reference ------------------------------
+
+_HZ, _Z = F.marked_param("z"), F.param("z")
+# Multi-term numerators, valuations 0..5 (UZ truncates at 4), the field's
+# unit itself and other unit-denominator rationals, and h-free real
+# denominators.
+WALK_COEFFS = [
+    F.one,
+    F.rational(-2),
+    F.rational(1, 3),
+    _HZ,
+    F.one + _HZ + _HZ**2,
+    _HZ**3 - 2 * _HZ**4,
+    _HZ**5,
+    _HZ**2 / (_Z + 1),
+    (F.one + _HZ * _Z) / (_Z**2 + 3),
+]
+
+
+def walk_terms(arity):
+    top = 2 if arity == 1 else 1
+    mono = st.tuples(*(st.integers(0, top) for _ in range(4)))
+    key = mono if arity == 1 else st.tuples(*([mono] * arity))
+    return st.dictionaries(key, st.sampled_from(WALK_COEFFS), min_size=1, max_size=3)
+
+
+def _naive_acc(out, key, c):
+    c = c if key not in out else out[key] + c
+    if c.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+def naive_product(alg, arity, lhs, rhs):
+    """All pairs, every product truncated, accumulated in pair order."""
+    order = alg.order
+    out = {}
+    for k1, c1 in lhs.items():
+        for k2, c2 in rhs.items():
+            c = (c1 * c2).truncate(order)
+            slots = [(k1, k2)] if arity == 1 else list(zip(k1, k2))
+            for combo in _cartesian(*(alg.mul_mono(a, b).items() for a, b in slots)):
+                cc = c
+                for _, cs in combo:
+                    cc = (cc * cs).truncate(order)
+                key = combo[0][0] if arity == 1 else tuple(m for m, _ in combo)
+                _naive_acc(out, key, cc)
+    return out
+
+
+def naive_slot_map(alg, lhs, pos, f):
+    out = {}
+    for key, c in lhs.items():
+        for k2, c2 in f(key[pos]).terms.items():
+            _naive_acc(out, key[:pos] + k2 + key[pos + 1 :], (c * c2).truncate(alg.order))
+    return out
+
+
+def _slot_image(mono):
+    """A linear map mono -> tensor square with coefficients of several valuations."""
+    m = UZ.monomial(mono)
+    return tensor(m, UZ.one()) + tensor(UZ.one(), m).scale(_HZ**2 - _HZ) + tensor(m, m).scale(_HZ**3)
+
+
+class TestPairWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(walk_terms(1), walk_terms(1))
+    def test_element_product_matches_naive(self, a, b):
+        got = Element(UZ, a) * Element(UZ, b)
+        assert list(got.terms.items()) == list(naive_product(UZ, 1, a, b).items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_tensor_product_matches_naive(self, arity, data):
+        a, b = data.draw(walk_terms(arity)), data.draw(walk_terms(arity))
+        got = TensorElement(UZ, arity, a) * TensorElement(UZ, arity, b)
+        assert list(got.terms.items()) == list(naive_product(UZ, arity, a, b).items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(walk_terms(2), st.sampled_from([0, 1]))
+    def test_slot_map_matches_naive(self, a, pos):
+        got = apply_slot_map(TensorElement(UZ, 2, a), pos, _slot_image)
+        assert got.arity == 3
+        assert list(got.terms.items()) == list(naive_slot_map(UZ, a, pos, _slot_image).items())
+
+    def test_exact_products_match_naive(self):
+        a = {(1, 0, 0, 0): WALK_COEFFS[4], (0, 1, 1, 0): WALK_COEFFS[7], UNIT_MONO: F.one}
+        b = {(0, 1, 0, 0): WALK_COEFFS[8], (0, 0, 1, 0): F.one}
+        got = Element(CL, a) * Element(CL, b)
+        assert list(got.terms.items()) == list(naive_product(CL, 1, a, b).items())
+
+    def test_marker_denominator_raises_in_slot_map(self):
+        c = F.one / (F.one + F.hbar)
+        assert c.den_has_marker
+        t = TensorElement(UZ, 2, {(GEN_MONOS[A], UNIT_MONO): c})
+        with pytest.raises(ValueError, match="denominator carries the marker"):
+            apply_slot_map(t, 0, _slot_image)
+        # also where every pair is above the order and nothing would survive
+        high = F.hbar**6 / (F.one + F.hbar)
+        t = TensorElement(UZ, 2, {(GEN_MONOS[A], UNIT_MONO): high})
+        with pytest.raises(ValueError, match="denominator carries the marker"):
+            apply_slot_map(t, 0, _slot_image)

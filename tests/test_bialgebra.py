@@ -2,6 +2,7 @@
 
 import pytest
 
+from oscquant import bialgebra
 from oscquant.algebra import (
     A,
     AM,
@@ -238,3 +239,22 @@ class TestFamilies:
 
     def test_table_I_covers_all_families(self):
         assert {row.key for row in table_I()} == set(FAMILIES)
+
+
+def test_classify_builds_the_bracket_once(monkeypatch):
+    built = []
+
+    def counting(r):
+        built.append(r)
+        return schouten(r)
+
+    monkeypatch.setattr(bialgebra, "schouten", counting)
+    for fam in FAMILIES.values():
+        built.clear()
+        cls = fam.classification()
+        assert (cls.family, cls.flavor) == (fam.family, fam.flavor)
+        assert len(built) == 1, fam.key
+    built.clear()
+    with pytest.raises(NotCoboundary):
+        classify(RMatrixSkew(GF, (1, 1, 0, 0, 0, 0)))
+    assert len(built) == 1

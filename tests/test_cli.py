@@ -16,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from oscquant import cli
-from oscquant.algebra import AP, tensor
+from oscquant import bialgebra, cli
+from oscquant.algebra import AP, Algebra, tensor
 from oscquant.cli import main
+from oscquant.coeffs import CoefficientField
+from oscquant.rmatrix import CONJUGATION_CASES
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +129,28 @@ def test_classify_not_coboundary(capsys):
     assert "NotCoboundary" in out
     assert "-2*c1*c2" in out  # the violated condition, by closed form
     assert "here -2" in out
+
+
+def test_not_coboundary_builds_the_generic_bracket_once(capsys, monkeypatch):
+    generic_field = bialgebra.generic_r().field
+    built = []
+
+    def counting(r, _schouten=bialgebra.schouten):
+        built.append(r.field is generic_field)
+        return _schouten(r)
+
+    monkeypatch.setattr(bialgebra, "schouten", counting)
+    monkeypatch.setattr(cli, "schouten", counting)
+    cli._generic_components.cache_clear()
+    try:
+        for r in ("1,1,0,0,0,0", "s,t,0,0,0,0"):
+            rc, out, _ = run(capsys, ["classify", "--r", r])
+            assert rc == 1
+            assert "generic value -2*c1*c2" in out
+    finally:
+        cli._generic_components.cache_clear()
+    # each classify builds its own bracket; the generic one is built once
+    assert built == [False, True, False]
 
 
 def test_classify_symbolic(capsys):
@@ -298,6 +322,33 @@ def test_verify_appendixA(capsys):
         "conjugation [A outer]",
     ]
     assert payload["summary"]["pass"] == 4
+
+
+def test_appendix_lines_report_their_own_intervals(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    alg = Algebra.classical(CoefficientField.get("z"))
+    zero, off = alg.tensor_zero(2), tensor(alg.gen(AP), alg.one())
+
+    def identity(cost, diff):
+        def run_it():
+            now[0] += cost
+            return diff
+
+        return run_it
+
+    def identities(order):
+        now[0] += 10.0  # the shared set-up
+        costs = (1.0, 2.0, 4.0, 8.0)
+        diffs = (zero, zero, off, zero)
+        return [(tag, identity(c, d)) for tag, c, d in zip(CONJUGATION_CASES, costs, diffs)]
+
+    monkeypatch.setattr(cli, "conjugation_identities", identities)
+    reports = cli._job_appendix(3)
+    assert [r.check for r in reports] == [f"conjugation [{tag}]" for tag in CONJUGATION_CASES]
+    assert [r.wall_time_s for r in reports] == [11.0, 2.0, 4.0, 8.0]
+    assert [r.status for r in reports] == ["pass", "pass", "fail", "pass"]
+    assert reports[2].residuals and all(r.order == 3 for r in reports)
 
 
 def test_verify_prop6_probes_are_findings_not_failures(capsys):

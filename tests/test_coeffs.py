@@ -206,7 +206,8 @@ class TestDenominatorOne:
                 self.check(a * b, a.num * b.num, a.den * b.den)
                 if not b.is_zero:
                     self.check(a / b, a.num * b.den, a.den * b.num)
-            self.check(a**n, a.num**n, a.den**n)
+            # sympy refuses a zero polynomial to the power 0; x**0 is 1 for every x
+            self.check(a**n, a.num**n if n else F.ring.one, a.den**n)
 
     def test_polynomials_share_the_unit(self):
         x = F.param("x")

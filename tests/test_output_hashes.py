@@ -1,0 +1,43 @@
+"""The stripping and joining helpers of ``scripts/output_hashes.py``."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_hashes.py"
+_spec = importlib.util.spec_from_file_location("output_hashes", SCRIPT)
+output_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_hashes)
+
+
+def test_strip_times_drops_every_wall_time():
+    doc = {
+        "kind": "verify-report",
+        "reports": [
+            {"check": "a", "wall_time_s": 0.5, "residuals": [{"wall_time_s": 1}]},
+            {"check": "b", "wall_time_s": 0.25},
+        ],
+        "wall_time_s": 2,
+        "ok": True,
+    }
+    assert output_hashes.strip_times(doc) == {
+        "kind": "verify-report",
+        "reports": [{"check": "a", "residuals": [{}]}, {"check": "b"}],
+        "ok": True,
+    }
+    assert doc["wall_time_s"] == 2  # the input is left alone
+
+
+def test_verify_piece_ignores_times_and_key_order():
+    one = json.dumps({"ok": True, "reports": [{"check": "a", "wall_time_s": 0.1}]})
+    two = json.dumps({"reports": [{"wall_time_s": 9.0, "check": "a"}], "ok": True}, indent=2)
+    assert output_hashes.verify_piece(one) == output_hashes.verify_piece(two)
+    assert output_hashes.verify_piece(one) == '{"ok": true, "reports": [{"check": "a"}]}'
+
+
+def test_digest_joins_pieces_with_no_separator():
+    want = hashlib.sha256(b"ab\nexit=0\ncd").hexdigest()[:16]
+    assert output_hashes.digest(["ab\nexit=0\n", "cd"]) == want
+    assert output_hashes.digest(["a", "bc"]) == output_hashes.digest(["ab", "c"])
+    assert len(output_hashes.digest([])) == 16

@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from oscquant.algebra import A, AM, AP, M
+from oscquant.algebra import A, AM, AP, M, embed, exp_series
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import FunAlgebra, fun_presentation
 from oscquant.hopf import presentation
@@ -79,6 +79,19 @@ def test_qybe_uz_order_five():
 def test_qybe_other_families(key):
     ok, residuals = qybe_check(_R(key))
     assert ok, residuals
+
+
+@pytest.mark.parametrize("key", R_KEYS)
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_embedded_R_is_the_arity3_exponential_product(key, order):
+    """R₁₂, R₁₃, R₂₃ placed from the expansion equal the factor product
+    rebuilt from exponentials of the embedded factors."""
+    R = universal_R(key, order)
+    for positions in ((0, 1), (0, 2), (1, 2)):
+        rebuilt = R.alg.tensor_unit(3)
+        for f in R.factors:
+            rebuilt = rebuilt * exp_series(embed(f, positions, 3))
+        assert R.embedded(positions) == rebuilt, positions
 
 
 def test_qybe_trivial_r():
