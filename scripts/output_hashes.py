@@ -2,7 +2,7 @@
 """Print sha256 prefixes of the program's outputs, to show that a change
 leaves them as they were.
 
-Four outputs are hashed, each as one sha256 over its pieces concatenated
+Six outputs are hashed, each as one sha256 over its pieces concatenated
 with no separator (the first 16 hex digits are printed):
 
 ``tables``          ``tables --which W --format F`` for W in I, II, III and
@@ -10,7 +10,14 @@ with no separator (the first 16 hex digits are printed):
 ``verify``          ``verify --order 6 --format json --jobs 1``;
 ``prop2+prop4``     ``verify --target prop2`` at orders 2-8, then ``prop4``
                     at orders 2-8;
-``prop1``           ``verify --target prop1`` at orders 2-5.
+``prop1``           ``verify --target prop1`` at orders 2-5;
+``classify``        ``classify --r R --format F`` for R the six families'
+                    r-matrices, then ``1,1,0,0,0,0`` (not a coboundary) and
+                    ``0,0,0,0,0,0`` (trivial), and F in text, json, latex:
+                    stdout, then ``\\nexit=<rc>\\n``;
+``verify-render``   the reports of ``verify --target prop6 --order 3``
+                    rendered in text, then in LaTeX, with every wall time
+                    set to 0.
 
 A ``verify`` document is hashed whole, with every ``wall_time_s`` removed,
 as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
@@ -18,7 +25,7 @@ as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
 
 Run from the repository root::
 
-    PYTHONPATH=src python3 scripts/output_hashes.py            # all four
+    PYTHONPATH=src python3 scripts/output_hashes.py            # all six
     PYTHONPATH=src python3 scripts/output_hashes.py tables prop1
 """
 
@@ -30,7 +37,9 @@ import json
 import os
 import sys
 
+from oscquant.bialgebra import FAMILIES, SLOT_NAMES
 from oscquant.cli import ORDER_ENV, main as cli_main
+from oscquant.report import Report, render_reports_latex, render_reports_text
 
 TIME_KEY = "wall_time_s"
 
@@ -72,6 +81,34 @@ def tables_pieces():
             yield f"{out}\nexit={rc}\n"
 
 
+def timeless_reports(stdout: str) -> list:
+    """The reports of one ``verify --format json`` document, wall times set to 0."""
+    return [
+        Report(d["check"], d["family"], d["order"], d["status"], tuple(d["residuals"]), 0.0)
+        for d in json.loads(stdout)["reports"]
+    ]
+
+
+def r_argument(family) -> str:
+    """A family's r-matrix as the ``classify --r`` argument."""
+    return ",".join(family.coeff_exprs.get(name, "0") for name in SLOT_NAMES)
+
+
+def classify_pieces():
+    rs = [r_argument(fam) for fam in FAMILIES.values()] + ["1,1,0,0,0,0", "0,0,0,0,0,0"]
+    for r in rs:
+        for fmt in ("text", "json", "latex"):
+            out, rc = run_cli(["classify", "--r", r, "--format", fmt])
+            yield f"{out}\nexit={rc}\n"
+
+
+def verify_render_pieces():
+    out, _ = run_cli(["verify", "--target", "prop6", "--order", "3", "--format", "json", "--jobs", "1"])
+    reports = timeless_reports(out)
+    yield render_reports_text(reports)
+    yield render_reports_latex(reports)
+
+
 def verify_pieces(target, orders):
     for order in orders:
         argv = ["verify", "--order", str(order), "--format", "json", "--jobs", "1"]
@@ -89,6 +126,8 @@ OUTPUTS = {
         for piece in verify_pieces(target, range(2, 9))
     ),
     "prop1": lambda: verify_pieces("prop1", range(2, 6)),
+    "classify": classify_pieces,
+    "verify-render": verify_render_pieces,
 }
 
 

@@ -287,6 +287,27 @@ def test_import_keeps_recursion_limit_and_deep_checks_pass():
     assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m oscquant`` is the ``oscquant`` command: same output, same
+    exit codes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(cli.ORDER_ENV, None)
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "oscquant", *argv], env=env, capture_output=True, text=True, timeout=600
+        )
+
+    proc = python_m("tables", "--which", "I")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == run(capsys, ["tables", "--which", "I"])[1]
+    proc = python_m("verify", "--jobs", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
 def test_verify_prop2_json(capsys):
     rc, payload, _ = run_json(
         capsys, ["verify", "--target", "prop2", "--order", "2", "--format", "json"]

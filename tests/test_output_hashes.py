@@ -41,3 +41,29 @@ def test_digest_joins_pieces_with_no_separator():
     assert output_hashes.digest(["ab\nexit=0\n", "cd"]) == want
     assert output_hashes.digest(["a", "bc"]) == output_hashes.digest(["ab", "c"])
     assert len(output_hashes.digest([])) == 16
+
+
+def test_timeless_reports_zero_every_wall_time():
+    doc = json.dumps(
+        {
+            "kind": "verify-report",
+            "reports": [
+                {"check": "a", "family": "Uz", "order": 3, "status": "pass",
+                 "residuals": [], "wall_time_s": 0.5},
+                {"check": "b", "family": "IIs", "order": None, "status": "finding",
+                 "residuals": ["x: 1"], "wall_time_s": 2.25},
+            ],
+        }
+    )
+    reports = output_hashes.timeless_reports(doc)
+    assert [(r.check, r.order, r.status, r.residuals) for r in reports] == [
+        ("a", 3, "pass", ()),
+        ("b", None, "finding", ("x: 1",)),
+    ]
+    assert all(r.wall_time_s == 0.0 for r in reports)
+
+
+def test_r_argument_fills_unlisted_slots_with_zero():
+    fam = output_hashes.FAMILIES["II-nonstandard"]
+    assert output_hashes.r_argument(fam) == "0,0,x,0,bp,yp"
+    assert output_hashes.r_argument(output_hashes.FAMILIES["Iplus-nonstandard"]) == "ap,0,x,-x,bp,x^2/ap"
