@@ -38,8 +38,7 @@ def mono_degree(mono) -> int:
 
 
 def mono_str(mono, names=GEN_NAMES) -> str:
-    if not any(mono):
-        return "1"
+    """``A^2*M`` style; the unit monomial prints as the empty string."""
     parts = []
     for name, e in zip(names, mono):
         if e == 1:
@@ -572,7 +571,11 @@ class Element(_Terms):
     __mul__ = _Terms.__mul__
 
     def __repr__(self):
-        return element_str(self) or "0"
+        names = self.alg.names
+        return signed_sum(
+            (self.terms[m], mono_str(m, names))
+            for m in sorted(self.terms, key=lambda m: (mono_degree(m), m))
+        )
 
     def _unit(self):
         return self.alg.one()
@@ -618,7 +621,12 @@ class TensorElement(_Terms):
         return self.alg.tensor_unit(self.arity)
 
     def __repr__(self):
-        return tensor_str(self) or "0"
+        names = self.alg.names
+        pairs = []
+        for k in sorted(self.terms, key=lambda k: (sum(map(mono_degree, k)), k)):
+            slots = [mono_str(m, names) for m in k]
+            pairs.append((self.terms[k], " o ".join(s or "1" for s in slots) if any(slots) else ""))
+        return signed_sum(pairs)
 
     def _product(self, other):
         alg, order = self.alg, self.alg.order
@@ -777,42 +785,25 @@ def mat_mul(a, b):
     ]
 
 
-# -- plain-text rendering ------------------------------------------------
+# -- printing ------------------------------------------------------------
 
 
 def coeff_prefix(c: Coefficient) -> str:
     s = repr(c)
-    if s == "1":
-        return ""
-    if s == "-1":
-        return "-"
+    if s in ("1", "-1"):
+        return s[:-1]
     if any(op in s[1:] for op in (" + ", " - ")) and not (s.startswith("(") and s.endswith(")")):
         s = f"({s})"
     return s + "*"
 
 
-def _sorted_keys(keys, keyfn):
-    return sorted(keys, key=keyfn)
+def signed_sum(pairs, prefix=coeff_prefix, whole=repr) -> str:
+    """Print ``(coefficient, body)`` pairs as one signed sum.
 
-
-def element_str(e: Element) -> str:
-    names = getattr(e.alg, "names", GEN_NAMES)
-    bits = []
-    for m in _sorted_keys(e.terms, lambda m: (mono_degree(m), m)):
-        pre = coeff_prefix(e.terms[m])
-        body = mono_str(m, names)
-        if body == "1":
-            bits.append(repr(e.terms[m]))
-        else:
-            bits.append(pre + body)
-    return " + ".join(bits).replace("+ -", "- ")
-
-
-def tensor_str(t: TensorElement) -> str:
-    names = getattr(t.alg, "names", GEN_NAMES)
-    bits = []
-    for k in _sorted_keys(t.terms, lambda k: (sum(mono_degree(m) for m in k), k)):
-        pre = coeff_prefix(t.terms[k])
-        body = " o ".join(mono_str(m, names) for m in k)
-        bits.append(pre + body if body != " o ".join(["1"] * t.arity) else repr(t.terms[k]))
-    return " + ".join(bits).replace("+ -", "- ")
+    A term prints as ``prefix(c) + body``, or as ``whole(c)`` when its body
+    is empty; a negative term follows the one before it as ``- ...``.  No
+    pairs print as ``0``.  The defaults are the plain-text formatters;
+    LaTeX callers pass their own.
+    """
+    bits = [prefix(c) + body if body else whole(c) for c, body in pairs]
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import _acc, _Terms
+from .algebra import _acc, _Terms, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -88,7 +88,7 @@ class GroupFunction(_Terms):
     ring = _Terms.parent
 
     def __repr__(self):
-        return group_str(self) or "0"
+        return group_str(self)
 
     def _unit(self):
         return self.ring.one()
@@ -400,18 +400,14 @@ def _site_mono_str(sk, suffix=""):
     return "*".join(bits)
 
 
-def group_str(f: GroupFunction) -> str:
-    from .algebra import coeff_prefix
+def group_terms(f: GroupFunction) -> list:
+    """The term keys of ``f`` in print order: by total degree, then by key."""
+    return sorted(f.terms, key=lambda k: (sum(sum(map(abs, sk)) for sk in k), k))
 
-    bits = []
-    for key in sorted(f.terms, key=lambda k: (sum(sum(abs(e) for e in sk) for sk in k), k)):
-        body_parts = []
-        for site, sk in enumerate(key):
-            suffix = "" if f.ring.sites == 1 else f"_{site + 1}"
-            part = _site_mono_str(sk, suffix)
-            if part:
-                body_parts.append(part)
-        body = "*".join(body_parts)
-        pre = coeff_prefix(f.terms[key])
-        bits.append(pre + body if body else repr(f.terms[key]))
-    return " + ".join(bits).replace("+ -", "- ")
+
+def group_str(f: GroupFunction) -> str:
+    suffixes = [""] if f.ring.sites == 1 else [f"_{site + 1}" for site in range(f.ring.sites)]
+    return signed_sum(
+        (f.terms[key], "*".join(filter(None, map(_site_mono_str, key, suffixes))))
+        for key in group_terms(f)
+    )

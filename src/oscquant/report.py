@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import TensorElement, coeff_prefix
-from .bialgebra import GEN_LABELS, GEN_MONOS, WEDGE_SLOTS, RMatrixSkew, wedge
+from . import fixtures
+from .algebra import GEN_NAMES, TensorElement, signed_sum
+from .bialgebra import GEN_MONOS, WEDGE_SLOTS, RMatrixSkew, wedge
 from .coeffs import Coefficient
-from .poisson import GroupFunction, group_str
+from .poisson import GroupFunction, group_str, group_terms
 
 STATUSES = ("pass", "fail", "finding")
 
@@ -201,8 +202,14 @@ def latex_linear(text: str) -> str:
     return sympy.latex(_sympy_rename(expr))
 
 
-def _join_signed(bits) -> str:
-    return " + ".join(bits).replace("+ -", "- ")
+def _latex_prefix(tex: str) -> str:
+    """A LaTeX coefficient in front of a monomial: nothing for 1, a sign for -1."""
+    return tex[:-1] if tex in ("1", "-1") else tex + r" \, "
+
+
+def latex_sum(pairs) -> str:
+    """The LaTeX signed sum of ``(Coefficient, body)`` pairs."""
+    return signed_sum(pairs, lambda c: _latex_prefix(latex_coeff(c)), latex_coeff)
 
 
 # -- Table I ---------------------------------------------------------------
@@ -221,7 +228,7 @@ def wedge_cells(t: TensorElement):
         c = t.terms.get((GEN_MONOS[i], GEN_MONOS[j]))
         if c is None or c.is_zero:
             continue
-        cells.append((c, GEN_LABELS[i], GEN_LABELS[j]))
+        cells.append((c, GEN_NAMES[i], GEN_NAMES[j]))
         rebuilt = rebuilt + wedge(alg.gen(i), alg.gen(j)).scale(c)
     if rebuilt != t:
         raise AssertionError("tensor is not a combination of generator wedges")
@@ -229,30 +236,16 @@ def wedge_cells(t: TensorElement):
 
 
 def wedge_cells_str(cells) -> str:
-    if not cells:
-        return "0"
-    return _join_signed(f"{coeff_prefix(c)}{x}^{y}" for c, x, y in cells)
+    return signed_sum((c, f"{x}^{y}") for c, x, y in cells)
 
 
 def wedge_cells_latex(cells) -> str:
-    if not cells:
-        return "0"
-    bits = []
-    for c, x, y in cells:
-        pre = latex_coeff(c)
-        if pre == "1":
-            pre = ""
-        elif pre == "-1":
-            pre = "-"
-        else:
-            pre = pre + r" \, "
-        bits.append(rf"{pre}{GEN_TEX[x]} \wedge {GEN_TEX[y]}")
-    return _join_signed(bits)
+    return latex_sum((c, rf"{GEN_TEX[x]} \wedge {GEN_TEX[y]}") for c, x, y in cells)
 
 
 def r_matrix_cells(r: RMatrixSkew):
     return [
-        (c, GEN_LABELS[i], GEN_LABELS[j])
+        (c, GEN_NAMES[i], GEN_NAMES[j])
         for c, (i, j) in zip(r.c, WEDGE_SLOTS)
         if not c.is_zero
     ]
@@ -274,7 +267,7 @@ def table_I_payload(rows) -> dict:
                         [repr(c), x, y]
                         for c, x, y in wedge_cells(row.computed[label])
                     ]
-                    for label in GEN_LABELS
+                    for label in GEN_NAMES
                 },
             }
         )
@@ -287,7 +280,7 @@ def render_table_I_text(rows) -> str:
         flag = "ok" if row.match else "MISMATCH"
         lines.append(f"family {row.key}  [{flag}]")
         lines.append(f"  r         = {wedge_cells_str(r_matrix_cells(row.r))}")
-        for label in GEN_LABELS:
+        for label in GEN_NAMES:
             cells = wedge_cells(row.computed[label])
             lines.append(f"  delta({label:2s}) = {wedge_cells_str(cells)}")
     lines.append(f"table I match: {all(r.match for r in rows)}")
@@ -299,7 +292,7 @@ def render_table_I_latex(rows) -> str:
     for row in rows:
         rtex = wedge_cells_latex(r_matrix_cells(row.r))
         deltas = []
-        for label in GEN_LABELS:
+        for label in GEN_NAMES:
             cells = wedge_cells(row.computed[label])
             deltas.append(rf"\delta({GEN_TEX[label]}) = {wedge_cells_latex(cells)}")
         body = r" \quad ".join(deltas)
@@ -325,27 +318,10 @@ def _site_mono_latex(sk) -> str:
 
 
 def latex_group(f: GroupFunction) -> str:
-    from .algebra import mono_degree  # noqa: F401  (sort mirrors group_str)
-
-    bits = []
-    for key in sorted(
-        f.terms, key=lambda k: (sum(sum(abs(e) for e in sk) for sk in k), k)
-    ):
-        body = r" \, ".join(
-            s for s in (_site_mono_latex(sk) for sk in key) if s
-        )
-        pre = latex_coeff(f.terms[key])
-        if body:
-            if pre == "1":
-                pre = ""
-            elif pre == "-1":
-                pre = "-"
-            else:
-                pre = pre + r" \, "
-            bits.append(pre + body)
-        else:
-            bits.append(pre)
-    return _join_signed(bits) if bits else "0"
+    return latex_sum(
+        (f.terms[key], r" \, ".join(filter(None, map(_site_mono_latex, key))))
+        for key in group_terms(f)
+    )
 
 
 def table_II_payload(rows) -> dict:
@@ -353,7 +329,7 @@ def table_II_payload(rows) -> dict:
     for row in rows:
         brackets = {}
         for pair in sorted(row.computed):
-            brackets[",".join(pair)] = group_str(row.computed[pair]) or "0"
+            brackets[",".join(pair)] = group_str(row.computed[pair])
         out.append(
             {
                 "family": row.key,
@@ -373,7 +349,7 @@ def render_table_II_text(rows) -> str:
         for pair in sorted(row.computed):
             extra = "  (beyond the published table)" if pair in row.extras else ""
             head = "{%s,%s}" % pair
-            body = group_str(row.computed[pair]) or "0"
+            body = group_str(row.computed[pair])
             lines.append(f"  {head:22s} = {body}{extra}")
     lines.append(f"table II match: {all(r.match for r in rows)}")
     return "\n".join(lines) + "\n"
@@ -408,61 +384,45 @@ def _needs_parens(text: str) -> bool:
     return any(op in text[1:] for op in ("+", "-", "/"))
 
 
-def _factor_str(factor: dict) -> str:
-    e = factor.get("e")
-    p = factor["p"]
-    if e is None:
-        return f"({p})" if _needs_parens(p) else p
-    exp = f"exp({e})"
-    if p == "1":
-        return exp
-    body = f"({p})" if _needs_parens(p) else p
-    return f"{exp}*{body}"
+def _coproduct(summands, latex=False) -> str:
+    """A published coproduct, a list of ``{c, f}`` summands (see the
+    ``table_III`` fixture), as one signed sum in text or LaTeX."""
+    lin = latex_linear if latex else str
+    times, otimes = (r" \, ", r" \otimes ") if latex else ("*", " o ")
+
+    def factor(f):
+        p = "" if f["p"] == "1" else lin(f["p"])
+        if _needs_parens(p):
+            p = rf"\left({p}\right)" if latex else f"({p})"
+        if f.get("e") is None:
+            return p or "1"
+        e = rf"e^{{{lin(f['e'])}}}" if latex else f"exp({f['e']})"
+        return e + ((" " if latex else "*") + p if p else "")
+
+    def prefix(c):
+        if latex:
+            return _latex_prefix(latex_linear(c))
+        return c[:-1] if c in ("1", "-1") else (f"({c})" if _needs_parens(c) else c) + "*"
+
+    return signed_sum(
+        ((s["c"], otimes.join(times.join(map(factor, leg)) or "1" for leg in s["f"])) for s in summands),
+        prefix,
+    )
 
 
-def _summand_str(summand: dict) -> str:
-    slots = [
-        "*".join(_factor_str(f) for f in slot) or "1" for slot in summand["f"]
-    ]
-    body = " o ".join(slots)
-    c = summand["c"]
-    if c == "1":
-        return body
-    if c == "-1":
-        return "-" + body
-    pre = f"({c})" if _needs_parens(c) else c
-    return f"{pre}*{body}"
-
-
-def _factor_latex(factor: dict) -> str:
-    e = factor.get("e")
-    p = factor["p"]
-    ptex = "" if p == "1" else latex_linear(p)
-    if ptex and _needs_parens(ptex):
-        ptex = rf"\left({ptex}\right)"
-    if e is None:
-        return ptex or "1"
-    etex = rf"e^{{{latex_linear(e)}}}"
-    return rf"{etex} {ptex}".strip()
-
-
-def _summand_latex(summand: dict) -> str:
-    slots = [
-        r" \, ".join(_factor_latex(f) for f in slot) or "1"
-        for slot in summand["f"]
-    ]
-    body = r" \otimes ".join(slots)
-    c = summand["c"]
-    if c == "1":
-        return body
-    if c == "-1":
-        return "-" + body
-    return rf"{latex_linear(c)} \, {body}"
+def _coproducts(cells, latex=False):
+    """``(generator, coproduct)`` in generator order for a row published in
+    closed form: the fixture's summands, or the primitive coproduct."""
+    otimes = r" \otimes " if latex else " o "
+    for label in GEN_NAMES:
+        if label in cells["coproducts"]:
+            yield label, _coproduct(cells["coproducts"][label], latex)
+        elif label in cells["primitives"]:
+            g = GEN_TEX[label] if latex else label
+            yield label, f"{g}{otimes}1 + 1{otimes}{g}"
 
 
 def table_III_payload(rows) -> dict:
-    from . import fixtures
-
     data = fixtures.load("table_III")
     out = []
     for row in rows:
@@ -480,7 +440,7 @@ def table_III_payload(rows) -> dict:
             entry["note"] = "matrix form; series expansion diffed at the stated order"
         else:
             entry["coproducts"] = {
-                label: [_summand_str(s) for s in summands]
+                label: [_coproduct([s]) for s in summands]
                 for label, summands in cells["coproducts"].items()
             }
         out.append(entry)
@@ -488,55 +448,39 @@ def table_III_payload(rows) -> dict:
 
 
 def render_table_III_text(rows) -> str:
-    payload = table_III_payload(rows)
+    data = fixtures.load("table_III")
     lines = []
-    for entry in payload["rows"]:
-        flag = "ok" if entry["match"] else "MISMATCH"
-        lines.append(f"family {entry['family']}  [{flag}]  (diff at order {entry['order']})")
+    for row in rows:
+        cells = data[row.key]
+        flag = "ok" if row.match else "MISMATCH"
+        lines.append(f"family {row.key}  [{flag}]  (diff at order {row.order})")
         lines.append(
-            f"  primitives: {', '.join(entry['primitives'])}   "
-            f"vector: {', '.join(entry['vector'])}   shift: {entry['shift']}"
+            f"  primitives: {', '.join(cells['primitives'])}   "
+            f"vector: {', '.join(cells['vector'])}   shift: {cells['shift']}"
         )
-        if "nu_matrix" in entry:
+        if "matrix" in cells:
             lines.append("  exponent matrix (row per vector entry):")
-            for vrow in entry["nu_matrix"]:
+            for vrow in cells["matrix"]:
                 lines.append("    [ " + " , ".join(vrow) + " ]")
         else:
-            for label in GEN_LABELS:
-                if label in entry["coproducts"]:
-                    body = _join_signed(entry["coproducts"][label])
-                    lines.append(f"  Delta({label:2s}) = {body}")
-                elif label in entry["primitives"]:
-                    lines.append(f"  Delta({label:2s}) = {label} o 1 + 1 o {label}")
-    lines.append(f"table III match: {payload['match']}")
+            for label, body in _coproducts(cells):
+                lines.append(f"  Delta({label:2s}) = {body}")
+    lines.append(f"table III match: {all(r.match for r in rows)}")
     return "\n".join(lines) + "\n"
 
 
 def render_table_III_latex(rows) -> str:
-    from . import fixtures
-
     data = fixtures.load("table_III")
     lines = [r"\begin{tabular}{ll}", r"family & coproduct\\\hline"]
     for row in rows:
         cells = data[row.key]
-        parts = []
         if "matrix" in cells:
             mrows = [
                 " & ".join(latex_linear(e) for e in vrow) for vrow in cells["matrix"]
             ]
-            parts.append(
-                r"\nu = \begin{pmatrix}" + r"\\ ".join(mrows) + r"\end{pmatrix}"
-            )
+            parts = [r"\nu = \begin{pmatrix}" + r"\\ ".join(mrows) + r"\end{pmatrix}"]
         else:
-            for label in GEN_LABELS:
-                if label in cells["coproducts"]:
-                    body = _join_signed(
-                        _summand_latex(s) for s in cells["coproducts"][label]
-                    )
-                    parts.append(rf"\Delta({GEN_TEX[label]}) = {body}")
-                elif label in cells["primitives"]:
-                    g = GEN_TEX[label]
-                    parts.append(rf"\Delta({g}) = {g} \otimes 1 + 1 \otimes {g}")
+            parts = [rf"\Delta({GEN_TEX[label]}) = {body}" for label, body in _coproducts(cells, latex=True)]
         body = r" \quad ".join(parts)
         lines.append(rf"{row.key} & ${body}$\\")
     lines.append(r"\end{tabular}")

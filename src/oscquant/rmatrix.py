@@ -39,6 +39,7 @@ from .algebra import (
     embed,
     exp_series,
     rebase,
+    signed_sum,
     tensor,
     spread,
 )
@@ -571,12 +572,10 @@ class FreeElement(_Terms):
         return self.scale(self.field.one / self.terms[lead])
 
     def render(self):
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            word = "*".join(w) if w else "1"
-            bits.append(f"({c!r})*{word}")
-        return " + ".join(bits) if bits else "0"
+        return signed_sum(
+            ((self.terms[w], "*".join(w) or "1") for w in sorted(self.terms, key=lambda w: (len(w), w))),
+            lambda c: f"({c!r})*",
+        )
 
     def into(self, alg: FunAlgebra) -> Element:
         """Evaluate the free words in a coordinate ring."""

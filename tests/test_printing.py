@@ -3,9 +3,15 @@
 Enveloping-algebra elements and their tensor powers, coordinate-ring
 elements, group functions and free words all print as signed sums of
 coefficient-times-monomial terms.  Every ``verify`` residual and every table
-cell is such a sum, so these strings are fixed here exactly.
+cell is such a sum, so these strings are fixed here exactly.  The sign rule
+of such a sum (``+ -`` becomes ``-``) is written once, in
+``algebra.signed_sum``; an ``ast`` check keeps it there.
 """
 
+import ast
+from pathlib import Path
+
+import oscquant
 from oscquant.algebra import AP, M, tensor
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import fun_presentation
@@ -85,3 +91,44 @@ def test_every_zero_prints_as_0():
     )
     assert [repr(z) for z in zeros] == ["0"] * 5
     assert FreeElement(field, {}).render() == "0"
+
+
+PACKAGE = Path(oscquant.__file__).resolve().parent
+
+
+def sign_rule_functions(source: str, module: str) -> list[str]:
+    """``"module.function"`` for each function that calls ``.replace("+ -", "- ")``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "replace"
+                and [getattr(a, "value", None) for a in call.args] == ["+ -", "- "]
+            ):
+                found.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+                break
+    return found
+
+
+def test_checker_flags_a_second_sign_rule():
+    src = (
+        "def signed_sum(bits):\n"
+        "    return ' + '.join(bits).replace('+ -', '- ')\n"
+        "class Table:\n"
+        "    def row(self, bits):\n"
+        "        return ' + '.join(bits).replace(\"+ -\", \"- \")\n"
+        "def other(s):\n"
+        "    return s.replace('+', '-')\n"
+    )
+    assert sign_rule_functions(src, "report") == ["report.signed_sum", "report.row"]
+
+
+def test_the_sign_rule_lives_in_one_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += sign_rule_functions(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["algebra.signed_sum"]
