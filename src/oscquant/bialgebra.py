@@ -34,6 +34,7 @@ from .algebra import (
     AM,
     AP,
     GEN_MONOS,
+    GEN_NAMES,
     M,
     UNIT_MONO,
     Algebra,
@@ -48,8 +49,7 @@ from .algebra import (
 from .coeffs import Coefficient, CoefficientField
 from .expr import parse_coefficient
 
-GEN_LABELS = ("A", "Ap", "Am", "M")
-GEN_BY_LABEL = {name: i for i, name in enumerate(GEN_LABELS)}
+GEN_BY_LABEL = {name: i for i, name in enumerate(GEN_NAMES)}
 
 # The six wedge-basis slots, in the fixed order the coefficients c1..c6 refer to.
 WEDGE_SLOTS = ((A, AP), (A, AM), (A, M), (AP, AM), (AP, M), (AM, M))
@@ -77,7 +77,7 @@ def wedge3(x: Element, y: Element, z: Element) -> TensorElement:
 
 
 def wedge_name(slots) -> str:
-    return "^".join(GEN_LABELS[i] for i in slots)
+    return "^".join(GEN_NAMES[i] for i in slots)
 
 
 class NotCoboundary(Exception):
@@ -254,7 +254,7 @@ def cocommutator(r: RMatrixSkew, gen: int) -> TensorElement:
 
 
 def cocommutator_map(r: RMatrixSkew) -> dict:
-    return {GEN_LABELS[i]: cocommutator(r, i) for i in range(4)}
+    return {GEN_NAMES[i]: cocommutator(r, i) for i in range(4)}
 
 
 def _delta_of_mono(r: RMatrixSkew):
@@ -291,7 +291,7 @@ def cocycle_check(r: RMatrixSkew):
                 y, _delta_of_element(r, x)
             )
             if lhs != rhs:
-                residuals.append((GEN_LABELS[i], GEN_LABELS[j], lhs - rhs))
+                residuals.append((GEN_NAMES[i], GEN_NAMES[j], lhs - rhs))
     return not residuals, residuals
 
 
@@ -303,7 +303,7 @@ def cojacobi_check(r: RMatrixSkew):
         d2 = apply_slot_map(cocommutator(r, i), 0, delta)
         total = d2 + d2.permute((1, 2, 0)) + d2.permute((2, 0, 1))
         if not total.is_zero:
-            residuals.append((GEN_LABELS[i], total))
+            residuals.append((GEN_NAMES[i], total))
     return not residuals, residuals
 
 
@@ -475,11 +475,11 @@ def table_I() -> tuple:
         computed = fam.cocommutators(marked=False)
         table = {
             label: fixtures.wedge_tensor(alg, cells["delta"].get(label, []))
-            for label in GEN_LABELS
+            for label in GEN_NAMES
         }
         r_table = fixtures.wedge_tensor(alg, cells["r"])
         match = r_table == fam.r(marked=False).as_tensor() and all(
-            computed[label] == table[label] for label in GEN_LABELS
+            computed[label] == table[label] for label in GEN_NAMES
         )
         rows.append(TableIRow(key=key, r=fam.r(marked=False), computed=computed, table=table, match=match))
     return tuple(rows)

@@ -39,10 +39,9 @@ from .hopf import (
     counit_check,
     homomorphism_check,
 )
-from .poisson import GroupRing, group_compose, site_coords, sklyanin_bracket
+from .poisson import COORDS, GroupRing, group_compose, site_coords, sklyanin_bracket
 
 FUN_KEYS = ("Uz", "IIn", "IIs")
-FUN_NAMES = ("theta", "E", "a_plus", "a_minus", "m")
 FUN_UNIT = (0, 0, 0, 0, 0)
 
 # Word letters; E and its inverse are distinct letters sharing the E slot.
@@ -64,7 +63,7 @@ class FunAlgebra(Algebra):
     without a truncation order.
     """
 
-    names = FUN_NAMES
+    names = COORDS
     letter_names = LETTER_NAMES
     unit_mono = FUN_UNIT
     letters = ((0, 1), (1, 1), (1, -1), (2, 1), (3, 1), (4, 1))
@@ -215,11 +214,11 @@ def semiclassical_check(f: FunPresentation):
     """Order-h part of every coordinate commutator equals the Sklyanin
     bracket for the family's classical r-matrix."""
     ring = GroupRing(f.field)
-    coords = {name: ring.coord(name) for name in FUN_NAMES}
+    coords = {name: ring.coord(name) for name in COORDS}
     residuals = []
     for i in range(5):
         for j in range(i + 1, 5):
-            a, b = FUN_NAMES[i], FUN_NAMES[j]
+            a, b = COORDS[i], COORDS[j]
             ca = f.alg.coord(a)
             cb = f.alg.coord(b)
             quantum = (ca * cb - cb * ca).h_part(1)

@@ -39,7 +39,7 @@ from .algebra import (
     spread,
     tensor,
 )
-from .bialgebra import FAMILIES, GEN_LABELS, RMatrixSkew, cocommutator_map
+from .bialgebra import FAMILIES, RMatrixSkew, cocommutator_map
 from .coeffs import Coefficient, CoefficientField
 from .expr import parse_coefficient
 from .hopf import HopfPresentation
@@ -331,7 +331,7 @@ def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
     alg = Algebra.classical(spec.field, order)
     P = matrix_exp(spec_matrix(spec, alg, "nu"), order)
     Q = matrix_exp(spec_matrix(spec, alg, "mu"), order)
-    images = {GEN_LABELS[h]: spread(alg.gen(h), 2) for h in spec.primitives}
+    images = {GEN_NAMES[h]: spread(alg.gen(h), 2) for h in spec.primitives}
     subst = Substitution(spec.field, spec.shift)
     note = ""
     for k, xk in enumerate(spec.vector):
@@ -346,7 +346,7 @@ def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
         if xk == A and not subst.is_identity:
             img = img + spread(alg.gen(M), 2).scale(spec.shift)
             note = f"computed for A' = A - ({spec.shift!r})*M, images unshifted"
-        images[GEN_LABELS[xk]] = img
+        images[GEN_NAMES[xk]] = img
     return CoproductMap(spec=spec, order=order, images=images, basis_note=note)
 
 
@@ -403,8 +403,8 @@ def table_III(family: str | None = None, order: int = 6):
         alg = Algebra.classical(spec.field, order)
         cp = lm_coproduct(spec, order)
         ok = (
-            tuple(GEN_LABELS[h] for h in spec.primitives) == tuple(cells["primitives"])
-            and tuple(GEN_LABELS[v] for v in spec.vector) == tuple(cells["vector"])
+            tuple(GEN_NAMES[h] for h in spec.primitives) == tuple(cells["primitives"])
+            and tuple(GEN_NAMES[v] for v in spec.vector) == tuple(cells["vector"])
             and spec.shift == parse_coefficient(spec.field, cells["shift"])
         )
         closed: dict = {}
@@ -419,8 +419,8 @@ def table_III(family: str | None = None, order: int = 6):
             for label, summands in cells["coproducts"].items():
                 closed[label] = fixtures.coproduct_tensor(alg, summands, marked=True)
             for h in spec.primitives:
-                closed[GEN_LABELS[h]] = spread(alg.gen(h), 2)
-            ok = ok and all(cp.images[label] == closed[label] for label in GEN_LABELS)
+                closed[GEN_NAMES[h]] = spread(alg.gen(h), 2)
+            ok = ok and all(cp.images[label] == closed[label] for label in GEN_NAMES)
         rows.append(
             TableIIIRow(
                 key=key,

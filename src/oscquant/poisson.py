@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import _acc, _Terms, signed_sum
+from .algebra import GEN_NAMES, _acc, _Terms, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -270,9 +270,6 @@ def right_fields(ring: GroupRing, site: int = 0) -> dict:
 
 # -- the Sklyanin bracket --------------------------------------------------
 
-_GEN_LABELS = ("A", "Ap", "Am", "M")
-
-
 def sklyanin_bracket(r: RMatrixSkew, f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """{f, g} = sum r^{ab} (X^L_a f X^L_b g - X^R_a f X^R_b g), summed over sites."""
     ring = f.ring
@@ -285,7 +282,7 @@ def sklyanin_bracket(r: RMatrixSkew, f: GroupFunction, g: GroupFunction) -> Grou
         for c, (i, j) in zip(r.c, WEDGE_SLOTS):
             if c.is_zero:
                 continue
-            a, b = _GEN_LABELS[i], _GEN_LABELS[j]
+            a, b = GEN_NAMES[i], GEN_NAMES[j]
             piece = (
                 L[a](f) * L[b](g)
                 - L[b](f) * L[a](g)

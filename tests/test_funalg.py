@@ -7,7 +7,6 @@ import pytest
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import (
     FUN_KEYS,
-    FUN_NAMES,
     FUN_UNIT,
     L_AM,
     L_AP,
@@ -22,7 +21,7 @@ from oscquant.funalg import (
     fun_presentation,
     word_of_fun_mono,
 )
-from oscquant.poisson import GroupRing, sklyanin_bracket
+from oscquant.poisson import COORDS, GroupRing, sklyanin_bracket
 
 KEYS = FUN_KEYS
 ALL_LETTERS = (L_THETA, L_E, L_EINV, L_AP, L_AM, L_M)
@@ -71,8 +70,8 @@ def test_exponential_letter_inverts(key):
 
 def test_coord_names_align_with_classical_ring():
     alg = fun_presentation("Uz").alg
-    assert alg.names == FUN_NAMES
-    for name in FUN_NAMES:
+    assert alg.names == COORDS
+    for name in COORDS:
         e = alg.coord(name)
         assert list(e.terms.values())[0] == alg.field.one
 

@@ -6,6 +6,7 @@ from oscquant.algebra import (
     A,
     AM,
     AP,
+    GEN_NAMES,
     M,
     UNIT_MONO,
     Algebra,
@@ -13,7 +14,7 @@ from oscquant.algebra import (
     spread,
     tensor,
 )
-from oscquant.bialgebra import FAMILIES, GEN_LABELS, GEN_MONOS, RMatrixSkew
+from oscquant.bialgebra import FAMILIES, GEN_MONOS, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant.hopf import counit_check
 from oscquant.lm import (
@@ -136,7 +137,7 @@ def test_trivial_spec_gives_primitive_coproducts():
     spec = trivial_spec()
     cp = lm_coproduct(spec, 3)
     alg = cp.algebra()
-    for i, label in enumerate(GEN_LABELS):
+    for i, label in enumerate(GEN_NAMES):
         assert cp.images[label] == spread(alg.gen(i), 2)
     assert cp.basis_note == ""
 
@@ -165,7 +166,7 @@ def test_primitive_images_are_primitive_for_all_families():
         cp = lm_coproduct(spec, 3)
         alg = cp.algebra()
         for h in spec.primitives:
-            assert cp.images[GEN_LABELS[h]] == spread(alg.gen(h), 2)
+            assert cp.images[GEN_NAMES[h]] == spread(alg.gen(h), 2)
 
 
 def test_counit_axiom_all_families():
