@@ -103,8 +103,8 @@ def classify_pieces():
 
 
 def verify_render_pieces():
-    out, _ = run_cli(["verify", "--target", "prop6", "--order", "3", "--format", "json", "--jobs", "1"])
-    reports = timeless_reports(out)
+    argv = ["verify", "--target", "prop6", "--order", "3", "--format", "json", "--jobs", "1"]
+    reports = timeless_reports(run_cli(argv)[0])
     yield render_reports_text(reports)
     yield render_reports_latex(reports)
 

@@ -270,6 +270,7 @@ def right_fields(ring: GroupRing, site: int = 0) -> dict:
 
 # -- the Sklyanin bracket --------------------------------------------------
 
+
 def sklyanin_bracket(r: RMatrixSkew, f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """{f, g} = sum r^{ab} (X^L_a f X^L_b g - X^R_a f X^R_b g), summed over sites."""
     ring = f.ring

@@ -404,10 +404,10 @@ def _coproduct(summands, latex=False) -> str:
             return _latex_prefix(latex_linear(c))
         return c[:-1] if c in ("1", "-1") else (f"({c})" if _needs_parens(c) else c) + "*"
 
-    return signed_sum(
-        ((s["c"], otimes.join(times.join(map(factor, leg)) or "1" for leg in s["f"])) for s in summands),
-        prefix,
-    )
+    def body(s):
+        return otimes.join(times.join(map(factor, leg)) or "1" for leg in s["f"])
+
+    return signed_sum(((s["c"], body(s)) for s in summands), prefix)
 
 
 def _coproducts(cells, latex=False):
@@ -480,7 +480,10 @@ def render_table_III_latex(rows) -> str:
             ]
             parts = [r"\nu = \begin{pmatrix}" + r"\\ ".join(mrows) + r"\end{pmatrix}"]
         else:
-            parts = [rf"\Delta({GEN_TEX[label]}) = {body}" for label, body in _coproducts(cells, latex=True)]
+            parts = [
+                rf"\Delta({GEN_TEX[label]}) = {body}"
+                for label, body in _coproducts(cells, latex=True)
+            ]
         body = r" \quad ".join(parts)
         lines.append(rf"{row.key} & ${body}$\\")
     lines.append(r"\end{tabular}")

@@ -572,10 +572,8 @@ class FreeElement(_Terms):
         return self.scale(self.field.one / self.terms[lead])
 
     def render(self):
-        return signed_sum(
-            ((self.terms[w], "*".join(w) or "1") for w in sorted(self.terms, key=lambda w: (len(w), w))),
-            lambda c: f"({c!r})*",
-        )
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        return signed_sum(((self.terms[w], "*".join(w) or "1") for w in words), lambda c: f"({c!r})*")
 
     def into(self, alg: FunAlgebra) -> Element:
         """Evaluate the free words in a coordinate ring."""
