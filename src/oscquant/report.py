@@ -13,6 +13,7 @@ canonically sorted terms, so output is reproducible.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from . import fixtures
@@ -381,6 +382,9 @@ def render_table_II_latex(rows) -> str:
 
 
 def _needs_parens(text: str) -> bool:
+    """Whether a factor holds an operator of its own; the sign in a
+    subscript (``A_{-}``) is part of a name."""
+    text = re.sub(r"_\{[^}]*\}", "", text)
     return any(op in text[1:] for op in ("+", "-", "/"))
 
 

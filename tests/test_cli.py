@@ -90,6 +90,17 @@ def test_tables_III_latex(capsys):
     assert r"\Delta" in out
 
 
+def test_tables_III_latex_wraps_only_compound_factors(capsys):
+    rc, out, _ = run(capsys, ["tables", "--which", "III", "--format", "latex"])
+    assert rc == 0
+    # A lone generator is a name, even with a sign in its subscript ...
+    assert r"\left(A_{-}\right)" not in out and r"\left(A_{+}\right)" not in out
+    assert r"1 \otimes A_{-} + A_{-} \otimes e^{A_{+} \alpha_{+} + M x} \left(M x + 1\right)" in out
+    # ... while a factor with an operator of its own keeps its parentheses.
+    assert r"A \otimes e^{A_{+} \alpha_{+} + M x} \left(- M x + 1\right)" in out
+    assert r"\left(A \alpha_{+} - M \beta_{+}\right) \otimes" in out
+
+
 def test_tables_mismatch_exits_1(capsys, monkeypatch):
     stub_rows = [types.SimpleNamespace(match=False)]
     monkeypatch.setattr(cli, "table_I", lambda: stub_rows)
