@@ -197,10 +197,9 @@ def _zeroness(c: Coefficient, nonzero: frozenset) -> str:
     """
     if c.is_zero:
         return "zero"
-    num_terms = c.num.terms()
-    if len(num_terms) != 1:
+    if len(c.num) != 1:
         return "unknown"
-    mono, _ = num_terms[0]
+    (mono,) = c.num
     names = ("h",) + c.field.params
     for name, e in zip(names, mono):
         if e and name != "h" and name not in nonzero:

@@ -8,30 +8,157 @@ in a term the "order" of that term, uniformly for all parameters at once.
 Truncating a computation at order N then simply means dropping numerator terms
 whose h-degree exceeds N.
 
-Canonical form of a coefficient: numerator and denominator are coprime
-and the denominator is monic, so equal coefficients are structurally equal.
-Almost every coefficient built here is a polynomial, with denominator 1.
-Those all share their field's one unit polynomial, and canonicalizing them is
-free: no polynomial GCD, no exact division.  Only a real denominator takes the
-GCD path, which divides the GCD out and makes the denominator monic.  A
-denominator that equals 1 without being the shared object (say, one rebuilt
-from a pickle) is recognized by equality and replaced by the shared one.
-Denominators stay h-free for everything this package constructs; ``truncate``
-enforces that invariant at the point where it matters.
+Canonical form of a coefficient: ``num / (q * den)``.  ``num`` and ``den``
+are integer polynomials, each a plain dict from exponent tuple (h first, then
+the parameters) to a nonzero ``int``; ``q`` is a positive ``int`` coprime to
+the content of ``num``.  ``den`` is primitive with a positive leading term
+(in lex order) and coprime to ``num``, so equal coefficients are
+structurally equal.  Every polynomial over Q, rational coefficients included
+(``h**2*x**2/2`` is ``{(2, 2): 1}`` over ``q = 2``), has denominator 1, and
+all of those share their field's one unit polynomial.  Canonicalizing them
+costs at most one ``math.gcd`` of ``q`` with the numerator's content.  A
+monomial or constant denominator is divided out natively, by the least
+common monomial exponents; only a denominator of two or more terms takes
+sympy's polynomial GCD.  A denominator that equals 1 without being the
+shared object (say, one rebuilt from a pickle) is recognized by equality and
+replaced by the shared one.  Denominators stay h-free for everything this
+package constructs; ``truncate`` enforces that invariant at the point where
+it matters.
 
-The polynomial plumbing is sympy's sparse multivariate rings over QQ (which use
-gmpy2 rationals when available); nothing else of sympy is used.
+sympy is used for that GCD and for printing (``repr`` and
+``report.latex_coeff`` convert to sympy's polynomials over QQ, so the printed
+form is sympy's); nothing else of sympy is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
-from sympy.polys.rings import ring as _poly_ring
+from sympy.polys.rings import PolyRing
 
 MARKER = "h"
+
+
+# -- integer polynomials as dicts --------------------------------------------
+#
+# No function here mutates its arguments: a polynomial, once built, is shared
+# freely (the field's unit is the denominator of every polynomial).
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m)
+        if v is None:
+            out[m] = c
+        else:
+            v += c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
+def _pscale(a, k):
+    return a if k == 1 else {m: c * k for m, c in a.items()}
+
+
+def _pmul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # distinct monomials stay distinct under a monomial shift
+        ((ma, ca),) = a.items()
+        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            v = out.get(m)
+            if v is None:
+                out[m] = ca * cb
+            else:
+                v += ca * cb
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
+def _ppow(a, n):
+    if len(a) == 1:
+        ((m, c),) = a.items()
+        return {tuple(e * n for e in m): c**n}
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else _pmul(out, a)
+        n >>= 1
+        if n:
+            a = _pmul(a, a)
+    return out
+
+
+def _pmap(a, f):
+    """``a`` with every exponent tuple sent through ``f``; terms that meet add up."""
+    out = {}
+    for m, c in a.items():
+        m = f(m)
+        v = out.get(m, 0) + c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _h_range(poly) -> tuple[int, int]:
+    if len(poly) == 1:
+        ((m, _),) = poly.items()
+        return m[0], m[0]
+    degs = [m[0] for m in poly]
+    return min(degs), max(degs)
+
+
+def _lc(poly) -> int:
+    """The leading coefficient, in lex order with h first."""
+    return poly[max(poly)]
+
+
+class IntPolyRing:
+    """Z[h, p1, ..., pk] with polynomials as dicts from exponent tuple to int.
+
+    ``one`` is the shared unit, the denominator of every polynomial
+    coefficient.  sympy's rings over ZZ and QQ on the same symbols and order
+    serve the GCD of two polynomials and printing.
+    """
+
+    def __init__(self, symbols: tuple[str, ...]):
+        self.symbols = symbols
+        self.one = {(0,) * len(symbols): 1}
+        self._zz = PolyRing(symbols, ZZ, lex)
+        self._qq = PolyRing(symbols, QQ, lex)
+
+    def cofactors(self, a, b):
+        """``a / g`` and ``b / g`` for ``g`` the GCD of ``a`` and ``b``."""
+        zz = self._zz
+        _, ca, cb = zz.from_dict(a).cofactors(zz.from_dict(b))
+        return {m: int(c) for m, c in ca.items()}, {m: int(c) for m, c in cb.items()}
+
+    def to_sympy(self, num, q, den):
+        """``num / (q * den)`` as sympy polynomials over QQ, the denominator monic."""
+        lc = _lc(den)
+        qq = self._qq
+        return (qq.from_dict({m: QQ(c, q * lc) for m, c in num.items()}),
+                qq.from_dict({m: QQ(c, lc) for m, c in den.items()}))
 
 
 class CoefficientField:
@@ -51,14 +178,14 @@ class CoefficientField:
         if len(set(params)) != len(params):
             raise ValueError(f"duplicate parameter names in {params!r}")
         self.params = params
-        self.ring, self._h, *gens = _poly_ring(" ".join((MARKER,) + params), QQ, lex)
-        self._gens = dict(zip(params, gens))
-        # The one denominator of every polynomial coefficient: ``ring.one``
-        # builds a new polynomial on each access.
+        self.ring = IntPolyRing((MARKER,) + params)
+        # The one denominator of every polynomial coefficient.
         self._one = self.ring.one
-        self.zero = Coefficient(self, self.ring.zero, self._one)
-        self.one = Coefficient(self, self._one, self._one)
-        self.hbar = Coefficient(self, self._h, self._one)
+        self._zero_mono = (0,) * (len(params) + 1)
+        self._index = {name: i + 1 for i, name in enumerate(params)}
+        self.zero = Coefficient(self, {}, 1, self._one)
+        self.one = Coefficient(self, self._one, 1, self._one)
+        self.hbar = Coefficient(self, {self._mono(0): 1}, 1, self._one)
 
     @classmethod
     def get(cls, *params: str) -> "CoefficientField":
@@ -71,26 +198,31 @@ class CoefficientField:
     def __repr__(self):
         return f"CoefficientField{self.params!r}"
 
+    def _mono(self, *slots: int) -> tuple[int, ...]:
+        """The exponent tuple of the product of the given variables (0 is h)."""
+        mono = list(self._zero_mono)
+        for s in slots:
+            mono[s] += 1
+        return tuple(mono)
+
     def param(self, name: str) -> "Coefficient":
         """The parameter as a plain (unscaled) coefficient."""
-        return Coefficient(self, self._gens[name], self._one)
+        return Coefficient(self, {self._mono(self._index[name]): 1}, 1, self._one)
 
     def marked_param(self, name: str) -> "Coefficient":
         """The parameter carrying one power of the series marker (h * p)."""
-        return Coefficient(self, self._h * self._gens[name], self._one)
+        return Coefficient(self, {self._mono(0, self._index[name]): 1}, 1, self._one)
 
     def rational(self, p, q=1) -> "Coefficient":
         """An explicit rational number as a coefficient."""
         val = Fraction(p) / Fraction(q)
         if not val:
             return self.zero
-        return Coefficient(self, self.ring.ground_new(QQ(val.numerator, val.denominator)), self._one)
+        return Coefficient(self, {self._zero_mono: val.numerator}, val.denominator, self._one)
 
-    def new(self, num, den=None) -> "Coefficient":
-        """Canonicalize a raw numerator/denominator pair of ring elements."""
-        if den is None:
-            den = self._one
-        return _canon(self, num, den)
+    def new(self, num: dict, q: int = 1, den: dict | None = None) -> "Coefficient":
+        """Canonicalize ``num / (q * den)`` for integer polynomials ``num``, ``den``."""
+        return _canon(self, (num, q), self._one if den is None else den)
 
     def from_string(self, text: str) -> "Coefficient":
         from .expr import parse_coefficient
@@ -99,37 +231,66 @@ class CoefficientField:
 
 
 def _canon(field: CoefficientField, num, den) -> "Coefficient":
+    """The canonical coefficient ``n / (q * den)`` for ``num = (n, q)``."""
+    n, q = num
     one = field._one
     if den is one or den == one:
-        return Coefficient(field, num, one) if num else field.zero
+        if not n:
+            return field.zero
+        if q != 1:
+            g = gcd(q, *n.values())
+            if g != 1:
+                n = {m: c // g for m, c in n.items()}
+                q //= g
+        return Coefficient(field, n, q, one)
     if not den:
         raise ZeroDivisionError("coefficient with zero denominator")
-    if not num:
+    if not n:
         return field.zero
-    g = num.gcd(den)
-    if g != one:
-        num = num.quo(g)
-        den = den.quo(g)
-    lc = den.LC
-    if lc != QQ(1):
-        num = num.quo_ground(lc)
-        den = den.quo_ground(lc)
-    return Coefficient(field, num, one if den == one else den)
+    if len(den) > 1:
+        n, den = field.ring.cofactors(n, den)
+    if len(den) == 1:
+        # A monomial (or constant) divides out by the least exponents it
+        # shares with every numerator term.
+        ((dm, c),) = den.items()
+        low = dm
+        for m in n:
+            low = tuple(map(min, low, m))
+        if any(low):
+            n = {tuple(map(sub, m, low)): v for m, v in n.items()}
+            dm = tuple(map(sub, dm, low))
+        den = {dm: 1} if any(dm) else one
+    else:
+        c = gcd(*den.values())
+        if _lc(den) < 0:
+            c = -c
+        if c != 1:
+            den = {m: v // c for m, v in den.items()}
+    if c < 0:
+        n = _pscale(n, -1)
+        c = -c
+    q *= c
+    g = gcd(q, *n.values())
+    if g != 1:
+        n = {m: v // g for m, v in n.items()}
+        q //= g
+    return Coefficient(field, n, q, den)
 
 
 class Coefficient:
-    """One exact scalar: a canonical fraction of multivariate polynomials.
+    """One exact scalar ``num / (q * den)`` in canonical form (see the module doc).
 
     Construct through a :class:`CoefficientField` (``field.param``,
     ``field.rational``, ``field.new``); the constructor itself trusts its
     arguments to be canonical.
     """
 
-    __slots__ = ("field", "num", "den", "_hash", "_mdeg", "_htop")
+    __slots__ = ("field", "num", "q", "den", "_hash", "_mdeg", "_htop")
 
-    def __init__(self, field: CoefficientField, num, den):
+    def __init__(self, field: CoefficientField, num: dict, q: int, den: dict):
         self.field = field
         self.num = num
+        self.q = q
         self.den = den
         self._hash = None
         self._mdeg = None
@@ -137,19 +298,26 @@ class Coefficient:
 
     # -- basic protocol -------------------------------------------------
 
+    def to_sympy(self):
+        """(numerator, denominator) as sympy polynomials over QQ, the
+        denominator monic: the form in which coefficients print."""
+        return self.field.ring.to_sympy(self.num, self.q, self.den)
+
     def __repr__(self):
+        num, den = self.to_sympy()
         if self.den == self.field._one:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+            return str(num)
+        return f"({num})/({den})"
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        return self.field is other.field and self.num == other.num and self.den == other.den
+        return (self.field is other.field and self.q == other.q
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((frozenset(self.num.items()), self.q, frozenset(self.den.items())))
         return self._hash
 
     def __bool__(self):
@@ -162,7 +330,7 @@ class Coefficient:
     @property
     def is_one(self) -> bool:
         one = self.field._one
-        return self.num == one and self.den == one
+        return self.q == 1 and self.num == one and self.den == one
 
     def _check(self, other) -> "Coefficient | None":
         """Coerce to a coefficient of this field; None means "not my type"."""
@@ -180,14 +348,20 @@ class Coefficient:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return _canon(self.field, self.num + other.num, self.den)
-        return _canon(self.field, self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, q1, d1 = self.num, self.q, self.den
+        n2, q2, d2 = other.num, other.q, other.den
+        if d1 is d2 or d1 == d2:
+            if q1 == q2:
+                return _canon(self.field, (_padd(n1, n2), q1), d1)
+            q = q1 // gcd(q1, q2) * q2
+            return _canon(self.field, (_padd(_pscale(n1, q // q1), _pscale(n2, q // q2)), q), d1)
+        num = _padd(_pmul(n1, _pscale(d2, q2)), _pmul(n2, _pscale(d1, q1)))
+        return _canon(self.field, (num, q1 * q2), _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(self.field, -self.num, self.den)
+        return Coefficient(self.field, _pscale(self.num, -1), self.q, self.den)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -209,9 +383,10 @@ class Coefficient:
             return self
         if self.num is self.den is one:
             return other
+        num = (_pmul(self.num, other.num), self.q * other.q)
         if self.den is other.den is one:
-            return _canon(self.field, self.num * other.num, one)
-        return _canon(self.field, self.num * other.num, self.den * other.den)
+            return _canon(self.field, num, one)
+        return _canon(self.field, num, _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -221,7 +396,8 @@ class Coefficient:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
-        return _canon(self.field, self.num * other.den, self.den * other.num)
+        num = _pmul(self.num, _pscale(other.den, other.q))
+        return _canon(self.field, (num, self.q), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
         other = self._check(other)
@@ -234,20 +410,17 @@ class Coefficient:
             return self.field.one / self ** (-n)
         if n == 0:
             return self.field.one
-        return _canon(self.field, self.num**n, self.den**n)
+        den = self.den if self.den is self.field._one else _ppow(self.den, n)
+        return _canon(self.field, (_ppow(self.num, n), self.q**n), den)
 
     # -- marker (series order) bookkeeping ------------------------------
-
-    def _h_range(self, poly) -> tuple[int, int]:
-        degs = [mono[0] for mono in poly.itermonoms()]
-        return (min(degs), max(degs))
 
     def _grade(self):
         if self.is_zero:
             self._mdeg = self._htop = 0
         else:
-            low, self._htop = self._h_range(self.num)
-            self._mdeg = low if self.den is self.field._one else low - self._h_range(self.den)[0]
+            low, self._htop = _h_range(self.num)
+            self._mdeg = low if self.den is self.field._one else low - _h_range(self.den)[0]
 
     @property
     def marker_degree(self) -> int:
@@ -272,7 +445,7 @@ class Coefficient:
 
     @property
     def den_has_marker(self) -> bool:
-        return self.den is not self.field._one and not self.is_zero and self._h_range(self.den)[1] > 0
+        return self.den is not self.field._one and not self.is_zero and _h_range(self.den)[1] > 0
 
     def truncate(self, order: int | None) -> "Coefficient":
         """Drop numerator terms above h-degree ``order`` (None = exact)."""
@@ -282,9 +455,8 @@ class Coefficient:
             raise ValueError(f"cannot truncate {self!r}: denominator carries the marker")
         if self.top_degree <= order:
             return self
-        ring = self.field.ring
-        kept = {mono: c for mono, c in self.num.terms() if mono[0] <= order}
-        return _canon(self.field, ring.from_dict(kept), self.den)
+        kept = {mono: c for mono, c in self.num.items() if mono[0] <= order}
+        return _canon(self.field, (kept, self.q), self.den)
 
     def h_part(self, k: int) -> "Coefficient":
         """The coefficient of h**k, with the marker stripped off.
@@ -295,33 +467,33 @@ class Coefficient:
             return self
         if self.den_has_marker:
             raise ValueError(f"h_part undefined for {self!r}: denominator carries the marker")
-        ring = self.field.ring
-        kept = {}
-        for mono, c in self.num.terms():
-            if mono[0] == k:
-                kept[(0,) + mono[1:]] = c
+        kept = {(0,) + mono[1:]: c for mono, c in self.num.items() if mono[0] == k}
         if not kept:
             return self.field.zero
-        return _canon(self.field, ring.from_dict(kept), self.den)
+        return _canon(self.field, (kept, self.q), self.den)
+
+    def _map(self, f) -> "Coefficient":
+        """Send every exponent tuple of numerator and denominator through ``f``."""
+        one = self.field._one
+        den = one if self.den is one else _pmap(self.den, f)
+        return _canon(self.field, (_pmap(self.num, f), self.q), den)
 
     def scale_params(self) -> "Coefficient":
         """Substitute p -> h*p for every parameter (the uniform series scaling)."""
-        subs = [(gen, self.field._h * gen) for gen in self.field._gens.values()]
-        if not subs:
+        if not self.field.params:
             return self
-        return _canon(self.field, self.num.compose(subs), self.den.compose(subs))
+        return self._map(lambda m: (m[0] + sum(m[1:]),) + m[1:])
 
     def strip_marker(self) -> "Coefficient":
         """Substitute h -> 1 (used when rendering internally-scaled results)."""
-        one = self.field._one
-        return _canon(self.field, self.num.compose(self.field._h, one), self.den.compose(self.field._h, one))
+        return self._map(lambda m: (0,) + m[1:])
 
     def subs(self, mapping: dict[str, "Coefficient | int | Fraction"]) -> "Coefficient":
         """Substitute parameters by coefficients (rational functions allowed)."""
         field = self.field
         targets = {}
         for name, val in mapping.items():
-            if name not in field._gens:
+            if name not in field._index:
                 raise KeyError(f"unknown parameter {name!r}")
             if isinstance(val, (int, Fraction)):
                 val = field.rational(val)
@@ -333,14 +505,16 @@ class Coefficient:
             targets.get(name, field.param(name)) for name in field.params
         ]
 
-        def lift(poly):
+        def lift(poly, q):
             total = field.zero
-            for mono, c in poly.terms():
-                term = field.rational(Fraction(int(c.numerator), int(c.denominator)))
+            for mono, c in poly.items():
+                term = field.rational(c, q)
                 for gen_val, e in zip(gen_vals, mono):
                     if e:
                         term = term * gen_val**e
                 total = total + term
             return total
 
-        return lift(self.num) / lift(self.den)
+        # Both over the denominator's leading coefficient: monic, as printed.
+        lc = _lc(self.den)
+        return lift(self.num, self.q * lc) / lift(self.den, lc)

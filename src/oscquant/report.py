@@ -191,7 +191,8 @@ def _sympy_rename(expr):
 def latex_coeff(c: Coefficient) -> str:
     import sympy
 
-    expr = c.num.as_expr() / c.den.as_expr()
+    num, den = c.to_sympy()
+    expr = num.as_expr() / den.as_expr()
     return sympy.latex(_sympy_rename(sympy.together(expr)))
 
 

@@ -1,10 +1,15 @@
 """Field laws and marker bookkeeping for the exact scalar layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from oscquant.coeffs import Coefficient, CoefficientField
 
@@ -42,10 +47,16 @@ class TestCanonicalForm:
         assert a == x + F.one
 
     def test_denominator_is_monic(self):
+        # stored as y / (3 * x): the 3 in q, the monomial in den; printed
+        # (and handed to sympy) over the monic x
         x, y = F.param("x"), F.param("y")
         a = y / (x * F.rational(3))
-        assert a.den.LC == 1
+        assert (a.num, a.q, a.den) == ({(0, 0, 1): 1}, 3, {(0, 1, 0): 1})
+        assert a.to_sympy()[1].LC == 1
         assert a * x * F.rational(3) == y
+        b = (F.rational(2) * y) / (F.rational(-4) * x - F.rational(6) * y)
+        assert (b.num, b.q, b.den) == ({(0, 0, 1): -1}, 1, {(0, 1, 0): 2, (0, 0, 1): 3})
+        assert b.to_sympy()[1].LC == 1
 
     def test_zero_is_canonical(self):
         x = F.param("x")
@@ -170,64 +181,159 @@ class TestMarker:
         assert lhs == rhs
 
 
+# -- a pure-sympy reference ----------------------------------------------------
+#
+# The reference reads a coefficient straight from its integer dicts and
+# always takes the GCD-and-monic route over sympy's QQ polynomials, whatever
+# the denominator.  Every result is compared with it in that form.
+
+R, RH, RX, RY = ring("h,x,y", QQ, lex)
+
+
+def to_ref(a):
+    """``a`` as a sympy (numerator, denominator) pair over QQ, not reduced."""
+    return R.from_dict({m: QQ(c, a.q) for m, c in a.num.items()}), R.from_dict(dict(a.den))
+
+
 def reference(num, den):
-    """The canonical (num, den) by the GCD route, whatever the denominator."""
+    """The canonical (num, den) by the GCD route: coprime, the denominator monic."""
     if not num:
-        return F.ring.zero, F.ring.one
+        return R.zero, R.one
     g = num.gcd(den)
     num, den = num.quo(g), den.quo(g)
     lc = den.LC
     return num.quo_ground(lc), den.quo_ground(lc)
 
 
+def assert_canonical(a):
+    """``num / (q * den)`` with q coprime to the content and den primitive,
+    positive-led, non-constant or the shared unit."""
+    assert type(a.q) is int and a.q > 0
+    assert all(type(c) is int and c for c in a.num.values())
+    if a.num:
+        assert gcd(a.q, *a.num.values()) == 1
+    if a.den == F._one:
+        assert a.den is F._one
+        return
+    assert all(type(c) is int for c in a.den.values())
+    assert gcd(*a.den.values()) == 1 and a.den[max(a.den)] > 0
+    assert any(any(m) for m in a.den)
+
+
+def check(got, num, den):
+    """``got`` is canonical and equals num/den; the reference's form is ``got``'s
+    over its leading denominator coefficient, so ``got`` is reduced too."""
+    assert_canonical(got)
+    n, d = to_ref(got)
+    lc = d.LC
+    assert (n.quo_ground(lc), d.quo_ground(lc)) == reference(num, den)
+
+
 def both_kinds(a):
     """``a`` and its numerator alone: a real denominator and denominator 1."""
-    return [a, F.new(a.num)]
+    return [a, F.new(a.num, a.q)]
 
 
 def fresh_unit(a):
     """``a`` with an equal denominator that is not the field's shared unit."""
-    return Coefficient(F, a.num, F.ring.one)
+    return Coefficient(F, a.num, a.q, dict(F._one))
+
+
+def denominators():
+    """Denominators of every kind ``_canon`` tells apart: constants and
+    monomials (divided out natively), ``x + y`` and ``h*(x + y)`` (sympy's
+    GCD), and random polynomials."""
+    x, y, h = F.param("x"), F.param("y"), F.hbar
+    fixed = [F.rational(3), F.rational(-2, 5), x, F.rational(-3) * x * y**2, h * x, x + y, h * (x + y),
+             F.rational(2) * x + F.rational(2) * y, x**2 - y**2]
+    return st.sampled_from(fixed) | coeffs(2).filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def fractions_of_every_kind(draw):
+    return draw(coeffs()) / draw(denominators())
 
 
 class TestDenominatorOne:
-    def check(self, got, num, den):
-        assert (got.num, got.den) == reference(num, den)
-        if got.den == F.ring.one:
-            assert got.den is F._one
-
     @settings(max_examples=60, deadline=None)
-    @given(coeffs(), coeffs(), st.integers(0, 3))
+    @given(fractions_of_every_kind(), fractions_of_every_kind(), st.integers(0, 3))
     def test_arithmetic_matches_the_gcd_route(self, a0, b0, n):
         for a in both_kinds(a0):
+            an, ad = to_ref(a)
             for b in both_kinds(b0):
-                self.check(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
-                self.check(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
-                self.check(a * b, a.num * b.num, a.den * b.den)
+                bn, bd = to_ref(b)
+                check(a + b, an * bd + bn * ad, ad * bd)
+                check(a - b, an * bd - bn * ad, ad * bd)
+                check(a * b, an * bn, ad * bd)
                 if not b.is_zero:
-                    self.check(a / b, a.num * b.den, a.den * b.num)
+                    check(a / b, an * bd, ad * bn)
             # sympy refuses a zero polynomial to the power 0; x**0 is 1 for every x
-            self.check(a**n, a.num**n if n else F.ring.one, a.den**n)
+            check(a**n, an**n if n else R.one, ad**n)
+            if not a.is_zero:
+                check(a ** -n, ad**n, an**n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of_every_kind(), st.integers(0, 3))
+    def test_series_operations_match_the_gcd_route(self, a0, k):
+        for a in both_kinds(a0):
+            an, ad = to_ref(a)
+            scaled = [(RX, RH * RX), (RY, RH * RY)]
+            check(a.scale_params(), an.compose(scaled), ad.compose(scaled))
+            check(a.strip_marker(), an.compose(RH, R.one), ad.compose(RH, R.one))
+            if a.den_has_marker:
+                continue
+            check(a.truncate(k), R.from_dict({m: c for m, c in an.terms() if m[0] <= k}), ad)
+            check(a.h_part(k), R.from_dict({(0,) + m[1:]: c for m, c in an.terms() if m[0] == k}), ad)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fractions_of_every_kind(), fractions_of_every_kind())
+    def test_subs_matches_sympy(self, a, b):
+        (an, ad), (bn, bd) = to_ref(a), to_ref(b)
+        x = sympy.Symbol("x")
+        value = bn.as_expr() / bd.as_expr()
+        num, den = an.as_expr().subs(x, value), ad.as_expr().subs(x, value)
+        if sympy.cancel(den) == 0:
+            with pytest.raises(ZeroDivisionError):
+                a.subs({"x": b})
+            return
+        num, den = sympy.fraction(sympy.cancel(num / den))
+        check(a.subs({"x": b}), R.from_expr(num), R.from_expr(den))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of_every_kind())
+    def test_repr_is_sympys(self, a):
+        num, den = reference(*to_ref(a))
+        assert repr(a) == (str(num) if den == R.one else f"({num})/({den})")
 
     def test_polynomials_share_the_unit(self):
         x = F.param("x")
         for c in (F.zero, F.one, F.hbar, x, F.rational(3, 2), F.marked_param("y"), x * x - F.one,
-                  (x**2 - F.one) / (x - F.one), F.new(x.num), F.one * x, x * F.one, x**3):
+                  (x**2 - F.one) / (x - F.one), F.new(x.num), F.one * x, x * F.one, x**3,
+                  F.hbar**2 * x**2 / 2, (x * F.rational(3)) / (x * F.rational(6)), x / F.rational(1, 2),
+                  (x**2 + x) / x, (x + F.param("y")) ** 2 / (x + F.param("y"))):
             assert c.den is F._one, c
         assert F.one * x is x and x * F.one is x
 
+    def test_rational_content_stays_in_q(self):
+        x = F.param("x")
+        a = F.hbar**2 * x**2 / 2
+        assert (a.num, a.q, a.den) == ({(2, 2, 0): 1}, 2, F._one)
+        b = (F.rational(4) * x + F.rational(6)) / F.rational(8)
+        assert (b.num, b.q) == ({(0, 1, 0): 2, (0, 0, 0): 3}, 4)
+
     @settings(max_examples=60, deadline=None)
-    @given(coeffs(), coeffs())
+    @given(coeffs(), fractions_of_every_kind())
     def test_an_equal_unit_that_is_another_object(self, a0, b):
-        a = F.new(a0.num)
+        a = F.new(a0.num, a0.q)
         c = fresh_unit(a)
         assert c.den is not F._one
         assert c == a and hash(c) == hash(a)
         assert c.is_one == a.is_one and repr(c) == repr(a)
         assert not c.den_has_marker and c.marker_degree == a.marker_degree
-        for got, want in [(c + b, a + b), (b - c, b - a), (c * b, a * b), (b * c, b * a), (c**2, a**2)]:
+        for got, want in [(c + b, a + b), (b - c, b - a), (c * b, a * b), (b * c, b * a), (c**2, a**2),
+                          (c.scale_params(), a.scale_params()), (c.h_part(1), a.h_part(1))]:
             assert got == want and hash(got) == hash(want)
-            if got.den == F.ring.one:
+            if got.den == F._one:
                 assert got.den is F._one
         # truncate hands back its input when nothing is above the order
         assert c.truncate(1) == a.truncate(1) and hash(c.truncate(1)) == hash(a.truncate(1))
@@ -235,21 +341,26 @@ class TestDenominatorOne:
             assert b / c == b / a
 
     @settings(max_examples=60, deadline=None)
-    @given(coeffs(), st.integers(0, 3))
+    @given(fractions_of_every_kind(), st.integers(0, 3))
     def test_marker_bookkeeping_on_both_kinds(self, a0, n):
         for a in both_kinds(a0):
             if a.is_zero:
                 continue
-            num_h = [m[0] for m in a.num.itermonoms()]
-            den_h = [m[0] for m in a.den.itermonoms()]
+            num_h = [m[0] for m in a.num]
+            den_h = [m[0] for m in a.den]
             assert a.den_has_marker == (max(den_h) > 0)
             assert a.marker_degree == min(num_h) - min(den_h)
+            assert a.top_degree == max(num_h)
+            assert a.poly_top == (a.top_degree if a.den is F._one else None)
             if a.den_has_marker:
                 with pytest.raises(ValueError):
                     a.truncate(n)
                 continue
-            kept = {m: c for m, c in a.num.terms() if m[0] <= n}
-            self.check(a.truncate(n), F.ring.from_dict(kept), a.den)
+            an, ad = to_ref(a)
+            got = a.truncate(n)
+            check(got, R.from_dict({m: c for m, c in an.terms() if m[0] <= n}), ad)
+            if a.top_degree <= n:
+                assert got is a
 
     def test_truncate_still_refuses_a_marked_denominator(self):
         with pytest.raises(ValueError):
