@@ -630,9 +630,23 @@ class TensorElement(_Terms):
 
     def _product(self, other):
         alg, order = self.alg, self.alg.order
+        one = alg.field.one
         out: dict = {}
         for k1, k2, c in _pair_walk(self.terms, other.terms, order):
             slot_terms = [alg.mul_mono(k1[s], k2[s]).items() for s in range(self.arity)]
+            # Mostly every slot's product is one monomial with the unit
+            # coefficient: then the product is ``c`` at one key.
+            key = []
+            for items in slot_terms:
+                if len(items) != 1:
+                    break
+                ((m, cm),) = items
+                if cm is not one:
+                    break
+                key.append(m)
+            else:
+                _acc(out, tuple(key), c)
+                continue
             for combo in _cartesian(*slot_terms):
                 v = _times(c, [cs for _, cs in combo], order)
                 if not v.is_zero:
