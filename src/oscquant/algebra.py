@@ -820,4 +820,6 @@ def signed_sum(pairs, prefix=coeff_prefix, whole=repr) -> str:
     LaTeX callers pass their own.
     """
     bits = [prefix(c) + body if body else whole(c) for c, body in pairs]
-    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+    # sympy prints a negative LaTeX coefficient with its space ("- x"), a
+    # text one without ("-x"): either way one space follows the sign.
+    return " + ".join(bits).replace("+ - ", "- ").replace("+ -", "- ") if bits else "0"

@@ -101,6 +101,17 @@ def test_tables_III_latex_wraps_only_compound_factors(capsys):
     assert r"\left(A \alpha_{+} - M \beta_{+}\right) \otimes" in out
 
 
+@pytest.mark.parametrize("which", ["I", "II", "III"])
+def test_tables_latex_puts_one_space_after_a_minus(capsys, which):
+    # sympy prints a negative LaTeX coefficient as "- x"; following another
+    # term it must read "- x", not "-  x"
+    rc, out, _ = run(capsys, ["tables", "--which", which, "--format", "latex"])
+    assert rc == 0
+    assert "-  " not in out
+    if which == "I":
+        assert r"x \, A \wedge M - x \, A_+ \wedge A_-" in out
+
+
 def test_tables_mismatch_exits_1(capsys, monkeypatch):
     stub_rows = [types.SimpleNamespace(match=False)]
     monkeypatch.setattr(cli, "table_I", lambda: stub_rows)
