@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and only two reach sympy.
 
 No linter ships with the project's toolchain, so this is the unused-import
 rule (F401) written against the standard library's ``ast``.  An import that
@@ -83,3 +83,50 @@ def test_checker_flags_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- sympy stays at the edges ------------------------------------------------
+#
+# Coefficients are integer dicts; sympy serves only the GCD of a denominator
+# of two or more terms and printing, both in ``coeffs``, and the LaTeX of
+# ``report``.  No other module reaches it.
+
+SYMPY_MODULES = ("coeffs.py", "report.py")
+
+
+def _is_sympy(name) -> bool:
+    return name == "sympy" or name.startswith("sympy.")
+
+
+def sympy_imports(source: str) -> list[int]:
+    """Line numbers of every import of sympy, at any depth, dynamic ones included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(_is_sympy(a.name) for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level and _is_sympy(node.module or ""):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and any(
+            isinstance(a, ast.Constant) and isinstance(a.value, str) and _is_sympy(a.value) for a in node.args
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_sympy_check_fires_on_a_small_source():
+    src = (
+        "import os, sympy.polys as sp\n"
+        "from .coeffs import sympy_free\n"
+        "def f():\n"
+        "    from sympy import latex\n"
+        "    return importlib.import_module('sympy')\n"
+    )
+    assert sympy_imports(src) == [1, 4, 5]
+    assert sympy_imports("import sympyish\nfrom . import sympy\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name not in SYMPY_MODULES), ids=lambda p: p.name
+)
+def test_only_coeffs_and_report_import_sympy(path):
+    assert sympy_imports(path.read_text(encoding="utf-8")) == []
