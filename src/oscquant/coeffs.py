@@ -345,9 +345,10 @@ class Coefficient:
     # -- field arithmetic -----------------------------------------------
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Coefficient or other.field is not self.field:
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
         n1, q1, d1 = self.num, self.q, self.den
         n2, q2, d2 = other.num, other.q, other.den
         if d1 is d2 or d1 == d2:
@@ -373,9 +374,10 @@ class Coefficient:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Coefficient or other.field is not self.field:
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
         # Structure constants are mostly the field's own unit: a product with
         # it builds nothing new.
         one = self.field._one
@@ -463,8 +465,6 @@ class Coefficient:
 
         Requires an h-free denominator (true for everything built here).
         """
-        if self.is_zero:
-            return self
         if self.den_has_marker:
             raise ValueError(f"h_part undefined for {self!r}: denominator carries the marker")
         kept = {(0,) + mono[1:]: c for mono, c in self.num.items() if mono[0] == k}

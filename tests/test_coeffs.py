@@ -310,7 +310,8 @@ class TestDenominatorOne:
         for c in (F.zero, F.one, F.hbar, x, F.rational(3, 2), F.marked_param("y"), x * x - F.one,
                   (x**2 - F.one) / (x - F.one), F.new(x.num), F.one * x, x * F.one, x**3,
                   F.hbar**2 * x**2 / 2, (x * F.rational(3)) / (x * F.rational(6)), x / F.rational(1, 2),
-                  (x**2 + x) / x, (x + F.param("y")) ** 2 / (x + F.param("y"))):
+                  (x**2 + x) / x, (x + F.param("y")) ** 2 / (x + F.param("y")), fresh_unit(F.zero).h_part(1),
+                  fresh_unit(x).h_part(0)):
             assert c.den is F._one, c
         assert F.one * x is x and x * F.one is x
 
