@@ -5,20 +5,20 @@
 Each commit's committed files are unpacked (``git archive``) into a
 temporary directory of their own, so the working tree, its uncommitted
 edits and ``.git`` are left alone.  Pair ``i`` runs ``perfbench/run.py
---workload W --seed S --trace 0`` once in each tree, on every workload of
-``BENCHMARK.json`` (or those given), with seed ``first_seed + i``; even
-pairs run BASE first and odd pairs CHANGE first, so a drift of the host's
-speed does not favour one side.
+--workload W --seed S --trace 0`` once in each tree, for every workload of
+``BENCHMARK.json`` with its ``run_seconds`` and with seed ``first_seed +
+i``; even pairs run BASE first and odd pairs CHANGE first, so a drift of
+the host's speed does not favour one side.
 
-It writes ``BENCH_<n>.json`` at the repository root (``n`` one more than
-the highest existing ``BENCH_*.json`` here or under ``perfbench/``, or
-``--label``).  For every workload and end-to-end metric the file holds both
-sides' values, medians and quartiles, the change's median relative to the
-base, the pairs the change won, and whether the gain is resolved: won in at
-least 9 of 10 pairs and better in the median by more than the base's
-interquartile range.  It also holds the two commits and the environment
-stamp of ``run.py`` (Python, sympy, gmpy2, cores).  Exit code 1 if any
-verdict was wrong or any run failed.
+It writes ``BENCH_<n>.json`` at the repository root, ``n`` one more than
+the highest existing ``BENCH_*.json`` there or under ``perfbench/``.  For
+every workload and end-to-end metric the file holds both sides' values,
+medians and quartiles, the change's median relative to the base, the pairs
+the change won, and whether the gain is resolved: won in at least 9 of 10
+pairs and better in the median by more than the base's interquartile
+range.  It also holds the two commits and the environment stamp of
+``run.py`` (Python, sympy, gmpy2, cores).  Exit code 1 if any verdict was
+wrong or any run failed.
 """
 
 from __future__ import annotations
@@ -98,17 +98,14 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="the commit under test")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1, help="pair i runs seed first_seed + i")
-    ap.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]],
-                    help="a workload to run (repeatable; default: all)")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"], help="measuring time of one run")
-    ap.add_argument("--label", type=int, help="write BENCH_<label>.json (default: the next free number)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to give quartiles")
 
-    names = args.workload or [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     commits = {"base": git("rev-parse", args.base), "change": git("rev-parse", args.change)}
-    label = next_label() if args.label is None else args.label
+    label = next_label()
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         trees = {}
@@ -123,7 +120,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for workload in names:
                 for side in order:
-                    metrics, attempted, failed, env = run_once(trees[side], workload, seed, args.seconds)
+                    metrics, attempted, failed, env = run_once(trees[side], workload, seed, seconds)
                     runs[workload][side].append(metrics)
                     verdicts["attempted"] += attempted
                     verdicts["failed"] += failed
@@ -134,7 +131,7 @@ def main(argv=None) -> int:
 
     env = {k: v for k, v in (env or {}).items() if k != "git_commit"}
     doc = {"label": label, "commits": commits, "pairs": args.pairs,
-           "seeds": [args.first_seed + i for i in range(args.pairs)], "seconds": args.seconds,
+           "seeds": [args.first_seed + i for i in range(args.pairs)], "seconds": seconds,
            "env": env, "verdicts": verdicts, "workloads": {}}
     for workload in names:
         entry = doc["workloads"][workload] = {}

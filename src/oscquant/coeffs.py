@@ -9,17 +9,18 @@ Truncating a computation at order N then simply means dropping numerator terms
 whose h-degree exceeds N.
 
 Canonical form of a coefficient: ``num / (q * den)``.  ``num`` and ``den``
-are integer polynomials, each a plain dict from exponent tuple (h first, then
-the parameters) to a nonzero ``int``; ``q`` is a positive ``int`` coprime to
-the content of ``num``.  ``den`` is primitive with a positive leading term
-(in lex order) and coprime to ``num``, so equal coefficients are
-structurally equal.  Every polynomial over Q, rational coefficients included
-(``h**2*x**2/2`` is ``{(2, 2): 1}`` over ``q = 2``), has denominator 1, and
-all of those share their field's one unit polynomial.  Canonicalizing them
-costs at most one ``math.gcd`` of ``q`` with the numerator's content.  A
-monomial or constant denominator is divided out natively, by the least
-common monomial exponents; only a denominator of two or more terms takes
-sympy's polynomial GCD.  A denominator that equals 1 without being the
+are integer polynomials, each a plain dict from exponent tuple (h first,
+then the parameters) to a nonzero ``int``; ``q`` is a positive ``int``
+coprime to the content of ``num``.  ``den`` is primitive with a positive
+leading term (in lex order) and coprime to ``num``, so equal coefficients
+are structurally equal.  Every polynomial over Q, rational coefficients
+included (in Q(h, x), ``h**2*x**2/2`` is ``{(2, 2): 1}`` over ``q = 2``),
+has denominator 1, and all of those share their field's one unit polynomial.
+Canonicalizing them costs at most one ``math.gcd`` of ``q`` with the
+numerator's content.  A monomial or constant denominator is reduced
+natively: it drops the exponents it shares with every numerator term, and
+its coefficient moves into ``q``.  Only a denominator of two or more terms
+takes sympy's polynomial GCD.  A denominator that equals 1 without being the
 shared object (say, one rebuilt from a pickle) is recognized by equality and
 replaced by the shared one.  Denominators stay h-free for everything this
 package constructs; ``truncate`` enforces that invariant at the point where
@@ -142,7 +143,6 @@ class IntPolyRing:
     """
 
     def __init__(self, symbols: tuple[str, ...]):
-        self.symbols = symbols
         self.one = {(0,) * len(symbols): 1}
         self._zz = PolyRing(symbols, ZZ, lex)
         self._qq = PolyRing(symbols, QQ, lex)
@@ -235,45 +235,40 @@ def _canon(field: CoefficientField, num, den) -> "Coefficient":
     n, q = num
     one = field._one
     if den is one or den == one:
-        if not n:
-            return field.zero
-        if q != 1:
-            g = gcd(q, *n.values())
-            if g != 1:
-                n = {m: c // g for m, c in n.items()}
-                q //= g
-        return Coefficient(field, n, q, one)
-    if not den:
+        den = one
+    elif not den:
         raise ZeroDivisionError("coefficient with zero denominator")
+    elif n:
+        if len(den) > 1:
+            n, den = field.ring.cofactors(n, den)
+        if len(den) == 1:
+            # A monomial (or constant) divides out by the least exponents it
+            # shares with every numerator term.
+            ((dm, c),) = den.items()
+            low = dm
+            for m in n:
+                low = tuple(map(min, low, m))
+            if any(low):
+                n = {tuple(map(sub, m, low)): v for m, v in n.items()}
+                dm = tuple(map(sub, dm, low))
+            den = {dm: 1} if any(dm) else one
+        else:
+            c = gcd(*den.values())
+            if _lc(den) < 0:
+                c = -c
+            if c != 1:
+                den = {m: v // c for m, v in den.items()}
+        if c < 0:
+            n = _pscale(n, -1)
+            c = -c
+        q *= c
     if not n:
         return field.zero
-    if len(den) > 1:
-        n, den = field.ring.cofactors(n, den)
-    if len(den) == 1:
-        # A monomial (or constant) divides out by the least exponents it
-        # shares with every numerator term.
-        ((dm, c),) = den.items()
-        low = dm
-        for m in n:
-            low = tuple(map(min, low, m))
-        if any(low):
-            n = {tuple(map(sub, m, low)): v for m, v in n.items()}
-            dm = tuple(map(sub, dm, low))
-        den = {dm: 1} if any(dm) else one
-    else:
-        c = gcd(*den.values())
-        if _lc(den) < 0:
-            c = -c
-        if c != 1:
-            den = {m: v // c for m, v in den.items()}
-    if c < 0:
-        n = _pscale(n, -1)
-        c = -c
-    q *= c
-    g = gcd(q, *n.values())
-    if g != 1:
-        n = {m: v // g for m, v in n.items()}
-        q //= g
+    if q != 1:
+        g = gcd(q, *n.values())
+        if g != 1:
+            n = {m: v // g for m, v in n.items()}
+            q //= g
     return Coefficient(field, n, q, den)
 
 
