@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .bialgebra import (
     FAMILIES,
@@ -297,6 +296,8 @@ def run_jobs(job_ids, order: int, jobs: int):
     if jobs <= 1 or len(job_ids) <= 1:
         chunks = [_run_job(job_id, order) for job_id in job_ids]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_job_star, [(j, order) for j in job_ids]))
     return [r for chunk in chunks for r in chunk]

@@ -19,27 +19,25 @@ has denominator 1, and all of those share their field's one unit polynomial.
 Canonicalizing them costs at most one ``math.gcd`` of ``q`` with the
 numerator's content.  A monomial or constant denominator is reduced
 natively: it drops the exponents it shares with every numerator term, and
-its coefficient moves into ``q``.  Only a denominator of two or more terms
-takes sympy's polynomial GCD.  A denominator that equals 1 without being the
-shared object (say, one rebuilt from a pickle) is recognized by equality and
-replaced by the shared one.  Denominators stay h-free for everything this
-package constructs; ``truncate`` enforces that invariant at the point where
-it matters.
+its coefficient moves into ``q``.  A denominator of two or more terms takes
+the polynomial GCD (``_pcofactors``, the heuristic GCD over the integers).
+A denominator that equals 1 without being the shared object (say, one
+rebuilt from a pickle) is recognized by equality and replaced by the shared
+one.  Denominators stay h-free for everything this package constructs;
+``truncate`` enforces that invariant at the point where it matters.
 
-sympy is used for that GCD and for printing (``repr`` and
-``report.latex_coeff`` convert to sympy's polynomials over QQ, so the printed
-form is sympy's); nothing else of sympy is used.
+Printing is native too: ``repr`` writes the lex-ordered form sympy's
+``PolyElement`` prints, over a monic denominator.  sympy is imported only by
+``Coefficient.to_sympy``, which the LaTeX output (``report.latex_coeff``)
+calls; nothing on the text or JSON path loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
+from itertools import chain
+from math import gcd, isqrt
+from operator import add, lt, sub
 
 MARKER = "h"
 
@@ -69,6 +67,11 @@ def _padd(a, b):
 
 def _pscale(a, k):
     return a if k == 1 else {m: c * k for m, c in a.items()}
+
+
+def _pscale_down(a, k):
+    """``a`` with every coefficient divided by ``k``, which divides them all."""
+    return a if k == 1 else {m: c // k for m, c in a.items()}
 
 
 def _pmul(a, b):
@@ -134,31 +137,197 @@ def _lc(poly) -> int:
     return poly[max(poly)]
 
 
+def _degrees(poly) -> list[int]:
+    """The degree of ``poly`` in each variable."""
+    return [max(e) for e in zip(*poly)]
+
+
+def _pquo(a, b):
+    """``a / b`` for nonzero integer polynomials, or None when ``b`` does not
+    divide ``a``.
+
+    Lex-order division: each step the leading term of what is left must be
+    the leading term of ``b`` times a quotient term, whose degree in each
+    variable is at most that of ``a`` less that of ``b`` (degrees add in a
+    product), so a failed division stops early.
+    """
+    room = list(map(sub, _degrees(a), _degrees(b)))
+    if min(room) < 0:
+        return None
+    lm = max(b)
+    lc = b[lm]
+    if len(b) == 1:
+        out = {}
+        for m, c in a.items():
+            k, r = divmod(c, lc)
+            if r or any(map(lt, m, lm)):
+                return None
+            out[tuple(map(sub, m, lm))] = k
+        return out
+    rest = [(m, c) for m, c in b.items() if m != lm]
+    left = dict(a)
+    out = {}
+    while left:
+        m = max(left)
+        k, r = divmod(left.pop(m), lc)
+        e = tuple(map(sub, m, lm))
+        if r or any(map(lambda d, top: d < 0 or d > top, e, room)):
+            return None
+        out[e] = k
+        for mb, cb in rest:
+            t = tuple(map(add, e, mb))
+            v = left.get(t, 0) - k * cb
+            if v:
+                left[t] = v
+            else:
+                left.pop(t, None)
+    return out
+
+
+def _pcofactors(a, b):
+    """``(g, a / g, b / g)`` for ``g`` the GCD of nonzero integer polynomials
+    ``a`` and ``b``, its leading coefficient positive: the heuristic GCD of
+    Char, Geddes and Gonnet.
+
+    A monomial's GCD with anything is read off directly.  Otherwise the
+    integer contents are split off, and the first variable ``v`` either
+    polynomial has is set to an integer ``x``, large against both
+    polynomials' coefficients.  The GCD of the two values, polynomials in
+    the later variables, and the values' cofactors come recursively.
+    Written back in balanced base ``x``, their digits becoming the
+    coefficients of the powers of ``v``, they give the GCD of ``a`` and
+    ``b`` if the primitive part of the GCD's image divides both, or if a
+    cofactor's image divides its polynomial and the quotient divides the
+    other.  If none does, ``x`` grows and the step repeats.  Some ``x``
+    succeeds: two coprime cofactors share a factor at finitely many points
+    only, and the integer they share at a point is bounded.  The starting
+    point, the three tests and the growth of ``x`` are sympy's
+    (``heuristicgcd.heugcd``).
+    """
+    if len(a) == 1 or len(b) == 1:
+        low = next(iter(a))
+        for m in chain(a, b):
+            low = tuple(map(min, low, m))
+        g = {low: gcd(*a.values(), *b.values())}
+        return g, _pquo(a, g), _pquo(b, g)
+    i = 0
+    while not any(m[i] for m in a) and not any(m[i] for m in b):
+        i += 1
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    c = gcd(ca, cb)
+    a, b = _pscale_down(a, ca), _pscale_down(b, cb)
+    na, nb = max(map(abs, a.values())), max(map(abs, b.values()))
+    bound = 2 * min(na, nb) + 29
+    x = max(min(bound, 99 * isqrt(bound)), 2 * min(na // abs(_lc(a)), nb // abs(_lc(b))) + 4)
+    while True:
+        ea, eb = _peval(a, i, x), _peval(b, i, x)
+        if ea and eb:
+            h, fa, fb = _pcofactors(ea, eb)
+            h = _interpolate(h, i, x)
+            h = _pscale_down(h, gcd(*h.values()))
+            qa = _pquo(a, h)
+            qb = None if qa is None else _pquo(b, h)
+            if qb is None:
+                qa = _interpolate(fa, i, x)
+                h = _pquo(a, qa)
+                qb = None if h is None else _pquo(b, h)
+            if qb is None:
+                qb = _interpolate(fb, i, x)
+                h = _pquo(b, qb)
+                qa = None if h is None else _pquo(a, h)
+            if qa is not None:
+                if _lc(h) < 0:
+                    h, qa, qb = _pscale(h, -1), _pscale(qa, -1), _pscale(qb, -1)
+                return _pscale(h, c), _pscale(qa, ca // c), _pscale(qb, cb // c)
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+
+
+def _peval(poly, i, x):
+    """``poly`` with variable ``i`` set to the integer ``x``."""
+    out = {}
+    for m, c in poly.items():
+        k = m[:i] + (0,) + m[i + 1:]
+        v = out.get(k, 0) + c * x ** m[i]
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _interpolate(poly, i, x):
+    """The inverse of ``_peval`` for coefficients below ``x / 2``: each
+    integer coefficient's balanced base-``x`` digits become the coefficients
+    of the powers of variable ``i``."""
+    out = {}
+    half = x // 2
+    for m, c in poly.items():
+        d = 0
+        while c:
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[m[:i] + (d,) + m[i + 1:]] = r
+            c = (c - r) // x
+            d += 1
+    return out
+
+
+def _pstr(poly, q, symbols) -> str:
+    """``poly / q`` as sympy prints a ``PolyElement`` over QQ: terms in
+    descending lex order, written like ``3/2*h*x**2*y``, joined by `` + `` and
+    `` - ``, with a leading ``-`` for a negative first term."""
+    if not poly:
+        return "0"
+    out = []
+    for m in sorted(poly, reverse=True):
+        c = Fraction(poly[m], q)
+        out.append(" - " if c < 0 else " + ")
+        factors = [s if e == 1 else f"{s}**{e}" for s, e in zip(symbols, m) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        out.append("*".join(factors))
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
 class IntPolyRing:
     """Z[h, p1, ..., pk] with polynomials as dicts from exponent tuple to int.
 
     ``one`` is the shared unit, the denominator of every polynomial
-    coefficient.  sympy's rings over ZZ and QQ on the same symbols and order
-    serve the GCD of two polynomials and printing.
+    coefficient.
     """
 
     def __init__(self, symbols: tuple[str, ...]):
+        self.symbols = symbols
         self.one = {(0,) * len(symbols): 1}
-        self._zz = PolyRing(symbols, ZZ, lex)
-        self._qq = PolyRing(symbols, QQ, lex)
+        self._qq = None
 
     def cofactors(self, a, b):
-        """``a / g`` and ``b / g`` for ``g`` the GCD of ``a`` and ``b``."""
-        zz = self._zz
-        _, ca, cb = zz.from_dict(a).cofactors(zz.from_dict(b))
-        return {m: int(c) for m, c in ca.items()}, {m: int(c) for m, c in cb.items()}
+        """``a / g`` and ``b / g`` for ``g`` the GCD of nonzero ``a`` and ``b``."""
+        return _pcofactors(a, b)[1:]
 
     def to_sympy(self, num, q, den):
         """``num / (q * den)`` as sympy polynomials over QQ, the denominator monic."""
+        from sympy.polys.domains import QQ
+        from sympy.polys.orderings import lex
+        from sympy.polys.rings import PolyRing
+
+        if self._qq is None:
+            self._qq = PolyRing(self.symbols, QQ, lex)
         lc = _lc(den)
         qq = self._qq
         return (qq.from_dict({m: QQ(c, q * lc) for m, c in num.items()}),
                 qq.from_dict({m: QQ(c, lc) for m, c in den.items()}))
+
+    def format(self, num, q, den) -> str:
+        """``num / (q * den)`` as text: sympy's form of the numerator, then of
+        the monic denominator in parentheses unless it is 1."""
+        if den == self.one:
+            return _pstr(num, q, self.symbols)
+        lc = _lc(den)
+        return f"({_pstr(num, q * lc, self.symbols)})/({_pstr(den, lc, self.symbols)})"
 
 
 class CoefficientField:
@@ -299,10 +468,7 @@ class Coefficient:
         return self.field.ring.to_sympy(self.num, self.q, self.den)
 
     def __repr__(self):
-        num, den = self.to_sympy()
-        if self.den == self.field._one:
-            return str(num)
-        return f"({num})/({den})"
+        return self.field.ring.format(self.num, self.q, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):

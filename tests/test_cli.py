@@ -2,8 +2,8 @@
 
 Everything runs in process through ``cli.main`` so exit codes and emitted
 text are asserted directly; the worker-pool path is exercised once and
-compared report-for-report against the inline path.  One test runs a fresh
-interpreter, to see what importing the package does to it.
+compared report-for-report against the inline path.  Three tests run a
+fresh interpreter, to see what importing the package does to it.
 """
 
 import dataclasses
@@ -298,6 +298,36 @@ def test_import_keeps_recursion_limit_and_deep_checks_pass():
         "import oscquant.cli as cli\n"
         "assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()\n"
         "sys.exit(cli.main(['verify', '--target', 'prop4', '--order', '8']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(cli.ORDER_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+
+
+def test_text_and_json_runs_never_load_sympy():
+    """sympy is needed only for LaTeX: text tables, a JSON classification and
+    JSON verify runs leave it out of ``sys.modules``; LaTeX still works."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import oscquant.cli as cli\n"
+        "runs = [['tables', '--which', w] for w in ('I', 'II', 'III')] + [\n"
+        "    ['classify', '--r', '0,0,x,y,bp,yp', '--format', 'json'],\n"
+        "    ['verify', '--target', 'prop1', '--order', '2', '--format', 'json'],\n"
+        "    ['verify', '--target', 'prop6', '--order', '3', '--format', 'json']]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "assert not loaded, loaded[:5]\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.main(['tables', '--which', 'I', '--format', 'latex']) == 0\n"
+        "assert r'\\wedge' in out.getvalue() and 'sympy' in sys.modules\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

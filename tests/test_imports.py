@@ -1,4 +1,8 @@
-"""No module of the package imports a name it never uses, and only two reach sympy.
+"""No module of the package imports a name it never uses, and none imports
+sympy when it is itself imported.
+
+sympy is needed only for LaTeX output: two modules reach it, and only from
+inside a function, so a text or JSON run never loads it.
 
 No linter ships with the project's toolchain, so this is the unused-import
 rule (F401) written against the standard library's ``ast``.  An import that
@@ -87,9 +91,10 @@ def test_no_unused_imports(path):
 
 # -- sympy stays at the edges ------------------------------------------------
 #
-# Coefficients are integer dicts; sympy serves only the GCD of a denominator
-# of two or more terms and printing, both in ``coeffs``, and the LaTeX of
-# ``report``.  No other module reaches it.
+# Coefficients are integer dicts with a native GCD and printer; sympy serves
+# only the LaTeX output: ``Coefficient.to_sympy`` in ``coeffs`` and the LaTeX
+# helpers of ``report``.  No other module reaches it, and no module imports
+# it at import time.
 
 SYMPY_MODULES = ("coeffs.py", "report.py")
 
@@ -98,10 +103,9 @@ def _is_sympy(name) -> bool:
     return name == "sympy" or name.startswith("sympy.")
 
 
-def sympy_imports(source: str) -> list[int]:
-    """Line numbers of every import of sympy, at any depth, dynamic ones included."""
+def _sympy_lines(nodes) -> list[int]:
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import) and any(_is_sympy(a.name) for a in node.names):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and not node.level and _is_sympy(node.module or ""):
@@ -111,6 +115,28 @@ def sympy_imports(source: str) -> list[int]:
         ):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def sympy_imports(source: str) -> list[int]:
+    """Line numbers of every import of sympy, at any depth, dynamic ones included."""
+    return _sympy_lines(ast.walk(ast.parse(source)))
+
+
+def _import_time_nodes(node):
+    """The nodes below ``node`` that run when it runs: all but the bodies of
+    the functions and lambdas it defines (their defaults and decorators run)."""
+    for field, value in ast.iter_fields(node):
+        if field == "body" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield child
+                yield from _import_time_nodes(child)
+
+
+def import_time_sympy_imports(source: str) -> list[int]:
+    """Line numbers of the imports of sympy that run when the module is imported."""
+    return _sympy_lines(_import_time_nodes(ast.parse(source)))
 
 
 def test_sympy_check_fires_on_a_small_source():
@@ -125,8 +151,30 @@ def test_sympy_check_fires_on_a_small_source():
     assert sympy_imports("import sympyish\nfrom . import sympy\n") == []
 
 
+def test_import_time_check_fires_on_a_small_source():
+    src = (
+        "import os\n"
+        "from sympy import latex\n"
+        "def f(x=__import__('sympy')):\n"
+        "    import sympy\n"
+        "    return lambda: importlib.import_module('sympy')\n"
+        "class C:\n"
+        "    import sympy.polys\n"
+        "g = lambda: __import__('sympy')\n"
+        "if os.sep:\n"
+        "    import sympy as s\n"
+    )
+    assert import_time_sympy_imports(src) == [2, 3, 7, 10]
+    assert sympy_imports(src) == [2, 3, 4, 5, 7, 8, 10]
+
+
 @pytest.mark.parametrize(
     "path", sorted(p for p in PACKAGE.glob("*.py") if p.name not in SYMPY_MODULES), ids=lambda p: p.name
 )
 def test_only_coeffs_and_report_import_sympy(path):
     assert sympy_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_sympy_at_import_time(path):
+    assert import_time_sympy_imports(path.read_text(encoding="utf-8")) == []
