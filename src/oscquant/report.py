@@ -204,9 +204,25 @@ def latex_linear(text: str) -> str:
     return sympy.latex(_sympy_rename(expr))
 
 
+def _latex_is_sum(tex: str) -> bool:
+    """Whether LaTeX has a `` + `` or `` - `` outside every brace group
+    (the terms of ``\frac{x + y}{2}`` are inside one)."""
+    depth = 0
+    for i, ch in enumerate(tex):
+        depth += (ch == "{") - (ch == "}")
+        if not depth and tex.startswith((" + ", " - "), i):
+            return True
+    return False
+
+
 def _latex_prefix(tex: str) -> str:
-    """A LaTeX coefficient in front of a monomial: nothing for 1, a sign for -1."""
-    return tex[:-1] if tex in ("1", "-1") else tex + r" \, "
+    """A LaTeX coefficient in front of a monomial: nothing for 1, a sign for
+    -1, a sum in parentheses (as ``coeff_prefix`` does in text)."""
+    if tex in ("1", "-1"):
+        return tex[:-1]
+    if _latex_is_sum(tex):
+        tex = rf"\left({tex}\right)"
+    return tex + r" \, "
 
 
 def latex_sum(pairs) -> str:

@@ -112,6 +112,18 @@ def test_tables_latex_puts_one_space_after_a_minus(capsys, which):
         assert r"x \, A \wedge M - x \, A_+ \wedge A_-" in out
 
 
+def test_tables_latex_parenthesizes_a_coefficient_sum(capsys):
+    # as the text tables print "(-x - y)*Ap^M"; a fraction stays bare
+    rc, out, _ = run(capsys, ["tables", "--which", "I", "--format", "latex"])
+    assert rc == 0
+    assert r"\delta(A_+) = \left(- x - y\right) \, A_+ \wedge M" in out
+    assert r"\delta(A_-) = \left(x - y\right) \, A_- \wedge M" in out
+    assert r"+ \frac{x^{2}}{\alpha_{+}} \, A_- \wedge M" in out
+    rc, out, _ = run(capsys, ["tables", "--which", "II", "--format", "latex"])
+    assert rc == 0
+    assert r"- \beta_{+} + \left(- x - y\right) \, a_+ + \beta_{+} \, e^{\theta}" in out
+
+
 def test_tables_mismatch_exits_1(capsys, monkeypatch):
     stub_rows = [types.SimpleNamespace(match=False)]
     monkeypatch.setattr(cli, "table_I", lambda: stub_rows)
