@@ -302,7 +302,6 @@ class IntPolyRing:
     def __init__(self, symbols: tuple[str, ...]):
         self.symbols = symbols
         self.one = {(0,) * len(symbols): 1}
-        self._qq = None
 
     def cofactors(self, a, b):
         """``a / g`` and ``b / g`` for ``g`` the GCD of nonzero ``a`` and ``b``."""
@@ -314,10 +313,8 @@ class IntPolyRing:
         from sympy.polys.orderings import lex
         from sympy.polys.rings import PolyRing
 
-        if self._qq is None:
-            self._qq = PolyRing(self.symbols, QQ, lex)
+        qq = PolyRing(self.symbols, QQ, lex)
         lc = _lc(den)
-        qq = self._qq
         return (qq.from_dict({m: QQ(c, q * lc) for m, c in num.items()}),
                 qq.from_dict({m: QQ(c, lc) for m, c in den.items()}))
 
