@@ -35,7 +35,6 @@ calls; nothing on the text or JSON path loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt
 from operator import add, lt, sub
 
@@ -206,7 +205,7 @@ def _pcofactors(a, b):
     """
     if len(a) == 1 or len(b) == 1:
         low = next(iter(a))
-        for m in chain(a, b):
+        for m in (*a, *b):
             low = tuple(map(min, low, m))
         g = {low: gcd(*a.values(), *b.values())}
         return g, _pquo(a, g), _pquo(b, g)
