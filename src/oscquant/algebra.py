@@ -799,6 +799,18 @@ def mat_mul(a, b):
     ]
 
 
+def held(pairs):
+    """The rule of every identity check: it holds iff each labelled
+    difference is zero.
+
+    ``pairs`` yields ``(label, difference)`` tuples, the difference last (a
+    label may span several fields).  Returns ``(ok, residuals)``, the
+    residuals being the tuples whose difference is nonzero, in order.
+    """
+    residuals = [p for p in pairs if not p[-1].is_zero]
+    return not residuals, residuals
+
+
 # -- printing ------------------------------------------------------------
 
 

@@ -42,6 +42,7 @@ from .algebra import (
     TensorElement,
     apply_slot_map,
     embed,
+    held,
     mono_degree,
     tensor,
     tensor_adjoint,
@@ -281,7 +282,7 @@ def _delta_of_element(r: RMatrixSkew, e: Element) -> TensorElement:
 def cocycle_check(r: RMatrixSkew):
     """1-cocycle law: delta([X,Y]) = ad_X delta(Y) - ad_Y delta(X), all pairs."""
     alg = r.algebra()
-    residuals = []
+    pairs = []
     for i in range(4):
         for j in range(i + 1, 4):
             x, y = alg.gen(i), alg.gen(j)
@@ -289,21 +290,18 @@ def cocycle_check(r: RMatrixSkew):
             rhs = tensor_adjoint(x, _delta_of_element(r, y)) - tensor_adjoint(
                 y, _delta_of_element(r, x)
             )
-            if lhs != rhs:
-                residuals.append((GEN_NAMES[i], GEN_NAMES[j], lhs - rhs))
-    return not residuals, residuals
+            pairs.append((GEN_NAMES[i], GEN_NAMES[j], lhs - rhs))
+    return held(pairs)
 
 
 def cojacobi_check(r: RMatrixSkew):
     """co-Jacobi: (1 + cyclic + cyclic^2)(delta(x)id)delta(X) = 0 for all X."""
     delta = _delta_of_mono(r)
-    residuals = []
+    pairs = []
     for i in range(4):
         d2 = apply_slot_map(cocommutator(r, i), 0, delta)
-        total = d2 + d2.permute((1, 2, 0)) + d2.permute((2, 0, 1))
-        if not total.is_zero:
-            residuals.append((GEN_NAMES[i], total))
-    return not residuals, residuals
+        pairs.append((GEN_NAMES[i], d2 + d2.permute((1, 2, 0)) + d2.permute((2, 0, 1))))
+    return held(pairs)
 
 
 def ad_invariant_check(t: TensorElement) -> bool:

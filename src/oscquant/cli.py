@@ -24,6 +24,7 @@ import re
 import sys
 import time
 
+from .algebra import held
 from .bialgebra import (
     FAMILIES,
     AmbiguousStratum,
@@ -120,6 +121,9 @@ def _job_lm(key, order):
 
 
 def _job_hopf(key, name, order):
+    if name == "cocommutator":
+        # The order-h part of the coproduct needs a presentation of order >= 1.
+        order = max(order, 1)
     p = presentation(key, order)
     return [_timed(f"hopf-{name}", key, order, lambda: HOPF_CHECKS[name](p))]
 
@@ -242,12 +246,9 @@ def _job_appendix(order):
     reports = []
     t0 = time.perf_counter()
     for tag, diff in conjugation_identities(order):
-        d = diff()
-        residuals = [] if d.is_zero else [(tag, d)]
+        ok, residuals = held([(tag, diff())])
         dt = time.perf_counter() - t0
-        reports.append(
-            make_report(f"conjugation [{tag}]", "IIn", order, not residuals, residuals, dt)
-        )
+        reports.append(make_report(f"conjugation [{tag}]", "IIn", order, ok, residuals, dt))
         t0 = time.perf_counter()
     return reports
 
@@ -308,8 +309,11 @@ def run_jobs(job_ids, order: int, jobs: int):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -125,7 +125,11 @@ def _eval(node, env, number, text):
 
 def evaluate(text: str, env: dict, number):
     """Evaluate ``text`` with names bound by ``env`` and ints lifted by ``number``."""
-    return _eval(parse(text), env, number, text)
+    tree = parse(text)
+    try:
+        return _eval(tree, env, number, text)
+    except ZeroDivisionError:
+        raise ExprError(f"division by zero in {text!r}") from None
 
 
 def parse_coefficient(field, text: str):

@@ -29,7 +29,7 @@ extensions and the four Hopf-axiom checks are the enveloping algebras' own.
 
 from __future__ import annotations
 
-from .algebra import Algebra, spread, tensor
+from .algebra import Algebra, held, spread, tensor
 from .bialgebra import RMatrixSkew
 from .coeffs import CoefficientField
 from .hopf import (
@@ -201,13 +201,10 @@ def group_law_check(f: FunPresentation):
     """The classical limit of the coproduct is the group-law pullback."""
     ring = GroupRing(f.field, sites=2)
     law = group_compose(site_coords(ring, 0), site_coords(ring, 1))
-    residuals = []
-    for name in LETTER_NAMES:
-        got = ring.element(dict(f.images[name].h_part(0).terms))
-        diff = got - law[name]
-        if not diff.is_zero:
-            residuals.append((name, diff))
-    return not residuals, residuals
+    return held(
+        (name, ring.element(dict(f.images[name].h_part(0).terms)) - law[name])
+        for name in LETTER_NAMES
+    )
 
 
 def semiclassical_check(f: FunPresentation):
@@ -215,7 +212,7 @@ def semiclassical_check(f: FunPresentation):
     bracket for the family's classical r-matrix."""
     ring = GroupRing(f.field)
     coords = {name: ring.coord(name) for name in COORDS}
-    residuals = []
+    pairs = []
     for i in range(5):
         for j in range(i + 1, 5):
             a, b = COORDS[i], COORDS[j]
@@ -225,9 +222,8 @@ def semiclassical_check(f: FunPresentation):
             classical = sklyanin_bracket(f.r, coords[a], coords[b])
             # GroupRing keys are per-site tuples even with one site.
             diff = ring.element({(m,): c for m, c in quantum.terms.items()}) - classical
-            if not diff.is_zero:
-                residuals.append((f"[{a},{b}]", diff))
-    return not residuals, residuals
+            pairs.append((f"[{a},{b}]", diff))
+    return held(pairs)
 
 
 FUN_CHECKS = {

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import GEN_NAMES, _acc, _Terms, signed_sum
+from .algebra import GEN_NAMES, _acc, _Terms, held, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -298,7 +298,7 @@ def jacobi_check(r: RMatrixSkew, ring: GroupRing | None = None):
     """Jacobi identity on all coordinate triples."""
     ring = ring or GroupRing(r.field)
     coords = {name: ring.coord(name) for name in COORDS}
-    residuals = []
+    pairs = []
     for na, nb, nc in combinations(COORDS, 3):
         fa, fb, fc = coords[na], coords[nb], coords[nc]
         total = (
@@ -306,9 +306,8 @@ def jacobi_check(r: RMatrixSkew, ring: GroupRing | None = None):
             + sklyanin_bracket(r, fb, sklyanin_bracket(r, fc, fa))
             + sklyanin_bracket(r, fc, sklyanin_bracket(r, fa, fb))
         )
-        if not total.is_zero:
-            residuals.append(((na, nb, nc), total))
-    return not residuals, residuals
+        pairs.append(((na, nb, nc), total))
+    return held(pairs)
 
 
 def multiplicativity_check(r: RMatrixSkew):
@@ -324,14 +323,12 @@ def multiplicativity_check(r: RMatrixSkew):
     single = GroupRing(r.field, 1)
     double = GroupRing(r.field, 2)
     images = group_compose(site_coords(double, 0), site_coords(double, 1))
-    residuals = []
+    pairs = []
     for na, nb in combinations(COORDS, 2):
         fa, fb = single.coord(na), single.coord(nb)
         lhs = sklyanin_bracket(r, fa, fb).substitute(images, double)
-        rhs = sklyanin_bracket(r, images[na], images[nb])
-        if lhs != rhs:
-            residuals.append(((na, nb), lhs - rhs))
-    return not residuals, residuals
+        pairs.append(((na, nb), lhs - sklyanin_bracket(r, images[na], images[nb])))
+    return held(pairs)
 
 
 # -- Table II --------------------------------------------------------------

@@ -38,6 +38,7 @@ from .algebra import (
     _Terms,
     embed,
     exp_series,
+    held,
     rebase,
     signed_sum,
     tensor,
@@ -187,20 +188,15 @@ def universal_R(key: str, order: int) -> UniversalR:
 def expansion_base_check(R: UniversalR):
     """Order 0 must be 1⊗1; order 1 the classical r-matrix (full form),
     whose skew part must be the presentation's six-coefficient r."""
-    residuals = []
-    unit = R.alg.tensor_unit(2)
-    d0 = R.expansion.h_part(0) - unit.h_part(0)
-    if not d0.is_zero:
-        residuals.append(("order-0", d0))
-    d1 = R.expansion.h_part(1) - R.first_order.h_part(1)
-    if not d1.is_zero:
-        residuals.append(("order-1", d1))
     h1 = R.expansion.h_part(1)
     skew = (h1 - h1.swap()).scale(Fraction(1, 2))
-    dskew = skew - rebase(R.presentation.r.as_tensor(), R.alg).h_part(1)
-    if not dskew.is_zero:
-        residuals.append(("skew-part", dskew))
-    return not residuals, residuals
+    return held(
+        [
+            ("order-0", R.expansion.h_part(0) - R.alg.tensor_unit(2).h_part(0)),
+            ("order-1", h1 - R.first_order.h_part(1)),
+            ("skew-part", skew - rebase(R.presentation.r.as_tensor(), R.alg).h_part(1)),
+        ]
+    )
 
 
 def refactorization_check(R: UniversalR):
@@ -208,13 +204,11 @@ def refactorization_check(R: UniversalR):
     alt = R.alt_expansion
     if alt is None:
         return True, []
-    diff = R.expansion - alt
-    return diff.is_zero, [] if diff.is_zero else [("refactorization", diff)]
+    return held([("refactorization", R.expansion - alt)])
 
 
 def inverse_check(R: UniversalR):
-    diff = R.expansion * R.inverse - R.alg.tensor_unit(2)
-    return diff.is_zero, [] if diff.is_zero else [("R*Rinv", diff)]
+    return held([("R*Rinv", R.expansion * R.inverse - R.alg.tensor_unit(2))])
 
 
 def qybe_check(R: UniversalR):
@@ -222,8 +216,7 @@ def qybe_check(R: UniversalR):
     r12 = R.embedded((0, 1))
     r13 = R.embedded((0, 2))
     r23 = R.embedded((1, 2))
-    diff = r12 * r13 * r23 - r23 * r13 * r12
-    return diff.is_zero, [] if diff.is_zero else [("qybe", diff)]
+    return held([("qybe", r12 * r13 * r23 - r23 * r13 * r12)])
 
 
 def intertwining_check(R: UniversalR):
@@ -234,14 +227,8 @@ def intertwining_check(R: UniversalR):
     R·Δ(X)·R⁻¹ in the test suite, and ``inverse_check`` keeps the series
     inverse honest separately.
     """
-    p = R.presentation
-    residuals = []
-    for name in GEN_NAMES:
-        t = p.images[name]
-        diff = R.conjugate(t) - t.swap()
-        if not diff.is_zero:
-            residuals.append((name, diff))
-    return not residuals, residuals
+    images = R.presentation.images
+    return held((name, R.conjugate(images[name]) - images[name].swap()) for name in GEN_NAMES)
 
 
 def two_step_intertwining_check(order: int):
@@ -254,14 +241,13 @@ def two_step_intertwining_check(order: int):
     gA, gAp, gAm = alg.gen(A), alg.gen(AP), alg.gen(AM)
     inner = tensor(gA, gAp).scale(z)
     outer = tensor(gAp, gA).scale(-z)
-    residuals = []
-    d1 = exp_ad(inner, p.images["Am"]) - spread(gAm, 2)
-    if not d1.is_zero:
-        residuals.append(("inner: conj(Delta(Am)) = primitive", d1))
-    d2 = exp_ad(outer, spread(gAm, 2)) - p.images["Am"].swap()
-    if not d2.is_zero:
-        residuals.append(("outer: conj(primitive) = flipped Delta(Am)", d2))
-    return not residuals, residuals
+    delta, prim = p.images["Am"], spread(gAm, 2)
+    return held(
+        [
+            ("inner: conj(Delta(Am)) = primitive", exp_ad(inner, delta) - prim),
+            ("outer: conj(primitive) = flipped Delta(Am)", exp_ad(outer, prim) - delta.swap()),
+        ]
+    )
 
 
 # The four conjugation identities, in the order they chain together.
@@ -305,12 +291,7 @@ def conjugation_identities(order: int):
 
 def conjugation_identity_check(order: int):
     """The four identities of :func:`conjugation_identities`, each verified separately."""
-    residuals = []
-    for tag, diff in conjugation_identities(order):
-        d = diff()
-        if not d.is_zero:
-            residuals.append((tag, d))
-    return not residuals, residuals
+    return held((tag, diff()) for tag, diff in conjugation_identities(order))
 
 
 # -- exact 3×3 representation -------------------------------------------
@@ -429,15 +410,11 @@ def rep3_check(field=None):
     field = field or CoefficientField.get("z")
     alg = Algebra.classical(field)
     gens = _gen_matrices(field)
-    residuals = []
-    for i in range(4):
-        for j in range(4):
-            lhs = rep3(alg.gen(i) * alg.gen(j))
-            rhs = gens[i] * gens[j]
-            diff = lhs - rhs
-            if not diff.is_zero:
-                residuals.append((f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", diff))
-    return not residuals, residuals
+    return held(
+        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(alg.gen(i) * alg.gen(j)) - gens[i] * gens[j])
+        for i in range(4)
+        for j in range(4)
+    )
 
 
 def primed_creation_matrix(field, marked: bool = False) -> ScalarMatrix:
@@ -653,7 +630,7 @@ def frt_relations(key: str, order: int | None = None):
     if r9.field is not field:
         raise AssertionError("coordinate ring and R-matrix field mismatch")
     defect = _frt_defect(r9, fun_t_matrix(alg), alg.zero())
-    residuals = [(pos, e) for pos, e in defect.items() if not e.is_zero]
+    ok, residuals = held(defect.items())
 
     free_defect = _frt_defect(
         r9, free_t_matrix(field), FreeElement(field, {})
@@ -674,7 +651,7 @@ def frt_relations(key: str, order: int | None = None):
         broken = any(not e.into(reduced).is_zero for e in extracted.values())
         necessary[(LETTER_NAMES[pair[0]], LETTER_NAMES[pair[1]])] = broken
     return {
-        "ok": not residuals,
+        "ok": ok,
         "residuals": residuals,
         "extracted": extracted,
         "necessary": necessary,

@@ -133,6 +133,25 @@ def test_tables_mismatch_exits_1(capsys, monkeypatch):
     assert out == "stub\n"
 
 
+def test_tables_III_order0_matches(capsys):
+    # The fixture's matrix entries are truncated at the order like the
+    # assembled matrix they are compared with.
+    rc, payload, _ = run_json(
+        capsys, ["tables", "--which", "III", "--format", "json", "--order", "0"]
+    )
+    assert rc == 0
+    assert all(row["match"] for row in payload["rows"])
+
+
+def test_tables_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "table.txt"
+    rc, out, err = run(capsys, ["tables", "--which", "I", "--out", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 # -- classify --------------------------------------------------------------
 
 
@@ -237,6 +256,15 @@ def test_classify_parse_error(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("bad", ["1/0", "x/(x-x)"])
+def test_classify_division_by_zero_is_usage_error(capsys, bad):
+    rc, out, err = run(capsys, ["classify", "--r", f"{bad},0,0,0,0,0"])
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot parse coefficient: division by zero in {bad!r}"]
+    assert "Traceback" not in err
+
+
 def test_classify_out_file(capsys, tmp_path):
     path = tmp_path / "cls.txt"
     rc, out, _ = run(capsys, ["classify", "--r", "1,0,0,0,0,0", "--out", str(path)])
@@ -252,6 +280,16 @@ def test_verify_prop1_order0(capsys):
     rc, out, _ = run(capsys, ["verify", "--target", "prop1", "--order", "0"])
     assert rc == 0
     assert "summary: 18 checks: 18 pass, 0 fail, 0 finding" in out
+
+
+def test_verify_order0_has_no_failures(capsys):
+    # The cocommutator is the order-h part of the coproduct, so its line
+    # reads an order-1 presentation and says so.
+    rc, payload, _ = run_json(capsys, ["verify", "--order", "0", "--format", "json"])
+    assert rc == 0
+    assert payload["summary"] == {"pass": 83, "fail": 0, "finding": 1}
+    cocommutator = [r for r in payload["reports"] if r["check"] == "hopf-cocommutator"]
+    assert [(r["family"], r["order"]) for r in cocommutator] == [("Uz", 1), ("IIn", 1), ("IIs", 1)]
 
 
 def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
