@@ -69,9 +69,9 @@ from .rmatrix import (
 DEFAULT_ORDER = 6
 ORDER_ENV = "OSCQUANT_ORDER"
 
-# The two dense series checks (universal QYBE, Neumann-inverse sanity) grow
-# steeply with the truncation order; the suite runs them at this order and
-# each report carries the order actually used.
+# The universal QYBE and the two-sided inverse check multiply arity-3 and
+# arity-2 series whose term counts grow steeply with the truncation order;
+# the suite runs them at this order and each report carries the order used.
 HEAVY_ORDER_CAP = 5
 
 TARGETS = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6", "appendixA")

@@ -68,7 +68,8 @@ def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> 
     order = alg.order
     terms = {}
     for k in range(lag, order + lag + 1, step):
-        coeff = (c ** (k - lag) / factorial(k)).truncate(order)
+        # c**0/k! is the unit for k <= 1: use the field's one, which products skip
+        coeff = c.field.one if k == lag <= 1 else (c ** (k - lag) / factorial(k)).truncate(order)
         if not coeff.is_zero:
             terms[tuple(k if g == gen else 0 for g in range(4))] = coeff
     return alg.element(terms)

@@ -490,6 +490,26 @@ def test_verify_prop6_probes_are_findings_not_failures(capsys):
     assert payload["summary"]["fail"] == 0
 
 
+def test_verify_caps_the_heavy_R_checks(capsys):
+    # R-qybe and R-inverse run at HEAVY_ORDER_CAP; every other truncated R
+    # line runs at the requested order, and the exact lines carry none.
+    rc, payload, _ = run_json(
+        capsys, ["verify", "--target", "prop6", "--order", "6", "--format", "json"]
+    )
+    assert rc == 0
+    assert cli.HEAVY_ORDER_CAP == 5
+    orders = {r["check"]: r["order"] for r in payload["reports"] if r["check"].startswith("R-")}
+    assert orders == {
+        "R-expansion-base": 6,
+        "R-refactorization": 6,
+        "R-inverse": 5,
+        "R-intertwining": 6,
+        "R-qybe": 5,
+        "R-exact-qybe": None,
+        "R-exact-qybe-literal-A-reading": None,
+    }
+
+
 def test_verify_family_filter(capsys):
     rc, payload, _ = run_json(
         capsys,

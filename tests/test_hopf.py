@@ -40,6 +40,15 @@ def test_expm1_over_matches_exponential():
     assert expm1_over(p.alg, z, AP).scale(z) + 1 == exp_of(p.alg, z, AP)
 
 
+def test_series_lag_term_is_the_field_unit():
+    # The k = lag term c**0/1! must be the field's one object, which the
+    # product loops skip instead of multiplying by it.
+    p = presentation("IIn", 4)
+    x = p.field.marked_param("x")
+    for series in (expm1_over(p.alg, x, M), sinh_over(p.alg, x)):
+        assert series.terms[(0, 0, 0, 1)] is p.field.one
+
+
 def test_v_series_identity_and_limit():
     p = presentation("IIn", 6)
     f = p.field

@@ -43,6 +43,58 @@ def _R(key, order=None):
     return universal_R(key, ORDERS[key] if order is None else order)
 
 
+# -- reference oracles: dense series, independent of the factored form ----
+
+
+def _neumann_inverse(R):
+    """(1⊗1 + N)⁻¹ = Σ (−N)^k with N = R − 1⊗1 of positive order."""
+    unit = R.alg.tensor_unit(2)
+    n = R.expansion - unit
+    total, term = unit, unit
+    for _ in range(R.alg.order):
+        term = term * (-n)
+        if term.is_zero:
+            break
+        total = total + term
+    return total
+
+
+def _dense_qybe(R):
+    """R₁₂R₁₃R₂₃ − R₂₃R₁₃R₁₂ as two literal triple products."""
+    r12, r13, r23 = (R.embedded(positions) for positions in ((0, 1), (0, 2), (1, 2)))
+    return r12 * r13 * r23 - r23 * r13 * r12
+
+
+ORACLE_CASES = [(key, order) for key in R_KEYS for order in (2, 3, 4)] + [("Uz", 5), ("IIs", 5)]
+
+
+@pytest.mark.parametrize("key, order", ORACLE_CASES)
+def test_factored_inverse_is_the_neumann_series(key, order):
+    R = universal_R(key, order)
+    assert R.inverse == _neumann_inverse(R)
+
+
+@pytest.mark.parametrize("key, order", ORACLE_CASES)
+def test_qybe_check_agrees_with_the_dense_product(key, order):
+    R = universal_R(key, order)
+    ok, residuals = qybe_check(R)
+    assert ok, residuals
+    assert _dense_qybe(R).is_zero
+
+
+def test_reversed_factors_fail_qybe_both_ways():
+    """Swapping the two exponentials of the ``Uz`` R gives no solution: the
+    conjugated check and the dense product both fail, and the check's
+    residual is the dense difference times R₁₂⁻¹."""
+    good = universal_R("Uz", 3)
+    R = UniversalR("Uz", good.presentation, reversed(good.factors), good.first_order)
+    ok, residuals = qybe_check(R)
+    dense = _dense_qybe(R)
+    assert not ok
+    assert not dense.is_zero
+    assert residuals == [("qybe", dense * embed(_neumann_inverse(R), (0, 1), 3))]
+
+
 def test_unknown_family_rejected():
     with pytest.raises(UnsupportedFamily):
         universal_R("Iplus", 3)
@@ -110,11 +162,12 @@ def test_intertwining(key):
 @pytest.mark.parametrize("key", R_KEYS)
 def test_exp_ad_matches_dense_conjugation(key):
     # The fast path (nested exponentials of ad over the factors) must agree
-    # with the literal product R * t * R^{-1} computed from the series.
+    # with the literal product R * t * R^{-1}, R^{-1} the Neumann series.
     R = universal_R(key, 3)
+    inverse = _neumann_inverse(R)
     for name in ("A", "Ap", "Am", "M"):
         t = R.presentation.images[name]
-        assert R.conjugate(t) == R.expansion * t * R.inverse, (key, name)
+        assert R.conjugate(t) == R.expansion * t * inverse, (key, name)
 
 
 def test_exp_ad_rejects_nonterminating_chain():
