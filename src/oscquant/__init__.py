@@ -4,8 +4,9 @@ Subpackages build on each other roughly in this order:
 
 - ``coeffs``     exact rational-function scalars with a series-order marker
 - ``algebra``    the oscillator Lie algebra, PBW monomials, tensor powers,
-                 and the one rewrite engine, shared by the deformed
-                 enveloping algebras and the coordinate rings
+                 the one rewrite engine, shared by the deformed enveloping
+                 algebras and the coordinate rings, and ``linear``, the one
+                 linear extension of a map given on keys
 - ``bialgebra``  classical r-matrices, Schouten brackets, cocommutators,
                  and the classification of coboundary Lie bialgebra families
 - ``poisson``    the oscillator group, invariant vector fields, and the

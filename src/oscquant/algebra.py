@@ -18,10 +18,16 @@ truncated at a fixed marker order always terminate.
 
 Everything heavy (monomial products, generator appends) is memoized per
 algebra instance, which is what makes order-8 coproduct checks tractable.
+
+The package's structure maps (coproduct, antipode, the 3×3 representation,
+FRT evaluation of free words, the Poisson pull-back) are fixed on keys and
+extended by :func:`linear`, the one sum of ``c*image(k)`` over the terms of
+a container.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product as _cartesian
 
@@ -594,9 +600,6 @@ class Element(_Terms):
                     _acc(out, m, v)
         return Element(alg, out)
 
-    def coeff(self, mono) -> Coefficient:
-        return self.terms.get(tuple(mono), self.alg.field.zero)
-
 
 class TensorElement(_Terms):
     """An element of the tensor square or cube of an :class:`Algebra`."""
@@ -689,15 +692,16 @@ class TensorElement(_Terms):
         ``maps`` optionally supplies a per-slot linear map (monomial ->
         Element) applied before multiplying; slot maps default to identity.
         """
-        alg = self.alg
-        total = alg.zero()
-        for k, c in self.terms.items():
-            piece = alg.one()
-            for s, m in enumerate(k):
-                fac = maps[s](m) if maps and maps[s] is not None else Element(alg, {m: alg.field.one})
-                piece = piece * fac
-            total = total + piece.scale(c)
-        return total
+        alg, one = self.alg, self.alg.field.one
+        maps = maps or [None] * self.arity
+
+        def image(k):
+            facs = (
+                Element(alg, {m: one}) if maps[s] is None else maps[s](m) for s, m in enumerate(k)
+            )
+            return math.prod(facs, start=alg.one())
+
+        return linear(self, image, alg.zero())
 
 
 def tensor(*factors: Element) -> TensorElement:
@@ -727,6 +731,16 @@ def embed(t: TensorElement, positions: tuple[int, ...], arity: int) -> TensorEle
             key[p] = k[s]
         _acc(out, tuple(key), c)
     return TensorElement(t.alg, arity, out)
+
+
+def linear(x, image, zero):
+    """The linear extension of ``image`` (a key of ``x`` -> a container like
+    ``zero``): sum of c*image(k) over the terms of ``x``, truncated at
+    ``zero.order``, as a container like ``zero``."""
+    out: dict = {}
+    for _, k2, c in _pair_walk(x.terms, lambda k: image(k).terms, zero.order):
+        _acc(out, k2, c)
+    return zero._like(out)
 
 
 def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:

@@ -43,6 +43,7 @@ from .algebra import (
     apply_slot_map,
     embed,
     held,
+    linear,
     mono_degree,
     tensor,
     tensor_adjoint,
@@ -272,11 +273,7 @@ def _delta_of_mono(r: RMatrixSkew):
 
 
 def _delta_of_element(r: RMatrixSkew, e: Element) -> TensorElement:
-    delta = _delta_of_mono(r)
-    out = e.alg.tensor_zero(2)
-    for mono, c in e.terms.items():
-        out = out + delta(mono).scale(c)
-    return out
+    return linear(e, _delta_of_mono(r), e.alg.tensor_zero(2))
 
 
 def cocycle_check(r: RMatrixSkew):

@@ -389,11 +389,6 @@ class CoefficientField:
         """Canonicalize ``num / (q * den)`` for integer polynomials ``num``, ``den``."""
         return _canon(self, (num, q), self._one if den is None else den)
 
-    def from_string(self, text: str) -> "Coefficient":
-        from .expr import parse_coefficient
-
-        return parse_coefficient(self, text)
-
 
 def _canon(field: CoefficientField, num, den) -> "Coefficient":
     """The canonical coefficient ``n / (q * den)`` for ``num = (n, q)``."""

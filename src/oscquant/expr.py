@@ -4,11 +4,17 @@ Grammar: integers, names, binary ``+ - * /``, unary ``-``, powers ``^`` or
 ``**`` with integer exponents, parentheses.  Evaluation is generic over any
 value type supporting Python arithmetic operators, so the same parser serves
 exact coefficients, group functions, and algebra elements.
+
+Flat sums and products of any length evaluate; nesting (parentheses, unary
+minus, powers) deeper than ``MAX_DEPTH`` levels raises :class:`ExprError`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+
+MAX_DEPTH = 200
 
 
 class ExprError(ValueError):
@@ -42,6 +48,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -57,6 +64,11 @@ class _Parser:
             raise ExprError(f"expected {op!r} in {self.text!r}")
 
     def parse(self, min_bp=0):
+        # One level per nested operand; the loop below reads a flat chain of
+        # operators at the depth of one operand.
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
         kind, val = self.next()
         if kind == "int":
             left = ("int", val)
@@ -80,6 +92,7 @@ class _Parser:
             # ^ is right-associative; everything else left-associative.
             right = self.parse(bp if val == "^" else bp + 1)
             left = (val, left, right)
+        self.depth -= 1
         return left
 
 
@@ -99,28 +112,31 @@ def _eval_int(node, text) -> int:
     raise ExprError(f"exponent must be an integer constant in {text!r}")
 
 
+_LEFT_ASSOC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval(node, env, number, text):
+    # Left-associative chains are trees as deep as they are long: walk down
+    # their left spine without recursion, then fold the right operands in.
+    rights = []
+    while node[0] in _LEFT_ASSOC:
+        rights.append((_LEFT_ASSOC[node[0]], node[2]))
+        node = node[1]
     op = node[0]
     if op == "int":
-        return number(node[1])
-    if op == "name":
+        value = number(node[1])
+    elif op == "name":
         try:
-            return env[node[1]]
+            value = env[node[1]]
         except KeyError:
             raise ExprError(f"unknown name {node[1]!r} in {text!r}") from None
-    if op == "neg":
-        return -_eval(node[1], env, number, text)
-    if op == "^":
-        return _eval(node[1], env, number, text) ** _eval_int(node[2], text)
-    a = _eval(node[1], env, number, text)
-    b = _eval(node[2], env, number, text)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
+    elif op == "neg":
+        value = -_eval(node[1], env, number, text)
+    else:
+        value = _eval(node[1], env, number, text) ** _eval_int(node[2], text)
+    for fn, right in reversed(rights):
+        value = fn(value, _eval(right, env, number, text))
+    return value
 
 
 def evaluate(text: str, env: dict, number):

@@ -35,8 +35,8 @@ from .algebra import (
     Element,
     TensorElement,
     apply_slot_map,
-    exp_series,
     held,
+    linear,
     rebase,
     spread,
     tensor,
@@ -56,7 +56,7 @@ class UnknownPresentation(KeyError):
 
 def exp_of(alg: Algebra, c: Coefficient, gen: int) -> Element:
     """e^{c*X}, truncated at the algebra's order (c marker-graded)."""
-    return exp_series(alg.gen(gen).scale(c))
+    return _series(alg, c, gen, 0)
 
 
 def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> Element:
@@ -141,10 +141,7 @@ class HopfPresentation:
 
     def delta(self, e: Element) -> TensorElement:
         """The coproduct, extended multiplicatively over normal monomials."""
-        out = self.alg.tensor_zero(2)
-        for mono, c in e.terms.items():
-            out = out + self.delta_mono(mono).scale(c)
-        return out
+        return linear(e, self.delta_mono, self.alg.tensor_zero(2))
 
     def antipode_mono(self, mono) -> Element:
         hit = self._antipode_cache.get(mono)
@@ -161,10 +158,7 @@ class HopfPresentation:
 
     def antipode_of(self, e: Element) -> Element:
         """The antipode, extended anti-multiplicatively over normal monomials."""
-        out = self.alg.zero()
-        for mono, c in e.terms.items():
-            out = out + self.antipode_mono(mono).scale(c)
-        return out
+        return linear(e, self.antipode_mono, self.alg.zero())
 
     def counit_scalar(self, mono) -> Coefficient:
         """The counit of a monomial: the product of its letters' counits."""

@@ -34,6 +34,7 @@ from .algebra import (
     Algebra,
     TensorElement,
     exp_series,
+    linear,
     mat_mul,
     spread,
     tensor,
@@ -187,29 +188,18 @@ class Substitution:
     def is_identity(self) -> bool:
         return self.s.is_zero
 
-    def _mono_image(self, alg, mono, t):
-        rest = alg.monomial((0,) + mono[1:])
-        if not mono[A]:
-            return rest
-        img = alg.gen(A) + alg.gen(M).scale(t)
-        out = alg.one()
-        for _ in range(mono[A]):
-            out = out * img
-        return out * rest
-
     def _apply(self, x, t):
         if self.is_identity:
             return x
         alg = x.alg
+        img = alg.gen(A) + alg.gen(M).scale(t)
+
+        def mono_image(mono):
+            return img ** mono[A] * alg.monomial((0,) + mono[1:])
+
         if isinstance(x, TensorElement):
-            out = alg.tensor_zero(x.arity)
-            for key, c in x.terms.items():
-                out = out + tensor(*(self._mono_image(alg, m, t) for m in key)).scale(c)
-            return out
-        out = alg.zero()
-        for m, c in x.terms.items():
-            out = out + self._mono_image(alg, m, t).scale(c)
-        return out
+            return linear(x, lambda key: tensor(*map(mono_image, key)), alg.tensor_zero(x.arity))
+        return linear(x, mono_image, alg.zero())
 
     def to_primed(self, x):
         return self._apply(x, self.s)

@@ -20,12 +20,13 @@ and matrix multiplication T(left)*T(right) is the group law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import GEN_NAMES, _acc, _Terms, held, signed_sum
+from .algebra import GEN_NAMES, _acc, _Terms, held, linear, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -126,18 +127,14 @@ class GroupFunction(_Terms):
         """
         if self.ring.sites != 1:
             raise ValueError("substitute expects a single-site function")
-        total = target_ring.zero()
-        for key, c in self.terms.items():
+
+        def image(key):
             t, k, p, q, s = key[0]
-            piece = target_ring.one().scale(c)
-            for power, name in ((t, "theta"), (p, "a_plus"), (q, "a_minus"), (s, "m")):
-                for _ in range(power):
-                    piece = piece * images[name]
-            ek = images["E"] if k > 0 else images["Einv"]
-            for _ in range(abs(k)):
-                piece = piece * ek
-            total = total + piece
-        return total
+            ek = "E" if k > 0 else "Einv"
+            word = ["theta"] * t + ["a_plus"] * p + ["a_minus"] * q + ["m"] * s + [ek] * abs(k)
+            return math.prod((images[name] for name in word), start=target_ring.one())
+
+        return linear(self, image, target_ring.zero())
 
 
 # -- group law -----------------------------------------------------------
@@ -237,7 +234,8 @@ class VectorField:
     def __neg__(self):
         return VectorField(self.ring, self.site, tuple(-c for c in self.comps))
 
-    def is_zero(self):
+    @property
+    def is_zero(self) -> bool:
         return all(c.is_zero for c in self.comps)
 
 

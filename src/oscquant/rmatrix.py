@@ -27,7 +27,9 @@ supposed to do:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 from .algebra import (
     A,
@@ -35,6 +37,7 @@ from .algebra import (
     AP,
     GEN_NAMES,
     M,
+    Algebra,
     Element,
     TensorElement,
     _acc,
@@ -42,6 +45,7 @@ from .algebra import (
     embed,
     exp_series,
     held,
+    linear,
     rebase,
     signed_sum,
     tensor,
@@ -368,34 +372,25 @@ def _gen_matrices(field) -> dict:
     }
 
 
+def _mono_matrix(gens, mono) -> ScalarMatrix:
+    """D of a normal monomial: the product of its letters' matrices."""
+    start = ScalarMatrix.identity(gens[A].field, 3)
+    return math.prod((gens[g] for g in Algebra.word_of(mono)), start=start)
+
+
 def rep3(e: Element) -> ScalarMatrix:
     """Linear extension of the generator matrices to normal monomials."""
-    field = e.alg.field
-    gens = _gen_matrices(field)
-    total = ScalarMatrix.zero(field, 3)
-    for mono, c in e.terms.items():
-        mat = ScalarMatrix.identity(field, 3)
-        for idx, power in enumerate(mono):
-            for _ in range(power):
-                mat = mat * gens[idx]
-        total = total + mat.scale(c)
-    return total
+    gens = _gen_matrices(e.alg.field)
+    return linear(e, lambda mono: _mono_matrix(gens, mono), ScalarMatrix.zero(e.alg.field, 3))
 
 
 def rep3_tensor(t: TensorElement) -> ScalarMatrix:
-    field = t.alg.field
-    gens = _gen_matrices(field)
-    total = ScalarMatrix.zero(field, 3 ** t.arity)
-    for key, c in t.terms.items():
-        mat = None
-        for mono in key:
-            fac = ScalarMatrix.identity(field, 3)
-            for idx, power in enumerate(mono):
-                for _ in range(power):
-                    fac = fac * gens[idx]
-            mat = fac if mat is None else mat.kron(fac)
-        total = total + mat.scale(c)
-    return total
+    gens = _gen_matrices(t.alg.field)
+    return linear(
+        t,
+        lambda key: reduce(ScalarMatrix.kron, (_mono_matrix(gens, m) for m in key)),
+        ScalarMatrix.zero(t.alg.field, 3**t.arity),
+    )
 
 
 def rep3_check(field=None):
@@ -550,13 +545,7 @@ class FreeElement(_Terms):
 
     def into(self, alg: FunAlgebra) -> Element:
         """Evaluate the free words in a coordinate ring."""
-        total = alg.zero()
-        for w, c in self.terms.items():
-            piece = alg.one()
-            for name in w:
-                piece = piece * alg.coord(name)
-            total = total + piece.scale(c)
-        return total
+        return linear(self, lambda w: math.prod(map(alg.coord, w), start=alg.one()), alg.zero())
 
 
 def _t_matrix(make_unit, make_letter):

@@ -203,7 +203,7 @@ def test_05_invariant_fields():
 
         for a in L:
             for b in R:
-                assert L[a].commutator(R[b]).is_zero(), (a, b)
+                assert L[a].commutator(R[b]).is_zero, (a, b)
 
         signs = {("A", "Ap"): ("Ap", 1), ("A", "Am"): ("Am", -1), ("Am", "Ap"): ("M", 1)}
 
@@ -224,7 +224,7 @@ def test_05_invariant_fields():
                     expected = structure_bracket(fields, a, b, flip)
                     got = fields[a].commutator(fields[b])
                     if expected is None:
-                        assert got.is_zero(), (flip, a, b)
+                        assert got.is_zero, (flip, a, b)
                     else:
                         assert got == expected, (flip, a, b)
 

@@ -19,6 +19,7 @@ import pytest
 from oscquant import bialgebra, cli
 from oscquant.algebra import AP, Algebra, tensor
 from oscquant.cli import main
+from oscquant.expr import MAX_DEPTH
 from oscquant.coeffs import CoefficientField
 from oscquant.rmatrix import CONJUGATION_CASES
 
@@ -254,6 +255,33 @@ def test_classify_parse_error(capsys):
     rc, _, err = run(capsys, ["classify", "--r", "1,)(,0,0,0,0"])
     assert rc == 2
     assert "cannot parse" in err
+
+
+@pytest.mark.parametrize("op, value", [("+", "3000"), ("*", "1")])
+def test_classify_reads_a_flat_chain_of_any_length(capsys, op, value):
+    # A left-associative chain parses to a tree as deep as it is long.
+    rc, out, err = run(capsys, ["classify", "--r", op.join(["1"] * 3000) + ",0,0,0,0,0"])
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == f"input r: {value}*A^Ap"
+
+
+@pytest.mark.parametrize(
+    "deep", ["(" * 2000 + "1" + ")" * 2000, "-" * 2000 + "1"], ids=["parentheses", "minus"]
+)
+def test_classify_too_deep_nesting_is_usage_error(capsys, deep):
+    rc, out, err = run(capsys, ["classify", f"--r={deep},0,0,0,0,0"])
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cannot parse coefficient: expression nested deeper than {MAX_DEPTH} levels"
+    ]
+
+
+def test_classify_nesting_up_to_the_bound_reads(capsys):
+    shallow = "(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)
+    rc, out, _ = run(capsys, ["classify", "--r", f"{shallow},0,0,0,0,0"])
+    assert rc == 0
+    assert out.splitlines()[0] == "input r: 1*A^Ap"
 
 
 @pytest.mark.parametrize("bad", ["1/0", "x/(x-x)"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oscquant.algebra import A, AM, AP, M, Algebra, rebase, spread, tensor
+from oscquant.algebra import A, AM, AP, M, Algebra, exp_series, rebase, spread, tensor
 from oscquant.bialgebra import cocommutator_map
 from oscquant.coeffs import CoefficientField
 from oscquant.hopf import (
@@ -32,6 +32,19 @@ FULL_ORDERS = {"Uz": 8, "IIn": 6, "IIs": 6}
 
 
 # -- named series --------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_exp_of_is_the_dense_exponential(key):
+    for order in range(10):
+        alg = presentation(key, order).alg
+        for name in alg.field.params:
+            c = alg.field.marked_param(name)
+            for gen in (A, AP, AM, M):
+                for sc in (c, -c):
+                    got = exp_of(alg, sc, gen)
+                    want = exp_series(alg.gen(gen).scale(sc))
+                    assert list(got.terms.items()) == list(want.terms.items()), (order, gen)
 
 
 def test_expm1_over_matches_exponential():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscquant.algebra import mat_mul
+from oscquant.algebra import held, mat_mul
 from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant.poisson import (
@@ -100,7 +100,7 @@ class TestInvariantFields:
                 expected = structure_bracket(L, a, b)
                 got = L[a].commutator(L[b])
                 if expected is None:
-                    assert got.is_zero(), (a, b)
+                    assert got.is_zero, (a, b)
                 else:
                     assert got == expected, (a, b)
 
@@ -112,7 +112,7 @@ class TestInvariantFields:
                 expected = structure_bracket(R, a, b)
                 got = R[a].commutator(R[b])
                 if expected is None:
-                    assert got.is_zero(), (a, b)
+                    assert got.is_zero, (a, b)
                 else:
                     assert got == -expected, (a, b)
 
@@ -121,7 +121,15 @@ class TestInvariantFields:
         L, R = left_fields(ring), right_fields(ring)
         for a in L:
             for b in R:
-                assert L[a].commutator(R[b]).is_zero(), (a, b)
+                assert L[a].commutator(R[b]).is_zero, (a, b)
+
+    def test_held_reports_a_nonzero_field(self):
+        ring = GroupRing(ZF)
+        L, R = left_fields(ring), right_fields(ring)
+        diff = L["A"].commutator(L["Ap"])
+        assert not diff.is_zero
+        assert held([("[A,Ap]", diff)]) == (False, [("[A,Ap]", diff)])
+        assert held([("[A,Ap]", L["A"].commutator(R["Ap"]))]) == (True, [])
 
     def test_m_fields_coincide(self):
         ring = GroupRing(ZF)
