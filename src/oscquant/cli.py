@@ -11,8 +11,8 @@ Three subcommands:
 ``verify``    run the executable check suites (prop1..prop6, appendixA).
 
 Exit codes: 0 all checks passed, 1 some asserted identity failed or a
-table mismatched, 2 usage error.  ``OSCQUANT_ORDER`` sets the default
-truncation order (built-in default 6).
+table mismatched, 2 usage error.  ``tables`` and ``verify`` take a truncation
+order (``--order``, else ``OSCQUANT_ORDER``, else 6); ``classify`` is exact.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ ORDER_ENV = "OSCQUANT_ORDER"
 # the suite runs them at this order and each report carries the order used.
 HEAVY_ORDER_CAP = 5
 
-TARGETS = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6", "appendixA")
-
 # The three families carrying a full deformation (Hopf algebra, universal
 # R-matrix, quantized coordinate ring); the other three rows of the
 # classification are coproduct-only and appear in prop1 alone.
@@ -83,14 +81,6 @@ QUEA_KEY = {
     "Iplus-nonstandard": "Uz",
     "II-nonstandard": "IIn",
     "II-standard": "IIs",
-}
-FAMILY_OF_TARGET = {
-    "prop2": "Uz",
-    "prop3": "Uz",
-    "prop4": "IIn",
-    "prop5": "IIn",
-    "prop6": "IIs",
-    "appendixA": "IIn",
 }
 FAMILY_ALIASES = {quea: fam for fam, quea in QUEA_KEY.items()}
 
@@ -184,63 +174,39 @@ def _job_frt(key, order):
     return reports
 
 
+# R lines that one deformation alone reports, and the probes: lines whose
+# failure is a reported finding, not a failed assertion.  The standard type-II
+# R-matrix's stated intertwining property is probed, and so is the literal-A
+# reading of the remark on its primed creation entry: that reading breaks the
+# exact braid identity, the machine evidence that the remark means D(A_+).
+_R_ONLY = {"R-two-step-intertwining": "Uz", "R-exact-qybe-literal-A-reading": "IIs"}
+_R_PROBES = {"IIs": ("R-intertwining", "R-exact-qybe-literal-A-reading")}
+
+
 def _job_universal_r(key, order):
-    heavy_order = min(order, HEAVY_ORDER_CAP)
-    box = {}
-
-    def build_and_base():
-        box["R"] = universal_R(key, order)
-        return expansion_base_check(box["R"])
-
-    def heavy_R():
-        if "heavy" not in box:
-            box["heavy"] = (
-                box["R"] if heavy_order == order else universal_R(key, heavy_order)
-            )
-        return box["heavy"]
-
-    # The stated intertwining property for the standard type-II R-matrix is
-    # probed rather than asserted; a truncation-order failure would be
-    # reported as a finding.
-    probe_intertwining = key == "IIs"
-
-    reports = [
-        _timed("R-expansion-base", key, order, build_and_base),
-        _timed("R-refactorization", key, order, lambda: refactorization_check(box["R"])),
-        _timed("R-inverse", key, heavy_order, lambda: inverse_check(heavy_R())),
-        _timed(
-            "R-intertwining",
-            key,
-            order,
-            lambda: intertwining_check(box["R"]),
-            finding=probe_intertwining,
-        ),
+    # R by order, built by the first line that needs it: R-expansion-base
+    # carries the build at the requested order, R-inverse the capped one.
+    R = functools.cache(functools.partial(universal_R, key))
+    heavy = min(order, HEAVY_ORDER_CAP)
+    lines = [
+        ("R-expansion-base", order, lambda: expansion_base_check(R(order))),
+        ("R-refactorization", order, lambda: refactorization_check(R(order))),
+        ("R-inverse", heavy, lambda: inverse_check(R(heavy))),
+        ("R-intertwining", order, lambda: intertwining_check(R(order))),
+        ("R-two-step-intertwining", order, lambda: two_step_intertwining_check(order)),
+        ("R-qybe", heavy, lambda: qybe_check(R(heavy))),
+        ("R-exact-qybe", None, lambda: qybe_exact_rep(key)),
+        ("R-exact-qybe-literal-A-reading", None, lambda: qybe_exact_rep(key, primed_reading="literal-A")),
     ]
-    if key == "Uz":
-        reports.append(
-            _timed("R-two-step-intertwining", key, order, lambda: two_step_intertwining_check(order))
-        )
-    reports.append(_timed("R-qybe", key, heavy_order, lambda: qybe_check(heavy_R())))
-    reports.append(
-        _timed("R-exact-qybe", key, None, lambda: qybe_exact_rep(key))
-    )
-    if key == "IIs":
-        # Alternative reading of the remark on the primed creation entry:
-        # substituting D(A) literally breaks the exact braid identity, which
-        # is the machine evidence that the remark means D(A_+).
-        reports.append(
-            _timed(
-                "R-exact-qybe-literal-A-reading",
-                key,
-                None,
-                lambda: qybe_exact_rep(key, primed_reading="literal-A"),
-                finding=True,
-            )
-        )
-    return reports
+    probes = _R_PROBES.get(key, ())
+    return [
+        _timed(check, key, n, fn, finding=check in probes)
+        for check, n, fn in lines
+        if _R_ONLY.get(check, key) == key
+    ]
 
 
-def _job_appendix(order):
+def _job_appendix(key, order):
     # Each line reports its own conjugation and comparison; the shared set-up
     # is charged to the first.
     reports = []
@@ -248,59 +214,43 @@ def _job_appendix(order):
     for tag, diff in conjugation_identities(order):
         ok, residuals = held([(tag, diff())])
         dt = time.perf_counter() - t0
-        reports.append(make_report(f"conjugation [{tag}]", "IIn", order, ok, residuals, dt))
+        reports.append(make_report(f"conjugation [{tag}]", key, order, ok, residuals, dt))
         t0 = time.perf_counter()
     return reports
 
 
-# -- job registry ----------------------------------------------------------
+# -- job table ---------------------------------------------------------------
 
-JOB_FUNCS = {}
-TARGET_JOBS = {}
-
-
-def _register(target, job_id, fn):
-    JOB_FUNCS[job_id] = fn
-    TARGET_JOBS.setdefault(target, []).append(job_id)
-
-
-for _key in FAMILIES:
-    _register("prop1", f"prop1/{_key}", functools.partial(_job_lm, _key))
-for _name in HOPF_CHECKS:
-    _register("prop2", f"prop2/{_name}", functools.partial(_job_hopf, "Uz", _name))
-_register("prop3", "prop3/fun", functools.partial(_job_fun, "Uz"))
-_register("prop3", "prop3/frt", functools.partial(_job_frt, "Uz"))
-_register("prop3", "prop3/R", functools.partial(_job_universal_r, "Uz"))
-for _name in HOPF_CHECKS:
-    _register("prop4", f"prop4/{_name}", functools.partial(_job_hopf, "IIn", _name))
-_register("prop5", "prop5/R", functools.partial(_job_universal_r, "IIn"))
-_register("prop5", "prop5/fun", functools.partial(_job_fun, "IIn"))
-_register("prop5", "prop5/frt", functools.partial(_job_frt, "IIn"))
-for _name in HOPF_CHECKS:
-    _register("prop6", f"prop6/{_name}", functools.partial(_job_hopf, "IIs", _name))
-_register("prop6", "prop6/R", functools.partial(_job_universal_r, "IIs"))
-_register("prop6", "prop6/fun", functools.partial(_job_fun, "IIs"))
-_register("prop6", "prop6/frt", functools.partial(_job_frt, "IIs"))
-_register("appendixA", "appendixA", _job_appendix)
+# Each target's jobs in report order.  A row (job, key, *args) runs
+# job(key, *args, order); key is the family or deformation its lines concern,
+# which is what --family selects on.
+TARGET_JOBS = {
+    "prop1": [(_job_lm, key) for key in FAMILIES],
+    "prop2": [(_job_hopf, "Uz", name) for name in HOPF_CHECKS],
+    "prop3": [(_job_fun, "Uz"), (_job_frt, "Uz"), (_job_universal_r, "Uz")],
+    "prop4": [(_job_hopf, "IIn", name) for name in HOPF_CHECKS],
+    "prop5": [(_job_universal_r, "IIn"), (_job_fun, "IIn"), (_job_frt, "IIn")],
+    "prop6": [(_job_hopf, "IIs", name) for name in HOPF_CHECKS]
+    + [(_job_universal_r, "IIs"), (_job_fun, "IIs"), (_job_frt, "IIs")],
+    "appendixA": [(_job_appendix, "IIn")],
+}
+TARGETS = tuple(TARGET_JOBS)
 
 
-def _run_job(job_id: str, order: int):
-    return JOB_FUNCS[job_id](order)
+def _run(job, order: int):
+    fn, key, *args = job
+    return fn(key, *args, order)
 
 
-def _run_job_star(pair):
-    return _run_job(*pair)
-
-
-def run_jobs(job_ids, order: int, jobs: int):
-    """Run jobs (in a worker pool when jobs > 1); canonical report order."""
-    if jobs <= 1 or len(job_ids) <= 1:
-        chunks = [_run_job(job_id, order) for job_id in job_ids]
+def run_jobs(rows, order: int, jobs: int):
+    """Run job rows (in a worker pool when jobs > 1); canonical report order."""
+    if jobs <= 1 or len(rows) <= 1:
+        chunks = [_run(row, order) for row in rows]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_job_star, [(j, order) for j in job_ids]))
+            chunks = list(pool.map(_run, rows, [order] * len(rows)))
     return [r for chunk in chunks for r in chunk]
 
 
@@ -418,12 +368,9 @@ def cmd_classify(args) -> int:
 
 
 def _select_jobs(target: str, family: str | None) -> list:
-    targets = list(TARGETS) if target == "all" else [target]
+    rows = [row for t in (TARGETS if target == "all" else (target,)) for row in TARGET_JOBS[t]]
     if family is None:
-        job_ids = []
-        for t in targets:
-            job_ids.extend(TARGET_JOBS[t])
-        return job_ids
+        return rows
     fam_key = FAMILY_ALIASES.get(family, family)
     if fam_key not in FAMILIES:
         raise UsageError(
@@ -431,29 +378,25 @@ def _select_jobs(target: str, family: str | None) -> list:
             f"or {', '.join(FAMILY_ALIASES)}"
         )
     quea = QUEA_KEY.get(fam_key)
-    job_ids = []
-    for t in targets:
-        if t == "prop1":
-            job_ids.append(f"prop1/{fam_key}")
-        elif FAMILY_OF_TARGET[t] == quea:
-            job_ids.extend(TARGET_JOBS[t])
-        elif target != "all":
-            if quea is None:
-                raise UnsupportedFamily(
-                    f"family {fam_key} is coproduct-only (no Hopf deformation, "
-                    f"universal R-matrix, or quantized coordinate ring); "
-                    f"only prop1 applies"
-                )
+    rows = [row for row in rows if row[1] in (fam_key, quea)]
+    # Every family has its prop1 row, so only a single other target comes
+    # up empty.
+    if not rows:
+        if quea is None:
             raise UnsupportedFamily(
-                f"target {t} concerns the {FAMILY_OF_TARGET[t]} deformation, "
-                f"not {fam_key}"
+                f"family {fam_key} is coproduct-only (no Hopf deformation, "
+                f"universal R-matrix, or quantized coordinate ring); "
+                f"only prop1 applies"
             )
-    return job_ids
+        raise UnsupportedFamily(
+            f"target {target} concerns the {TARGET_JOBS[target][0][1]} deformation, "
+            f"not {fam_key}"
+        )
+    return rows
 
 
 def cmd_verify(args, order: int) -> int:
-    job_ids = _select_jobs(args.target, args.family)
-    reports = run_jobs(job_ids, order, args.jobs)
+    reports = run_jobs(_select_jobs(args.target, args.family), order, args.jobs)
     _emit(REPORT_RENDERERS[args.format](reports), args.out)
     return 0 if all_ok(reports) else 1
 
@@ -469,24 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
-        p.add_argument(
-            "--order",
-            type=int,
-            default=None,
-            help=f"truncation order (default: ${ORDER_ENV} or {DEFAULT_ORDER})",
-        )
+    def common(p, order=True):
+        if order:
+            p.add_argument(
+                "--order",
+                type=int,
+                default=None,
+                help=f"truncation order (default: ${ORDER_ENV} or {DEFAULT_ORDER})",
+            )
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
         )
         p.add_argument("--out", default=None, help="write output to this path")
-        if jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="worker processes; report order stays canonical",
-            )
 
     t = sub.add_parser(
         "tables",
@@ -507,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "free symbols, e.g. '1,0,0,0,0,0' or 'ap,0,x,-x,bp,x^2/ap'. "
         "Symbols are treated as declared nonzero.",
     )
-    common(c)
+    # Classification is exact: no truncation order.
+    common(c, order=False)
 
     v = sub.add_parser("verify", help="run the executable check suites")
     v.add_argument(
@@ -524,12 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one family (classification key or Uz/IIn/IIs)",
     )
-    common(v, jobs=True)
+    common(v)
+    v.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; report order stays canonical",
+    )
     return parser
 
 
 def _resolve_order(args) -> int:
-    order = getattr(args, "order", None)
+    order = args.order
     if order is None:
         raw = os.environ.get(ORDER_ENV)
         if raw is None:
@@ -546,16 +490,14 @@ def _resolve_order(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "classify":
+            return cmd_classify(args)
         order = _resolve_order(args)
         if args.command == "tables":
             return cmd_tables(args, order)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "verify":
-            if args.jobs < 1:
-                raise UsageError("--jobs must be >= 1")
-            return cmd_verify(args, order)
-        raise UsageError(f"unknown command {args.command!r}")
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
+        return cmd_verify(args, order)
     except (UsageError, UnsupportedFamily) as exc:
         # KeyError subclasses repr-quote their message; unwrap it.
         msg = exc.args[0] if exc.args else str(exc)

@@ -27,9 +27,9 @@ one.  Denominators stay h-free for everything this package constructs;
 ``truncate`` enforces that invariant at the point where it matters.
 
 Printing is native too: ``repr`` writes the lex-ordered form sympy's
-``PolyElement`` prints, over a monic denominator.  sympy is imported only by
-``Coefficient.to_sympy``, which the LaTeX output (``report.latex_coeff``)
-calls; nothing on the text or JSON path loads it.
+``PolyElement`` prints, over a monic denominator.  The LaTeX output
+(``report.latex_coeff``) reads that text back with sympy; nothing here loads
+it.
 """
 
 from __future__ import annotations
@@ -306,17 +306,6 @@ class IntPolyRing:
         """``a / g`` and ``b / g`` for ``g`` the GCD of nonzero ``a`` and ``b``."""
         return _pcofactors(a, b)[1:]
 
-    def to_sympy(self, num, q, den):
-        """``num / (q * den)`` as sympy polynomials over QQ, the denominator monic."""
-        from sympy.polys.domains import QQ
-        from sympy.polys.orderings import lex
-        from sympy.polys.rings import PolyRing
-
-        qq = PolyRing(self.symbols, QQ, lex)
-        lc = _lc(den)
-        return (qq.from_dict({m: QQ(c, q * lc) for m, c in num.items()}),
-                qq.from_dict({m: QQ(c, lc) for m, c in den.items()}))
-
     def format(self, num, q, den) -> str:
         """``num / (q * den)`` as text: sympy's form of the numerator, then of
         the monic denominator in parentheses unless it is 1."""
@@ -452,11 +441,6 @@ class Coefficient:
         self._htop = None
 
     # -- basic protocol -------------------------------------------------
-
-    def to_sympy(self):
-        """(numerator, denominator) as sympy polynomials over QQ, the
-        denominator monic: the form in which coefficients print."""
-        return self.field.ring.to_sympy(self.num, self.q, self.den)
 
     def __repr__(self):
         return self.field.ring.format(self.num, self.q, self.den)

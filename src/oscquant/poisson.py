@@ -379,17 +379,23 @@ def table_II() -> tuple:
 # -- rendering -------------------------------------------------------------
 
 
+# Print order of a site monomial: the power of E first, then theta, a_plus,
+# a_minus, m (indices into COORDS and into a site key).
+_PRINT_ORDER = (1, 0, 2, 3, 4)
+
+
+def _site_powers(sk) -> list:
+    """The ``(coordinate, power)`` pairs of a site key with a nonzero power,
+    in print order; each output format names and raises them its own way."""
+    return [(COORDS[i], sk[i]) for i in _PRINT_ORDER if sk[i]]
+
+
 def _site_mono_str(sk, suffix=""):
-    t, k, p, q, s = sk
     bits = []
-    for power, name in ((t, "theta"), (p, "a_plus"), (q, "a_minus"), (s, "m")):
-        if power == 1:
-            bits.append(name + suffix)
-        elif power:
-            bits.append(f"{name}{suffix}^{power}")
-    if k:
-        name = "E" if k > 0 else "Einv"
-        bits.insert(0, f"{name}{suffix}" + (f"^{abs(k)}" if abs(k) != 1 else ""))
+    for name, n in _site_powers(sk):
+        if name == "E" and n < 0:
+            name, n = "Einv", -n
+        bits.append(name + suffix + ("" if n == 1 else f"^{n}"))
     return "*".join(bits)
 
 

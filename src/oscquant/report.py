@@ -20,7 +20,8 @@ from . import fixtures
 from .algebra import GEN_NAMES, TensorElement, signed_sum
 from .bialgebra import GEN_MONOS, WEDGE_SLOTS, RMatrixSkew, wedge
 from .coeffs import Coefficient
-from .poisson import GroupFunction, group_str, group_terms
+from .expr import evaluate
+from .poisson import GroupFunction, _site_powers, group_str, group_terms
 
 STATUSES = ("pass", "fail", "finding")
 
@@ -188,20 +189,19 @@ def _sympy_rename(expr):
     return expr.subs(subs, simultaneous=True) if subs else expr
 
 
-def latex_coeff(c: Coefficient) -> str:
+def latex_text(text: str) -> str:
+    """LaTeX for printed text: a coefficient's ``repr`` or a fixture's linear
+    expression.  Every name reads as a symbol (``E``, ``I`` and ``lambda``
+    included) and every number as an integer."""
     import sympy
 
-    num, den = c.to_sympy()
-    expr = num.as_expr() / den.as_expr()
+    env = {name: sympy.Symbol(name) for name in re.findall(r"[A-Za-z_]\w*", text)}
+    expr = evaluate(text, env, sympy.Integer)
     return sympy.latex(_sympy_rename(sympy.together(expr)))
 
 
-def latex_linear(text: str) -> str:
-    """LaTeX for a parsed linear expression in parameters and generators."""
-    import sympy
-
-    expr = sympy.sympify(text.replace("^", "**"))
-    return sympy.latex(_sympy_rename(expr))
+def latex_coeff(c: Coefficient) -> str:
+    return latex_text(repr(c))
 
 
 def _latex_is_sum(tex: str) -> bool:
@@ -323,16 +323,12 @@ def render_table_I_latex(rows) -> str:
 
 
 def _site_mono_latex(sk) -> str:
-    t, k, p, q, s = sk
-    bits = []
-    if k:
-        bits.append(rf"e^{{{k if k not in (1, -1) else ('' if k == 1 else '-')}\theta}}")
-    for power, name in ((t, r"\theta"), (p, "a_+"), (q, "a_-"), (s, "m")):
-        if power == 1:
-            bits.append(name)
-        elif power:
-            bits.append(rf"{name}^{{{power}}}")
-    return r" \, ".join(bits)
+    # E^n prints as e^{n theta}
+    return r" \, ".join(
+        rf"e^{{{ {1: '', -1: '-'}.get(n, n) }\theta}}" if name == "E"
+        else _COORD_TEX[name] + ("" if n == 1 else f"^{{{n}}}")
+        for name, n in _site_powers(sk)
+    )
 
 
 def latex_group(f: GroupFunction) -> str:
@@ -408,7 +404,7 @@ def _needs_parens(text: str) -> bool:
 def _coproduct(summands, latex=False) -> str:
     """A published coproduct, a list of ``{c, f}`` summands (see the
     ``table_III`` fixture), as one signed sum in text or LaTeX."""
-    lin = latex_linear if latex else str
+    lin = latex_text if latex else str
     times, otimes = (r" \, ", r" \otimes ") if latex else ("*", " o ")
 
     def factor(f):
@@ -422,7 +418,7 @@ def _coproduct(summands, latex=False) -> str:
 
     def prefix(c):
         if latex:
-            return _latex_prefix(latex_linear(c))
+            return _latex_prefix(latex_text(c))
         return c[:-1] if c in ("1", "-1") else (f"({c})" if _needs_parens(c) else c) + "*"
 
     def body(s):
@@ -497,7 +493,7 @@ def render_table_III_latex(rows) -> str:
         cells = data[row.key]
         if "matrix" in cells:
             mrows = [
-                " & ".join(latex_linear(e) for e in vrow) for vrow in cells["matrix"]
+                " & ".join(latex_text(e) for e in vrow) for vrow in cells["matrix"]
             ]
             parts = [r"\nu = \begin{pmatrix}" + r"\\ ".join(mrows) + r"\end{pmatrix}"]
         else:

@@ -232,6 +232,33 @@ def test_classify_latex(capsys):
     assert r"\wedge" in out
 
 
+@pytest.mark.parametrize(
+    "name, tex", [("lambda", r"\lambda"), ("E", "E"), ("I", "I"), ("pi", r"\pi"), ("gamma", r"\gamma")]
+)
+def test_classify_latex_reads_every_name_as_a_symbol(capsys, name, tex):
+    # not as a constant or a function (sympify would), nor a syntax error
+    rc, out, _ = run(capsys, ["classify", "--r", f"{name},0,0,0,0,0", "--format", "latex"])
+    assert rc == 0
+    assert out == rf"$r = {tex} \, A \wedge A_+$: type $I_+$, non-standard" + "\n"
+
+
+def test_classify_ignores_the_order_environment(capsys, monkeypatch):
+    # Classification is exact: $OSCQUANT_ORDER concerns tables and verify.
+    rc, want, _ = run(capsys, ["classify", "--r", "1,0,0,0,0,0"])
+    monkeypatch.setenv(cli.ORDER_ENV, "abc")
+    rc_env, out, err = run(capsys, ["classify", "--r", "1,0,0,0,0,0"])
+    assert rc == rc_env == 0
+    assert out == want and "family: Type I+" in out
+    assert err == ""
+
+
+def test_classify_takes_no_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--r", "1,0,0,0,0,0", "--order", "3"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+
+
 def test_classify_ambiguous_zeroness(capsys):
     # 1+x is neither identically zero nor a visibly nonzero monomial.
     rc, _, err = run(capsys, ["classify", "--r", "1+x,0,0,0,0,0"])
@@ -495,7 +522,7 @@ def test_appendix_lines_report_their_own_intervals(monkeypatch):
         return [(tag, identity(c, d)) for tag, c, d in zip(CONJUGATION_CASES, costs, diffs)]
 
     monkeypatch.setattr(cli, "conjugation_identities", identities)
-    reports = cli._job_appendix(3)
+    reports = cli._job_appendix("IIn", 3)
     assert [r.check for r in reports] == [f"conjugation [{tag}]" for tag in CONJUGATION_CASES]
     assert [r.wall_time_s for r in reports] == [11.0, 2.0, 4.0, 8.0]
     assert [r.status for r in reports] == ["pass", "pass", "fail", "pass"]

@@ -92,11 +92,11 @@ def test_no_unused_imports(path):
 # -- sympy stays at the edges ------------------------------------------------
 #
 # Coefficients are integer dicts with a native GCD and printer; sympy serves
-# only the LaTeX output: ``Coefficient.to_sympy`` in ``coeffs`` and the LaTeX
-# helpers of ``report``.  No other module reaches it, and no module imports
-# it at import time.
+# only the LaTeX output: the LaTeX helpers of ``report``, which read printed
+# text back.  No other module reaches it, and no module imports it at import
+# time.
 
-SYMPY_MODULES = ("coeffs.py", "report.py")
+SYMPY_MODULES = ("report.py",)
 
 
 def _is_sympy(name) -> bool:

@@ -1,4 +1,5 @@
-"""The stripping and joining helpers of ``scripts/output_hashes.py``."""
+"""The stripping and joining helpers of ``scripts/output_hashes.py``, and the
+six output hashes it prints, pinned."""
 
 import hashlib
 import importlib.util
@@ -67,3 +68,21 @@ def test_r_argument_fills_unlisted_slots_with_zero():
     fam = output_hashes.FAMILIES["II-nonstandard"]
     assert output_hashes.r_argument(fam) == "0,0,x,0,bp,yp"
     assert output_hashes.r_argument(output_hashes.FAMILIES["Iplus-nonstandard"]) == "ap,0,x,-x,bp,x^2/ap"
+
+
+# The six outputs as the program prints them.  A change that moves one on
+# purpose updates its prefix here and states the new one.
+PINNED = {
+    "tables": "f955880651c88fdd",
+    "verify": "a3efa562efd9deb7",
+    "prop2+prop4": "436fe4a2ebf6b88e",
+    "prop1": "acfd71b7d6621ced",
+    "classify": "409f16e4a527f0bb",
+    "verify-render": "5d857f751e977c50",
+}
+
+
+def test_every_output_matches_its_pinned_prefix(monkeypatch):
+    monkeypatch.delenv(output_hashes.ORDER_ENV, raising=False)
+    got = {name: output_hashes.digest(pieces()) for name, pieces in output_hashes.OUTPUTS.items()}
+    assert got == PINNED

@@ -17,6 +17,7 @@ from oscquant.coeffs import CoefficientField
 from oscquant.funalg import fun_presentation
 from oscquant.hopf import presentation
 from oscquant.poisson import GroupRing
+from oscquant.report import latex_coeff, latex_group
 from oscquant.rmatrix import FreeElement, universal_R
 
 
@@ -68,6 +69,25 @@ def test_two_site_group_function():
         "x^2 - y + 1"
     )
     assert repr(f) == "x**2 - y + 1 + x*Einv_1*a_plus_1^2*m_2 - x*Einv_1*a_plus_1^2*theta_2"
+
+
+def test_group_function_latex():
+    # one walk for text and LaTeX: the power of E first, then theta, a_+,
+    # a_-, m
+    ring = GroupRing(CoefficientField.get("x"))
+    f = ring.from_expr("x*Einv^2*a_plus^2*m - theta*E + a_minus*m^3*E")
+    assert repr(f) == "-E*theta + x*Einv^2*a_plus^2*m + E*a_minus*m^3"
+    assert latex_group(f) == (
+        r"-e^{\theta} \, \theta + x \, e^{-2\theta} \, a_+^{2} \, m + e^{\theta} \, a_- \, m^{3}"
+    )
+
+
+def test_compound_coefficient_latex():
+    field = CoefficientField.get("x", "y")
+    x, y = field.param("x"), field.param("y")
+    c = (x * field.rational(2) - y * field.rational(4)) / (x * field.rational(9) + y * field.rational(6))
+    assert repr(c) == "(2/9*x - 4/9*y)/(x + 2/3*y)"
+    assert latex_coeff(c) == r"\frac{2 \left(x - 2 y\right)}{3 \left(3 x + 2 y\right)}"
 
 
 def test_free_words():
