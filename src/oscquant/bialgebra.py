@@ -349,7 +349,8 @@ def invariant_basis(field: CoefficientField):
 
 @dataclass(frozen=True)
 class Family:
-    """One row family of the classification: parameters and r-coefficients.
+    """One row family of the classification, or one deformation of it:
+    parameters and r-coefficients.
 
     ``coeff_exprs`` maps slot names c1..c6 to expressions in the family's
     parameters; unlisted slots are zero.  ``nonzero`` lists the parameters
@@ -364,7 +365,7 @@ class Family:
     params: tuple
     nonzero: tuple
     coeff_exprs: dict
-    flavor_condition: str
+    flavor_condition: str = ""
 
     def field(self) -> CoefficientField:
         return CoefficientField.get(*self.params)
@@ -444,6 +445,34 @@ FAMILIES = {
         ),
     )
 }
+
+
+# The three families carrying a full deformation (Hopf algebra, universal
+# R-matrix, quantized coordinate ring), by deformation key; ``family`` and
+# ``flavor`` name the classification row each one quantizes.  The other
+# three rows are coproduct-only.
+DEFORMATIONS = {
+    d.key: d
+    for d in (
+        Family("Uz", "Iplus", "nonstandard", ("z",), ("z",), {"c1": "z"}),
+        Family("IIn", "II", "nonstandard", ("x", "bp", "yp"), (), {"c3": "x", "c5": "bp", "c6": "yp"}),
+        Family("IIs", "II", "standard", ("z",), ("z",), {"c4": "-z"}),
+    )
+}
+
+
+class UnknownDeformation(KeyError):
+    """A key that names none of the deformations."""
+
+
+def deformation(key: str) -> Family:
+    """The deformation named ``key``; UnknownDeformation for any other key."""
+    try:
+        return DEFORMATIONS[key]
+    except KeyError:
+        raise UnknownDeformation(
+            f"unknown deformation {key!r}; choose from {', '.join(DEFORMATIONS)}"
+        ) from None
 
 
 @dataclass(frozen=True)

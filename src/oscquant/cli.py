@@ -26,6 +26,7 @@ import time
 
 from .algebra import held
 from .bialgebra import (
+    DEFORMATIONS,
     FAMILIES,
     AmbiguousStratum,
     NotCoboundary,
@@ -53,7 +54,6 @@ from .report import (
     r_matrix_cells,
 )
 from .rmatrix import (
-    UnsupportedFamily,
     conjugation_identities,
     expansion_base_check,
     frt_relations,
@@ -74,14 +74,9 @@ ORDER_ENV = "OSCQUANT_ORDER"
 # the suite runs them at this order and each report carries the order used.
 HEAVY_ORDER_CAP = 5
 
-# The three families carrying a full deformation (Hopf algebra, universal
-# R-matrix, quantized coordinate ring); the other three rows of the
-# classification are coproduct-only and appear in prop1 alone.
-QUEA_KEY = {
-    "Iplus-nonstandard": "Uz",
-    "II-nonstandard": "IIn",
-    "II-standard": "IIs",
-}
+# The classification rows carrying a full deformation, mapped to its key; the
+# other three rows are coproduct-only and appear in prop1 alone.
+QUEA_KEY = {f"{d.family}-{d.flavor}": key for key, d in DEFORMATIONS.items()}
 FAMILY_ALIASES = {quea: fam for fam, quea in QUEA_KEY.items()}
 
 
@@ -383,12 +378,12 @@ def _select_jobs(target: str, family: str | None) -> list:
     # up empty.
     if not rows:
         if quea is None:
-            raise UnsupportedFamily(
+            raise UsageError(
                 f"family {fam_key} is coproduct-only (no Hopf deformation, "
                 f"universal R-matrix, or quantized coordinate ring); "
                 f"only prop1 applies"
             )
-        raise UnsupportedFamily(
+        raise UsageError(
             f"target {target} concerns the {TARGET_JOBS[target][0][1]} deformation, "
             f"not {fam_key}"
         )
@@ -442,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="six comma-separated coefficients; rationals or expressions in "
         "free symbols, e.g. '1,0,0,0,0,0' or 'ap,0,x,-x,bp,x^2/ap'. "
-        "Symbols are treated as declared nonzero.",
+        "Symbols are treated as declared nonzero.  A list that starts with "
+        "a minus sign works after a space too: --r -1,0,0,0,0,0 is "
+        "--r=-1,0,0,0,0,0.",
     )
     # Classification is exact: no truncation order.
     common(c, order=False)
@@ -487,8 +484,17 @@ def _resolve_order(args) -> int:
     return order
 
 
+def _join_r(argv: list) -> list:
+    """``--r VALUE`` as ``--r=VALUE``, so that argparse takes a VALUE that
+    starts with a minus sign (``-1,0,0,0,0,0``) as the value, not an option."""
+    if "--r" in argv[:-1]:
+        i = argv.index("--r")
+        argv = argv[:i] + [f"--r={argv[i + 1]}"] + argv[i + 2 :]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_r(list(sys.argv[1:] if argv is None else argv)))
     try:
         if args.command == "classify":
             return cmd_classify(args)
@@ -498,10 +504,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         return cmd_verify(args, order)
-    except (UsageError, UnsupportedFamily) as exc:
-        # KeyError subclasses repr-quote their message; unwrap it.
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -30,8 +30,7 @@ extensions and the four Hopf-axiom checks are the enveloping algebras' own.
 from __future__ import annotations
 
 from .algebra import Algebra, held, spread, tensor
-from .bialgebra import RMatrixSkew
-from .coeffs import CoefficientField
+from .bialgebra import deformation
 from .hopf import (
     HopfPresentation,
     antipode_check,
@@ -41,16 +40,11 @@ from .hopf import (
 )
 from .poisson import COORDS, GroupRing, group_compose, site_coords, sklyanin_bracket
 
-FUN_KEYS = ("Uz", "IIn", "IIs")
 FUN_UNIT = (0, 0, 0, 0, 0)
 
 # Word letters; E and its inverse are distinct letters sharing the E slot.
 L_THETA, L_E, L_EINV, L_AP, L_AM, L_M = range(6)
 LETTER_NAMES = ("theta", "E", "Einv", "a_plus", "a_minus", "m")
-
-
-class UnknownFunFamily(KeyError):
-    pass
 
 
 class FunAlgebra(Algebra):
@@ -133,15 +127,7 @@ def _iis_swaps(field):
     }
 
 
-_FAMILY_DATA = {
-    "Uz": ("z", _uz_swaps, lambda f: (f.param("z"), 0, 0, 0, 0, 0)),
-    "IIn": (
-        ("x", "bp", "yp"),
-        _iin_swaps,
-        lambda f: (0, 0, f.param("x"), 0, f.param("bp"), f.param("yp")),
-    ),
-    "IIs": ("z", _iis_swaps, lambda f: (0, 0, 0, -f.param("z"), 0, 0)),
-}
+_SWAPS = {"Uz": _uz_swaps, "IIn": _iin_swaps, "IIs": _iis_swaps}
 
 
 class FunPresentation(HopfPresentation):
@@ -182,15 +168,12 @@ _cache: dict = {}
 
 
 def fun_presentation(key: str, order: int | None = None) -> FunPresentation:
-    try:
-        params, swaps_fn, r_fn = _FAMILY_DATA[key]
-    except KeyError:
-        raise UnknownFunFamily(f"unknown family {key!r}; choose from {FUN_KEYS}") from None
     got = _cache.get((key, order))
     if got is None:
-        field = CoefficientField.get(*((params,) if isinstance(params, str) else params))
-        alg = FunAlgebra(field, swaps_fn(field), order, f"Fun-{key}")
-        got = _cache[(key, order)] = FunPresentation(key, alg, RMatrixSkew(field, r_fn(field)))
+        d = deformation(key)
+        field = d.field()
+        alg = FunAlgebra(field, _SWAPS[key](field), order, f"Fun-{key}")
+        got = _cache[(key, order)] = FunPresentation(key, alg, d.r(marked=False))
     return got
 
 

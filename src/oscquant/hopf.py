@@ -41,14 +41,8 @@ from .algebra import (
     spread,
     tensor,
 )
-from .bialgebra import RMatrixSkew, cocommutator_map
-from .coeffs import Coefficient, CoefficientField
-
-PRESENTATION_KEYS = ("Uz", "IIn", "IIs")
-
-
-class UnknownPresentation(KeyError):
-    pass
+from .bialgebra import cocommutator_map, deformation
+from .coeffs import Coefficient
 
 
 # -- named series in one generator ---------------------------------------
@@ -176,7 +170,8 @@ class HopfPresentation:
 
 def uz_presentation(order: int) -> HopfPresentation:
     """The one-parameter deformation with primitive Ap, M (key ``Uz``)."""
-    field = CoefficientField.get("z")
+    d = deformation("Uz")
+    field = d.field()
     z = field.marked_param("z")
     base = Algebra.classical(field, order)
     # Ap*A = A*Ap - (e^{z*Ap}-1)/z ; Am*A = A*Am + Am ; Am*Ap = Ap*Am + M e^{z*Ap}
@@ -205,13 +200,13 @@ def uz_presentation(order: int) -> HopfPresentation:
     # central element 2 A M + F Am + Am F with F = (e^{-z*Ap}-1)/z
     F = -expm1_over(alg, -z, AP)
     casimir = (gA * gM).scale(2) + F * gAm + gAm * F
-    r = RMatrixSkew(field, (z, field.zero, field.zero, field.zero, field.zero, field.zero))
-    return HopfPresentation("Uz", "one-parameter, primitive Ap and M", alg, images, antipode, casimir, r)
+    return HopfPresentation(d.key, "one-parameter, primitive Ap and M", alg, images, antipode, casimir, d.r())
 
 
 def ii_nonstandard_presentation(order: int) -> HopfPresentation:
     """The three-parameter deformation with primitive M (key ``IIn``)."""
-    field = CoefficientField.get("x", "bp", "yp")
+    d = deformation("IIn")
+    field = d.field()
     x = field.marked_param("x")
     bp = field.marked_param("bp")
     yp = field.marked_param("yp")
@@ -251,8 +246,7 @@ def ii_nonstandard_presentation(order: int) -> HopfPresentation:
         + (v_series(alg, -x) * gAm).scale(yp * 2)
         - (v_series(alg, x) * gAp).scale(bp * 2)
     )
-    r = RMatrixSkew(field, (field.zero, field.zero, x, field.zero, bp, yp))
-    return HopfPresentation("IIn", "three-parameter, primitive M", alg, images, antipode, casimir, r)
+    return HopfPresentation(d.key, "three-parameter, primitive M", alg, images, antipode, casimir, d.r())
 
 
 def ii_standard_presentation(order: int) -> HopfPresentation:
@@ -261,7 +255,8 @@ def ii_standard_presentation(order: int) -> HopfPresentation:
     The Ap slot denotes the shifted creation generator Ap' = e^{-z*M}*Ap;
     all structure below is stated on that basis.
     """
-    field = CoefficientField.get("z")
+    d = deformation("IIs")
+    field = d.field()
     z = field.marked_param("z")
     # Ap'*A = A*Ap' - Ap' ; Am*A = A*Am + Am ; Am*Ap' = Ap'*Am + sinh(z*M)/z
     tails = {
@@ -287,8 +282,7 @@ def ii_standard_presentation(order: int) -> HopfPresentation:
         "M": -gM,
     }
     casimir = (gA * sinh_over(alg, z)).scale(2) - gAp * gAm - gAm * gAp
-    r = RMatrixSkew(field, (field.zero, field.zero, field.zero, -z, field.zero, field.zero))
-    return HopfPresentation("IIs", "standard, shifted creation basis", alg, images, antipode, casimir, r)
+    return HopfPresentation(d.key, "standard, shifted creation basis", alg, images, antipode, casimir, d.r())
 
 
 _BUILDERS = {
@@ -301,15 +295,10 @@ _cache: dict = {}
 
 
 def presentation(key: str, order: int) -> HopfPresentation:
-    try:
-        builder = _BUILDERS[key]
-    except KeyError:
-        raise UnknownPresentation(
-            f"unknown presentation {key!r}; choose from {PRESENTATION_KEYS}"
-        ) from None
     got = _cache.get((key, order))
     if got is None:
-        got = _cache[(key, order)] = builder(order)
+        deformation(key)  # UnknownDeformation on a key that names none
+        got = _cache[(key, order)] = _BUILDERS[key](order)
     return got
 
 

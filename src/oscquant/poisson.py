@@ -160,15 +160,33 @@ def group_compose(left: dict, right: dict) -> dict:
     }
 
 
+# The entries of T (module docstring) by (row, column); the other three are 0.
+T_ENTRIES = {
+    (0, 0): "1",
+    (0, 1): "a_minus*E",
+    (0, 2): "m + a_minus*a_plus",
+    (1, 1): "E",
+    (1, 2): "a_plus",
+    (2, 2): "1",
+}
+
+
+def t_matrix(env: dict, number) -> dict:
+    """T's nonzero entries by position, read by ``expr.evaluate`` with the
+    coordinates bound by ``env`` and integers lifted by ``number``, in any
+    ring: group functions, rationals, the quantized coordinate rings (the
+    products keep the written order) or free words."""
+    return {pos: expr_evaluate(text, env, number) for pos, text in T_ENTRIES.items()}
+
+
+def _dense(t: dict, zero) -> list:
+    return [[t.get((i, j), zero) for j in range(3)] for i in range(3)]
+
+
 def group_matrix(coords: dict):
     """The 3x3 matrix of a group element with the given coordinates."""
     one = coords["E"] * coords["Einv"]  # the ring unit, whatever the ring
-    zero = one - one
-    return [
-        [one, coords["a_minus"] * coords["E"], coords["m"] + coords["a_minus"] * coords["a_plus"]],
-        [zero, coords["E"], coords["a_plus"]],
-        [zero, zero, one],
-    ]
+    return _dense(t_matrix(coords, one.scale), one - one)
 
 
 class NumericElement(NamedTuple):
@@ -192,12 +210,7 @@ class NumericElement(NamedTuple):
         )
 
     def matrix(self):
-        one, zero = Fraction(1), Fraction(0)
-        return [
-            [one, self.a_minus * self.E, self.m + self.a_minus * self.a_plus],
-            [zero, self.E, self.a_plus],
-            [zero, zero, one],
-        ]
+        return _dense(t_matrix(self._asdict(), Fraction), Fraction(0))
 
 
 # -- invariant vector fields ----------------------------------------------

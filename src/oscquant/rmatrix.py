@@ -51,6 +51,7 @@ from .algebra import (
     tensor,
     spread,
 )
+from .bialgebra import deformation
 from .coeffs import CoefficientField
 from .funalg import (
     LETTER_NAMES,
@@ -59,13 +60,7 @@ from .funalg import (
     semiclassical_check,  # noqa: F401  (re-exported; defined on coordinate rings)
 )
 from .hopf import HopfPresentation, expm1_over, presentation
-
-R_KEYS = ("Uz", "IIn", "IIs")
-_R_PARAMS = {"Uz": ("z",), "IIn": ("x", "bp", "yp"), "IIs": ("z",)}
-
-
-class UnsupportedFamily(KeyError):
-    pass
+from .poisson import COORDS, t_matrix
 
 
 # -- universal R as a product of exponentials ---------------------------
@@ -74,17 +69,15 @@ class UnsupportedFamily(KeyError):
 class UniversalR:
     """An ordered product of exponential factors in the tensor square.
 
-    ``factors`` are the exponents (marked arity-2 tensors); ``first_order``
-    is the expected order-1 part of the expansion; ``alt_factors``, when
-    present, is a second factorization whose expansion must agree.
+    ``factors`` are the exponents (marked arity-2 tensors); ``alt_factors``,
+    when present, is a second factorization whose expansion must agree.
     """
 
-    def __init__(self, key, p: HopfPresentation, factors, first_order, alt_factors=None):
+    def __init__(self, key, p: HopfPresentation, factors, alt_factors=None):
         self.key = key
         self.presentation = p
         self.alg = p.alg
         self.factors = tuple(factors)
-        self.first_order = first_order
         self.alt_factors = tuple(alt_factors) if alt_factors is not None else None
         self._expansion = None
 
@@ -154,10 +147,7 @@ def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
 
 
 def universal_R(key: str, order: int) -> UniversalR:
-    try:
-        p = presentation(key, order)
-    except KeyError:
-        raise UnsupportedFamily(f"unknown family {key!r}; choose from {R_KEYS}") from None
+    p = presentation(key, order)
     alg = p.alg
     field = p.field
     gA, gAp, gAm, gM = (alg.gen(i) for i in (A, AP, AM, M))
@@ -165,33 +155,35 @@ def universal_R(key: str, order: int) -> UniversalR:
         z = field.marked_param("z")
         f1 = tensor(gAp, gA).scale(-z)
         f2 = tensor(gA, gAp).scale(z)
-        return UniversalR(key, p, [f1, f2], f1 + f2)
+        return UniversalR(key, p, [f1, f2])
     if key == "IIn":
         x, bp, yp = (field.marked_param(n) for n in ("x", "bp", "yp"))
         w = gA.scale(x) + gAp.scale(bp) + gAm.scale(yp)
         wedge = tensor(w, gM) - tensor(gM, w)
         alt = [-tensor(gM, w), tensor(w, gM)]
-        return UniversalR(key, p, [wedge], wedge, alt_factors=alt)
+        return UniversalR(key, p, [wedge], alt_factors=alt)
     # IIs; the creation slot of this presentation is the primed generator
     z = field.marked_param("z")
     sym = (tensor(gA, gM) + tensor(gM, gA)).scale(-z)
     skew = tensor(gAm, gAp).scale(2 * z)
     alt = [tensor(gA, gM).scale(-z), tensor(gM, gA).scale(-z), skew]
-    return UniversalR(key, p, [sym, skew], sym + skew, alt_factors=alt)
+    return UniversalR(key, p, [sym, skew], alt_factors=alt)
 
 
 # -- series-level checks -------------------------------------------------
 
 
 def expansion_base_check(R: UniversalR):
-    """Order 0 must be 1⊗1; order 1 the classical r-matrix (full form),
-    whose skew part must be the presentation's six-coefficient r."""
+    """Order 0 must be 1⊗1; order 1 the classical r-matrix (full form) —
+    the order-1 part of ∏exp(F_k) is ΣF_k — whose skew part must be the
+    presentation's six-coefficient r."""
     h1 = R.expansion.h_part(1)
     skew = (h1 - h1.swap()).scale(Fraction(1, 2))
+    first_order = sum(R.factors, R.alg.tensor_zero(2))
     return held(
         [
             ("order-0", R.expansion.h_part(0) - R.alg.tensor_unit(2).h_part(0)),
-            ("order-1", h1 - R.first_order.h_part(1)),
+            ("order-1", h1 - first_order.h_part(1)),
             ("skew-part", skew - rebase(R.presentation.r.as_tensor(), R.alg).h_part(1)),
         ]
     )
@@ -234,14 +226,11 @@ def intertwining_check(R: UniversalR):
 def two_step_intertwining_check(order: int):
     """The two conjugations that establish intertwining on A₋ for ``Uz``:
     the inner factor strips Δ(A₋) down to the primitive coproduct, the
-    outer factor then builds up the flipped coproduct."""
-    p = presentation("Uz", order)
-    alg = p.alg
-    z = p.field.marked_param("z")
-    gA, gAp, gAm = alg.gen(A), alg.gen(AP), alg.gen(AM)
-    inner = tensor(gA, gAp).scale(z)
-    outer = tensor(gAp, gA).scale(-z)
-    delta, prim = p.images["Am"], spread(gAm, 2)
+    outer factor then builds up the flipped coproduct.  The factors are
+    those of the ``Uz`` universal R, exp(−z·Ap⊗A)·exp(z·A⊗Ap)."""
+    R = universal_R("Uz", order)
+    outer, inner = R.factors
+    delta, prim = R.presentation.images["Am"], spread(R.alg.gen(AM), 2)
     return held(
         [
             ("inner: conj(Delta(Am)) = primitive", exp_ad(inner, delta) - prim),
@@ -258,20 +247,17 @@ def conjugation_identities(order: int):
     """The four auxiliary identities behind intertwining for ``IIn``.
 
     With W = x·A + β₊·A₊ + y₊·A₋ and w±(M) = (1−e^{∓xM})/x, conjugating
-    by exp{W⊗M} and exp{−M⊗W} moves Δ(X) to σ∘Δ(X) through the primitive
-    coproduct, up to central correction terms that cancel between the two
-    steps.  Returns ``(tag, diff)`` pairs in chain order, after the shared
-    set-up; ``diff()`` runs one conjugation and returns its difference from
-    the expected tensor, zero when the identity holds.
+    by exp{W⊗M} and exp{−M⊗W} (the second factorization of the ``IIn``
+    universal R) moves Δ(X) to σ∘Δ(X) through the primitive coproduct, up
+    to central correction terms that cancel between the two steps.  Returns
+    ``(tag, diff)`` pairs in chain order, after the shared set-up;
+    ``diff()`` runs one conjugation and returns its difference from the
+    expected tensor, zero when the identity holds.
     """
-    p = presentation("IIn", order)
-    alg = p.alg
-    field = p.field
-    x, bp, yp = (field.marked_param(n) for n in ("x", "bp", "yp"))
-    gA, gAp, gAm, gM = (alg.gen(i) for i in (A, AP, AM, M))
-    w = gA.scale(x) + gAp.scale(bp) + gAm.scale(yp)
-    inner = tensor(w, gM)
-    outer = -tensor(gM, w)
+    R = universal_R("IIn", order)
+    p, alg, field = R.presentation, R.alg, R.alg.field
+    outer, inner = R.alt_factors
+    x, yp = field.marked_param("x"), field.marked_param("yp")
     # (1 - e^{-xM})/x and (1 - e^{xM})/x as honest series
     wm = expm1_over(alg, -x, M)
     wp = -expm1_over(alg, x, M)
@@ -279,8 +265,8 @@ def conjugation_identities(order: int):
     byx = field.marked_param("bp") * field.param("yp") / field.param("x")
     central_p = tensor(wm, wm).scale(yp)
     central_a = (tensor(wp, wp) - tensor(wm, wm)).scale(byx)
-    d0_ap = spread(gAp, 2)
-    d0_a = spread(gA, 2)
+    d0_ap = spread(alg.gen(AP), 2)
+    d0_a = spread(alg.gen(A), 2)
     return [
         (CONJUGATION_CASES[0], lambda: exp_ad(inner, p.images["Ap"]) - (d0_ap + central_p)),
         (CONJUGATION_CASES[1], lambda: exp_ad(outer, d0_ap) - (p.images["Ap"].swap() - central_p)),
@@ -428,9 +414,7 @@ def d_matrix(key: str, marked: bool = False, primed_reading: str = "definition")
     e^{-zM}A₊ (which collapses to D(A₊)), ``literal-A`` substitutes D(A)
     instead, the other reading a strict transcription would give.
     """
-    if key not in R_KEYS:
-        raise UnsupportedFamily(f"unknown family {key!r}; choose from {R_KEYS}")
-    field = CoefficientField.get(*_R_PARAMS[key])
+    field = deformation(key).field()
     par = field.marked_param if marked else field.param
     gens = _gen_matrices(field)
     eye = ScalarMatrix.identity(field, 9)
@@ -488,17 +472,6 @@ def qybe_exact_rep(key: str, primed_reading: str = "definition"):
 
 # -- FRT: quantum-group relations out of R T₁T₂ = T₂T₁ R ----------------
 
-# Entries of the representing group element: rows/cols 0..2, upper
-# triangular, with the quantum coordinates in the written order.
-_T_ENTRIES = {
-    (0, 0): "1",
-    (0, 1): "a_minus E",
-    (0, 2): "m + a_minus a_plus",
-    (1, 1): "E",
-    (1, 2): "a_plus",
-    (2, 2): "1",
-}
-
 
 class FreeElement(_Terms):
     """A finite sum of free words over the coordinate letters."""
@@ -548,25 +521,14 @@ class FreeElement(_Terms):
         return linear(self, lambda w: math.prod(map(alg.coord, w), start=alg.one()), alg.zero())
 
 
-def _t_matrix(make_unit, make_letter):
-    out = {}
-    for pos, spec in _T_ENTRIES.items():
-        total = None
-        for term in spec.split(" + "):
-            piece = make_unit()
-            for name in term.split():
-                piece = piece * (make_unit() if name == "1" else make_letter(name))
-            total = piece if total is None else total + piece
-        out[pos] = total
-    return out
-
-
 def fun_t_matrix(alg: FunAlgebra) -> dict:
-    return _t_matrix(alg.one, alg.coord)
+    """T over a quantized coordinate ring."""
+    return t_matrix({n: alg.coord(n) for n in COORDS}, alg.one().scale)
 
 
 def free_t_matrix(field) -> dict:
-    return _t_matrix(lambda: FreeElement.unit(field), lambda n: FreeElement.letter(field, n))
+    """T over the free (unreduced) words."""
+    return t_matrix({n: FreeElement.letter(field, n) for n in COORDS}, FreeElement.unit(field).scale)
 
 
 def _frt_defect(r9: ScalarMatrix, tmat: dict, zero):
@@ -606,8 +568,6 @@ def frt_relations(key: str, order: int | None = None):
                       dropping it makes some extracted relation fail
                       (rules about letters absent from T cannot appear).
     """
-    if key not in R_KEYS:
-        raise UnsupportedFamily(f"unknown family {key!r}; choose from {R_KEYS}")
     f = fun_presentation(key, order)
     alg = f.alg
     field = alg.field

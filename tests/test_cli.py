@@ -259,6 +259,17 @@ def test_classify_takes_no_order(capsys):
     assert "--order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "r, fmt", [("-1,0,0,0,0,0", "text"), ("-2/3*x/(4*y-6*x),0,0,0,0,0", "latex")]
+)
+def test_classify_r_with_a_leading_minus_after_a_space(capsys, r, fmt):
+    # argparse reads "-1,..." on its own as an option; --r takes it anyway.
+    rc, want, _ = run(capsys, ["classify", f"--r={r}", "--format", fmt])
+    rc_space, out, err = run(capsys, ["classify", "--r", r, "--format", fmt])
+    assert rc == rc_space == 0
+    assert out == want and err == ""
+
+
 def test_classify_ambiguous_zeroness(capsys):
     # 1+x is neither identically zero nor a visibly nonzero monomial.
     rc, _, err = run(capsys, ["classify", "--r", "1+x,0,0,0,0,0"])

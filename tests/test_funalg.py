@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import (
-    FUN_KEYS,
     FUN_UNIT,
     L_AM,
     L_AP,
@@ -16,14 +16,13 @@ from oscquant.funalg import (
     L_THETA,
     LETTER_NAMES,
     FunAlgebra,
-    UnknownFunFamily,
     fun_hopf_check,
     fun_presentation,
     word_of_fun_mono,
 )
 from oscquant.poisson import COORDS, GroupRing, sklyanin_bracket
 
-KEYS = FUN_KEYS
+KEYS = tuple(DEFORMATIONS)
 ALL_LETTERS = (L_THETA, L_E, L_EINV, L_AP, L_AM, L_M)
 
 
@@ -38,7 +37,7 @@ def test_registry_and_cache():
     p = fun_presentation("Uz")
     assert fun_presentation("Uz") is p
     assert fun_presentation("Uz", order=3) is not p
-    with pytest.raises(UnknownFunFamily):
+    with pytest.raises(UnknownDeformation):
         fun_presentation("II")
 
 

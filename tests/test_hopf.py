@@ -5,12 +5,10 @@ import random
 import pytest
 
 from oscquant.algebra import A, AM, AP, M, Algebra, exp_series, rebase, spread, tensor
-from oscquant.bialgebra import cocommutator_map
+from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation, cocommutator_map
 from oscquant.coeffs import CoefficientField
 from oscquant.hopf import (
-    PRESENTATION_KEYS,
     HopfPresentation,
-    UnknownPresentation,
     antipode_check,
     center_check,
     coassociativity_check,
@@ -27,7 +25,7 @@ from oscquant.hopf import (
 )
 from oscquant.lm import LMSpec, family_spec, lm_coproduct
 
-KEYS = list(PRESENTATION_KEYS)
+KEYS = list(DEFORMATIONS)
 FULL_ORDERS = {"Uz": 8, "IIn": 6, "IIs": 6}
 
 
@@ -88,7 +86,7 @@ def test_presentation_registry_and_cache():
     p = presentation("Uz", 4)
     assert p is presentation("Uz", 4)
     assert p.order == 4 and p.alg.order == 4
-    with pytest.raises(UnknownPresentation):
+    with pytest.raises(UnknownDeformation):
         presentation("bogus", 4)
 
 

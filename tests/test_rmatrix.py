@@ -5,15 +5,14 @@ import operator
 import pytest
 
 from oscquant.algebra import A, AM, AP, M, embed, exp_series
+from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import FunAlgebra, fun_presentation
 from oscquant.hopf import presentation
 from oscquant.rmatrix import (
-    R_KEYS,
     FreeElement,
     ScalarMatrix,
     UniversalR,
-    UnsupportedFamily,
     _frt_defect,
     _gen_matrices,
     conjugation_identity_check,
@@ -36,6 +35,7 @@ from oscquant.rmatrix import (
     universal_R,
 )
 
+R_KEYS = tuple(DEFORMATIONS)
 ORDERS = {"Uz": 4, "IIn": 3, "IIs": 4}
 
 
@@ -87,7 +87,7 @@ def test_reversed_factors_fail_qybe_both_ways():
     conjugated check and the dense product both fail, and the check's
     residual is the dense difference times R₁₂⁻¹."""
     good = universal_R("Uz", 3)
-    R = UniversalR("Uz", good.presentation, reversed(good.factors), good.first_order)
+    R = UniversalR("Uz", good.presentation, reversed(good.factors))
     ok, residuals = qybe_check(R)
     dense = _dense_qybe(R)
     assert not ok
@@ -96,11 +96,11 @@ def test_reversed_factors_fail_qybe_both_ways():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnknownDeformation):
         universal_R("Iplus", 3)
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnknownDeformation):
         d_matrix("nope")
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnknownDeformation):
         frt_relations("nope")
 
 
@@ -148,7 +148,7 @@ def test_embedded_R_is_the_arity3_exponential_product(key, order):
 
 def test_qybe_trivial_r():
     p = presentation("Uz", 3)
-    unit_r = UniversalR("unit", p, [], p.alg.tensor_zero(2))
+    unit_r = UniversalR("unit", p, [])
     assert qybe_check(unit_r)[0]
     assert inverse_check(unit_r)[0]
 
