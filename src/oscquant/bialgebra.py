@@ -45,6 +45,7 @@ from .algebra import (
     held,
     linear,
     mono_degree,
+    signed_sum,
     tensor,
     tensor_adjoint,
 )
@@ -109,12 +110,9 @@ class RMatrixSkew:
         self._tensor = None
 
     def __repr__(self):
-        bits = [
-            f"{c!r}*{wedge_name(slots)}"
-            for c, slots in zip(self.c, WEDGE_SLOTS)
-            if not c.is_zero
-        ]
-        return " + ".join(bits) if bits else "0"
+        return signed_sum(
+            (c, wedge_name(slots)) for c, slots in zip(self.c, WEDGE_SLOTS) if not c.is_zero
+        )
 
     def __eq__(self, other):
         return isinstance(other, RMatrixSkew) and self.field is other.field and self.c == other.c

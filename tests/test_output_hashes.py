@@ -77,7 +77,7 @@ PINNED = {
     "verify": "a3efa562efd9deb7",
     "prop2+prop4": "436fe4a2ebf6b88e",
     "prop1": "acfd71b7d6621ced",
-    "classify": "409f16e4a527f0bb",
+    "classify": "1bdc61f8a540d2b0",
     "verify-render": "5d857f751e977c50",
 }
 
