@@ -179,11 +179,10 @@ def expansion_base_check(R: UniversalR):
     presentation's six-coefficient r."""
     h1 = R.expansion.h_part(1)
     skew = (h1 - h1.swap()).scale(Fraction(1, 2))
-    first_order = sum(R.factors, R.alg.tensor_zero(2))
     return held(
         [
             ("order-0", R.expansion.h_part(0) - R.alg.tensor_unit(2).h_part(0)),
-            ("order-1", h1 - first_order.h_part(1)),
+            ("order-1", h1 - sum(R.factors, R.alg.tensor_zero(2)).h_part(1)),
             ("skew-part", skew - rebase(R.presentation.r.as_tensor(), R.alg).h_part(1)),
         ]
     )
