@@ -2,7 +2,7 @@
 """Print sha256 prefixes of the program's outputs, to show that a change
 leaves them as they were.
 
-Six outputs are hashed, each as one sha256 over its pieces concatenated
+Seven outputs are hashed, each as one sha256 over its pieces concatenated
 with no separator (the first 16 hex digits are printed):
 
 ``tables``          ``tables --which W --format F`` for W in I, II, III and
@@ -17,7 +17,10 @@ with no separator (the first 16 hex digits are printed):
                     stdout, then ``\\nexit=<rc>\\n``;
 ``verify-render``   the reports of ``verify --target prop6 --order 3``
                     rendered in text, then in LaTeX, with every wall time
-                    set to 0.
+                    set to 0;
+``frt``             ``frt_relations(key)`` for key in Uz, IIn, IIs: each
+                    extracted relation's ``render()`` in dict order, then
+                    the ``necessary`` map, then ``ok``, one per line.
 
 A ``verify`` document is hashed whole, with every ``wall_time_s`` removed,
 as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
@@ -25,7 +28,7 @@ as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
 
 Run from the repository root::
 
-    PYTHONPATH=src python3 scripts/output_hashes.py            # all six
+    PYTHONPATH=src python3 scripts/output_hashes.py            # all seven
     PYTHONPATH=src python3 scripts/output_hashes.py tables prop1
 """
 
@@ -40,6 +43,7 @@ import sys
 from oscquant.bialgebra import FAMILIES, SLOT_NAMES
 from oscquant.cli import ORDER_ENV, main as cli_main
 from oscquant.report import Report, render_reports_latex, render_reports_text
+from oscquant.rmatrix import frt_relations
 
 TIME_KEY = "wall_time_s"
 
@@ -109,6 +113,14 @@ def verify_render_pieces():
     yield render_reports_latex(reports)
 
 
+def frt_pieces():
+    for key in ("Uz", "IIn", "IIs"):
+        rep = frt_relations(key)
+        for rel in rep["extracted"].values():
+            yield rel.render() + "\n"
+        yield f"{rep['necessary']!r}\nok={rep['ok']}\n"
+
+
 def verify_pieces(target, orders):
     for order in orders:
         argv = ["verify", "--order", str(order), "--format", "json", "--jobs", "1"]
@@ -128,6 +140,7 @@ OUTPUTS = {
     "prop1": lambda: verify_pieces("prop1", range(2, 6)),
     "classify": classify_pieces,
     "verify-render": verify_render_pieces,
+    "frt": frt_pieces,
 }
 
 

@@ -22,7 +22,10 @@ algebra instance, which is what makes order-8 coproduct checks tractable.
 The package's structure maps (coproduct, antipode, the 3×3 representation,
 FRT evaluation of free words, the Poisson pull-back) are fixed on keys and
 extended by :func:`linear`, the one sum of ``c*image(k)`` over the terms of
-a container.
+a container.  Every matrix of the package (the 3×3 representation, the
+R-matrices and the FRT group element, the exponent matrices of ``lm``, the
+group matrix of ``poisson``) is a :class:`ScalarMatrix`, whose product is the
+one matrix product.
 """
 
 from __future__ import annotations
@@ -398,8 +401,8 @@ class _Terms:
     """The one sparse linear-combination core: keys mapped to nonzero coefficients.
 
     Every container of the package is built on it: :class:`Element`,
-    :class:`TensorElement`, :class:`.poisson.GroupFunction`,
-    :class:`.rmatrix.FreeElement` and :class:`.rmatrix.ScalarMatrix`.  A
+    :class:`TensorElement`, :class:`ScalarMatrix` (the one matrix type),
+    :class:`.poisson.GroupFunction` and :class:`.rmatrix.FreeElement`.  A
     container lives over a ``parent`` (an algebra, a group ring, or the
     coefficient field itself), which fixes the field and the truncation
     order, and may have a ``shape`` (tensor arity, matrix size).  Two
@@ -704,6 +707,87 @@ class TensorElement(_Terms):
         return linear(self, image, alg.zero())
 
 
+class ScalarMatrix(_Terms):
+    """Sparse exact square matrix, the package's one matrix type.
+
+    Its parent is a coefficient field and its shape the size, so matrices
+    over different fields or of different sizes never combine.  The entries
+    are coefficients of the field or elements of any ring over it
+    (:class:`Element`, :class:`.rmatrix.FreeElement`,
+    :class:`.poisson.GroupFunction`); a product multiplies entries in the
+    written order, so noncommuting entries keep their factor order.
+    """
+
+    __slots__ = ("dim",)
+
+    field = _Terms.parent
+    entries = _Terms.terms
+    order = None
+    __mul__ = _Terms.__mul__
+
+    def __init__(self, field: CoefficientField, dim: int, entries):
+        super().__init__(field, {k: c for k, c in entries.items() if not c.is_zero})
+        self.dim = dim
+
+    @classmethod
+    def identity(cls, field, dim):
+        return cls(field, dim, {(i, i): field.one for i in range(dim)})
+
+    @classmethod
+    def zero(cls, field, dim):
+        return cls(field, dim, {})
+
+    @classmethod
+    def from_rows(cls, field, rows):
+        """The matrix with these dense rows (zero entries are dropped)."""
+        return cls(field, len(rows), {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row)})
+
+    @classmethod
+    def flip(cls, field, dim):
+        """The flip P of C^dim ⊗ C^dim, P(u⊗v) = v⊗u (size dim²)."""
+        one = field.one
+        return cls(field, dim * dim, {(i * dim + j, j * dim + i): one for i in range(dim) for j in range(dim)})
+
+    @property
+    def shape(self):
+        return self.dim
+
+    def _like(self, entries):
+        return ScalarMatrix(self.field, self.dim, entries)
+
+    def _unit(self):
+        return ScalarMatrix.identity(self.field, self.dim)
+
+    def __repr__(self):
+        return "; ".join(f"({i},{j})={c!r}" for (i, j), c in sorted(self.entries.items())) or "0"
+
+    def _product(self, other):
+        by_row: dict = {}
+        for (k, j), c in other.entries.items():
+            by_row.setdefault(k, []).append((j, c))
+        out: dict = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                _acc(out, (i, j), a * b)
+        return ScalarMatrix(self.field, self.dim, out)
+
+    def kron(self, other):
+        """The Kronecker product: entry ((i,k),(j,l)) is self[i,j]·other[k,l]."""
+        d = other.dim
+        out = {}
+        for (i, j), a in self.entries.items():
+            for (k, l), b in other.entries.items():
+                out[(i * d + k, j * d + l)] = a * b
+        return ScalarMatrix(self.field, self.dim * d, out)
+
+    def dense_strings(self):
+        """Full nested-list rendering with exact fraction entries."""
+        return [
+            [repr(self.entries.get((i, j), self.field.zero)) for j in range(self.dim)]
+            for i in range(self.dim)
+        ]
+
+
 def tensor(*factors: Element) -> TensorElement:
     """The tensor product of algebra elements."""
     alg = factors[0].alg
@@ -784,13 +868,13 @@ def rebase(x, alg: Algebra):
     return Element(alg, terms)
 
 
-def exp_series(x, order: int | None = None):
+def exp_series(x):
     """exp of an element/tensor whose coefficients all carry the marker.
 
     The marker grading makes the series terminate at the truncation order;
     inputs with an order-0 part are rejected rather than summed blindly.
     """
-    order = x.order if order is None else order
+    order = x.order
     if order is None:
         raise ValueError("exp needs a truncation order")
     if not x.is_zero and x.marker_degree() < 1:
@@ -802,15 +886,6 @@ def exp_series(x, order: int | None = None):
             break
         total = total + term
     return total
-
-
-def mat_mul(a, b):
-    """Product of two square matrices (nested sequences) over any ring."""
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def held(pairs):

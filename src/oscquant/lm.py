@@ -4,14 +4,13 @@ Each classification family deforms the coalgebra while keeping a set of
 pairwise commuting generators H_i primitive; the remaining generators,
 stacked in a vector X, receive
 
-    Delta(X) = exp(sum_i mu_i H_i) .ox. X + sigma( exp(sum_i nu_i H_i) .ox. X )
+    Delta(X_k) = 1 (x) X_k + sum_l X_l (x) exp(N)_kl,    N = sum_i nu_i H_i,
 
-where mu_i, nu_i are square parameter matrices, the dotted pairing is
-(P .ox. X)_k = sum_l p_kl (x) X_l, and sigma flips tensor legs.  With the
-representative choice mu_i = 0 the first term is just 1 (x) X_k.  The order-h
-part antisymmetrizes to the cocommutator delta(X_k) = -sum_l N_kl ^ X_l with
-N = sum_i nu_i H_i, which is how the nu matrices are read off the
-classification table.  When delta(A) carries an H_i ^ H_j term that no matrix
+where the nu_i are square parameter matrices.  The order-h part
+antisymmetrizes to the cocommutator delta(X_k) = -sum_l N_kl ^ X_l, which is
+how the nu matrices are read off the classification table.  The nu_i, N and
+exp(N) are :class:`.algebra.ScalarMatrix`es, over coefficients and over
+algebra elements.  When delta(A) carries an H_i ^ H_j term that no matrix
 row can produce, the shift A' = A - s*M absorbs it first; the emitted images
 undo the shift, so every coproduct is stated on the original generators.
 
@@ -32,10 +31,10 @@ from .algebra import (
     GEN_NAMES,
     M,
     Algebra,
+    ScalarMatrix,
     TensorElement,
     exp_series,
     linear,
-    mat_mul,
     spread,
     tensor,
 )
@@ -56,37 +55,31 @@ class DivisionByZeroParam(ZeroDivisionError):
 # -- parameter matrices --------------------------------------------------
 
 
-def _coeff_matrix(field: CoefficientField, rows):
-    rows = tuple(
-        tuple(c if isinstance(c, Coefficient) else field.rational(c) for c in row)
-        for row in rows
+def _coeff_matrix(field: CoefficientField, rows) -> ScalarMatrix:
+    """Nested rows of coefficients (or rationals) as a matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("parameter matrices must be square")
+    return ScalarMatrix.from_rows(
+        field, [[c if isinstance(c, Coefficient) else field.rational(c) for c in row] for row in rows]
     )
-    for row in rows:
-        if len(row) != len(rows):
-            raise ValueError("parameter matrices must be square")
-    return rows
-
-
-def _cm_commute(a, b) -> bool:
-    return mat_mul(a, b) == mat_mul(b, a)
 
 
 @dataclass(frozen=True)
 class LMSpec:
     """Primitive generators plus one coefficient matrix per primitive.
 
-    ``primitives`` and ``vector`` are generator indices; ``nu[i]`` (and the
-    optional ``mu[i]``) is the square matrix attached to ``primitives[i]``,
-    sized by the vector.  ``shift`` records the absorbed substitution
-    A' = A - shift*M (zero when none); coproducts are emitted unshifted.
-    Matrix entries are expected marker-graded so series terminate.
+    ``primitives`` and ``vector`` are generator indices; ``nu[i]`` is the
+    square matrix attached to ``primitives[i]``, sized by the vector, given
+    as nested rows and held as a :class:`.algebra.ScalarMatrix`.  ``shift``
+    records the absorbed substitution A' = A - shift*M (zero when none);
+    coproducts are emitted unshifted.  Matrix entries are expected
+    marker-graded so series terminate.
     """
 
     field: CoefficientField
     primitives: tuple
     vector: tuple
     nu: tuple
-    mu: tuple | None = None
     shift: Coefficient | None = None
     key: str = ""
 
@@ -94,17 +87,13 @@ class LMSpec:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "vector", tuple(self.vector))
         nu = tuple(_coeff_matrix(self.field, m) for m in self.nu)
-        mu = None if self.mu is None else tuple(_coeff_matrix(self.field, m) for m in self.mu)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "mu", mu)
         if self.shift is None:
             object.__setattr__(self, "shift", self.field.zero)
-        if len(nu) != len(self.primitives) or (mu is not None and len(mu) != len(nu)):
+        if len(nu) != len(self.primitives):
             raise ValueError("need exactly one matrix per primitive generator")
-        n = len(self.vector)
-        for mat in nu + (mu or ()):
-            if len(mat) != n:
-                raise ValueError("matrix size must match the vector length")
+        if any(mat.dim != len(self.vector) for mat in nu):
+            raise ValueError("matrix size must match the vector length")
         if set(self.primitives) & set(self.vector):
             raise ValueError("a generator cannot be both primitive and in the vector")
         alg = Algebra.classical(self.field)
@@ -114,40 +103,26 @@ class LMSpec:
                     raise NoncommutingEntries(
                         f"primitive generators {GEN_NAMES[hi]} and {GEN_NAMES[hj]} do not commute"
                     )
-        mats = nu + (mu or ())
-        for i, a in enumerate(mats):
-            for b in mats[i + 1 :]:
-                if not _cm_commute(a, b):
-                    raise NoncommutingEntries("mu/nu matrices must pairwise commute")
+        for i, a in enumerate(nu):
+            for b in nu[i + 1 :]:
+                if a * b != b * a:
+                    raise NoncommutingEntries("nu matrices must pairwise commute")
 
 
-def spec_matrix(spec: LMSpec, alg: Algebra, which: str = "nu"):
-    """The element-valued matrix sum_i m_i * H_i, in the given algebra."""
-    mats = spec.nu if which == "nu" else spec.mu
-    n = len(spec.vector)
-    rows = [[alg.zero() for _ in range(n)] for _ in range(n)]
-    if mats is not None:
-        for hi, mat in zip(spec.primitives, mats):
-            g = alg.gen(hi)
-            for i in range(n):
-                for j in range(n):
-                    if not mat[i][j].is_zero:
-                        rows[i][j] = rows[i][j] + g.scale(mat[i][j])
-    return tuple(tuple(row) for row in rows)
+def spec_matrix(spec: LMSpec, alg: Algebra) -> ScalarMatrix:
+    """The element-valued matrix N = sum_i nu_i * H_i, in the given algebra."""
+    return sum(
+        (nu.map_coeffs(alg.gen(h).scale) for h, nu in zip(spec.primitives, spec.nu)),
+        ScalarMatrix.zero(spec.field, len(spec.vector)),
+    )
 
 
-def matrix_exp(mat, order: int | None = None):
-    """Truncated exponential of a square matrix of commuting elements."""
-    rows = tuple(tuple(r) for r in mat)
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix must be square")
-    alg = rows[0][0].alg
-    order = alg.order if order is None else order
+def matrix_exp(mat: ScalarMatrix, alg: Algebra) -> ScalarMatrix:
+    """Truncated exponential of a square matrix of commuting elements of ``alg``."""
+    order = alg.order
     if order is None:
         raise ValueError("matrix exp needs a truncation order")
-    entries = [e for r in rows for e in r if not e.is_zero]
+    entries = list(mat.entries.values())
     for i, a in enumerate(entries):
         for b in entries[i + 1 :]:
             if not a.commutator(b).is_zero:
@@ -155,18 +130,13 @@ def matrix_exp(mat, order: int | None = None):
     for e in entries:
         if e.marker_degree() < 1:
             raise ValueError("matrix entry has an order-0 part; series would not terminate")
-    total = [
-        [alg.one() if i == j else alg.zero() for j in range(n)] for i in range(n)
-    ]
-    term = [list(r) for r in total]
+    total = term = ScalarMatrix(alg.field, mat.dim, {(i, i): alg.one() for i in range(mat.dim)})
     for k in range(1, order + 1):
-        term = [[e.scale(Fraction(1, k)).truncate(order) for e in r] for r in mat_mul(term, rows)]
-        if all(e.is_zero for r in term for e in r):
+        term = (term * mat).scale(Fraction(1, k))
+        if term.is_zero:
             break
-        for i in range(n):
-            for j in range(n):
-                total[i][j] = total[i][j] + term[i][j]
-    return tuple(tuple(r) for r in total)
+        total = total + term
+    return total
 
 
 # -- basis shifts --------------------------------------------------------
@@ -274,7 +244,7 @@ def trivial_spec(field: CoefficientField | None = None) -> LMSpec:
     return LMSpec(field, (M,), (A, AP, AM), (((z, z, z), (z, z, z), (z, z, z)),), key="trivial")
 
 
-def iplus_nonstandard_closed(alg: Algebra):
+def iplus_nonstandard_closed(alg: Algebra) -> ScalarMatrix:
     """The closed form of exp(N) for I+ non-standard.
 
     N = (ap*Ap + x*M)*1 + B with B strictly nilpotent (B^2 = 0), so
@@ -290,7 +260,7 @@ def iplus_nonstandard_closed(alg: Algebra):
         (one - gM.scale(x), gM.scale(-(x * x / ap))),
         (gM.scale(ap), one + gM.scale(x)),
     )
-    return tuple(tuple(scalar * e for e in row) for row in factor)
+    return ScalarMatrix.from_rows(field, [[scalar * e for e in row] for row in factor])
 
 
 # -- the coproduct -------------------------------------------------------
@@ -319,19 +289,15 @@ class CoproductMap:
 def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
     """Delta on all four generators, truncated at marker order ``order``."""
     alg = Algebra.classical(spec.field, order)
-    P = matrix_exp(spec_matrix(spec, alg, "nu"), order)
-    Q = matrix_exp(spec_matrix(spec, alg, "mu"), order)
+    P = matrix_exp(spec_matrix(spec, alg), alg)
     images = {GEN_NAMES[h]: spread(alg.gen(h), 2) for h in spec.primitives}
     subst = Substitution(spec.field, spec.shift)
     note = ""
     for k, xk in enumerate(spec.vector):
-        t = alg.tensor_zero(2)
+        t = tensor(alg.one(), alg.gen(xk))
         for l, xl in enumerate(spec.vector):
-            g = alg.gen(xl)
-            if not Q[k][l].is_zero:
-                t = t + tensor(Q[k][l], g)
-            if not P[k][l].is_zero:
-                t = t + tensor(g, P[k][l])
+            if (k, l) in P.entries:
+                t = t + tensor(alg.gen(xl), P.entries[(k, l)])
         img = subst.to_unprimed(t)
         if xk == A and not subst.is_identity:
             img = img + spread(alg.gen(M), 2).scale(spec.shift)
@@ -356,7 +322,7 @@ class TableIIIRow:
     order: int
     images: dict  # label -> machine-expanded TensorElement
     closed: dict  # label -> decoded closed-form TensorElement ({} for matrix rows)
-    matrix_form: tuple | None  # transcribed exponent matrix, for rows kept in matrix form
+    matrix_form: ScalarMatrix | None  # transcribed exponent matrix, for rows kept in matrix form
     match: bool
 
 
@@ -387,11 +353,11 @@ def table_III(family: str | None = None, order: int = 6):
         closed: dict = {}
         matrix_form = None
         if "matrix" in cells:
-            matrix_form = tuple(
-                tuple(fixtures.element_of(alg, entry, marked=True).truncate(order) for entry in row)
-                for row in cells["matrix"]
+            matrix_form = ScalarMatrix.from_rows(
+                spec.field,
+                [[fixtures.element_of(alg, e, marked=True).truncate(order) for e in row] for row in cells["matrix"]],
             )
-            ok = ok and matrix_form == spec_matrix(spec, alg, "nu")
+            ok = ok and matrix_form == spec_matrix(spec, alg)
         else:
             for label, summands in cells["coproducts"].items():
                 closed[label] = fixtures.coproduct_tensor(alg, summands, marked=True)

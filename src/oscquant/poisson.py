@@ -15,7 +15,8 @@ A generic group element, as a 3x3 matrix:
     T = [ 0   E           a_plus             ]
         [ 0   0           1                  ]
 
-and matrix multiplication T(left)*T(right) is the group law.
+and the matrix product T(left)*T(right) is the group law (``group_matrix``
+and ``NumericElement.matrix`` return :class:`.algebra.ScalarMatrix`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import GEN_NAMES, _acc, _Terms, held, linear, signed_sum
+from .algebra import GEN_NAMES, ScalarMatrix, _acc, _Terms, held, linear, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -171,22 +172,20 @@ T_ENTRIES = {
 }
 
 
-def t_matrix(env: dict, number) -> dict:
-    """T's nonzero entries by position, read by ``expr.evaluate`` with the
+def t_matrix(env: dict, number) -> ScalarMatrix:
+    """T as a matrix, its entries read by ``expr.evaluate`` with the
     coordinates bound by ``env`` and integers lifted by ``number``, in any
-    ring: group functions, rationals, the quantized coordinate rings (the
-    products keep the written order) or free words."""
-    return {pos: expr_evaluate(text, env, number) for pos, text in T_ENTRIES.items()}
+    ring over a coefficient field: group functions, coefficients, the
+    quantized coordinate rings (the products keep the written order) or
+    free words."""
+    entries = {pos: expr_evaluate(text, env, number) for pos, text in T_ENTRIES.items()}
+    return ScalarMatrix(number(1).field, 3, entries)
 
 
-def _dense(t: dict, zero) -> list:
-    return [[t.get((i, j), zero) for j in range(3)] for i in range(3)]
-
-
-def group_matrix(coords: dict):
+def group_matrix(coords: dict) -> ScalarMatrix:
     """The 3x3 matrix of a group element with the given coordinates."""
     one = coords["E"] * coords["Einv"]  # the ring unit, whatever the ring
-    return _dense(t_matrix(coords, one.scale), one - one)
+    return t_matrix(coords, one.scale)
 
 
 class NumericElement(NamedTuple):
@@ -209,8 +208,10 @@ class NumericElement(NamedTuple):
             m=self.m + right.m - self.a_plus * right.a_minus / self.E,
         )
 
-    def matrix(self):
-        return _dense(t_matrix(self._asdict(), Fraction), Fraction(0))
+    def matrix(self) -> ScalarMatrix:
+        """T over the rationals (the parameter-free coefficient field)."""
+        field = CoefficientField.get()
+        return t_matrix({k: field.rational(v) for k, v in self._asdict().items()}, field.rational)
 
 
 # -- invariant vector fields ----------------------------------------------

@@ -18,11 +18,15 @@ supposed to do:
   creation-type family, and the four auxiliary conjugation identities
   that prove it for the three-parameter family;
 * the exact 3×3 matrix image: representation property, collapse of R to
-  a finite matrix form, and the 27×27 braid identity with no truncation;
+  a finite matrix form, and the 27×27 braid identity with no truncation,
+  its three factors placed with ``kron`` and the flip P₂₃;
 * the FRT construction R T₁T₂ = T₂T₁ R over the quantized coordinate
-  rings: all 81 entries vanish, the relations extracted from the free
-  (unreduced) entries are reported, and dropping any single commutation
-  rule is shown to break some entry.
+  rings, with T₁T₂ = T⊗T and T₂T₁ = P(T⊗T)P: all 81 entries vanish, the
+  relations extracted from the free (unreduced) entries are reported, and
+  dropping any single commutation rule is shown to break some entry.
+
+Every matrix here is an :class:`.algebra.ScalarMatrix`, over coefficients
+or over the coordinate rings' elements.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .algebra import (
     M,
     Algebra,
     Element,
+    ScalarMatrix,
     TensorElement,
-    _acc,
     _Terms,
     embed,
     exp_series,
@@ -53,12 +57,7 @@ from .algebra import (
 )
 from .bialgebra import deformation
 from .coeffs import CoefficientField
-from .funalg import (
-    LETTER_NAMES,
-    FunAlgebra,
-    fun_presentation,
-    semiclassical_check,  # noqa: F401  (re-exported; defined on coordinate rings)
-)
+from .funalg import LETTER_NAMES, FunAlgebra, fun_presentation
 from .hopf import HopfPresentation, expm1_over, presentation
 from .poisson import COORDS, t_matrix
 
@@ -282,71 +281,6 @@ def conjugation_identity_check(order: int):
 # -- exact 3×3 representation -------------------------------------------
 
 
-class ScalarMatrix(_Terms):
-    """Sparse exact square matrix over a coefficient field.
-
-    Its parent is the field and its shape the size, so matrices over
-    different fields or of different sizes never combine.
-    """
-
-    __slots__ = ("dim",)
-
-    field = _Terms.parent
-    entries = _Terms.terms
-    order = None
-    __mul__ = _Terms.__mul__
-
-    def __init__(self, field: CoefficientField, dim: int, entries):
-        super().__init__(field, {k: c for k, c in entries.items() if not c.is_zero})
-        self.dim = dim
-
-    @classmethod
-    def identity(cls, field, dim):
-        return cls(field, dim, {(i, i): field.one for i in range(dim)})
-
-    @classmethod
-    def zero(cls, field, dim):
-        return cls(field, dim, {})
-
-    @property
-    def shape(self):
-        return self.dim
-
-    def _like(self, entries):
-        return ScalarMatrix(self.field, self.dim, entries)
-
-    def _unit(self):
-        return ScalarMatrix.identity(self.field, self.dim)
-
-    def __repr__(self):
-        return "; ".join(f"({i},{j})={c!r}" for (i, j), c in sorted(self.entries.items())) or "0"
-
-    def _product(self, other):
-        by_row: dict = {}
-        for (k, j), c in other.entries.items():
-            by_row.setdefault(k, []).append((j, c))
-        out: dict = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                _acc(out, (i, j), a * b)
-        return ScalarMatrix(self.field, self.dim, out)
-
-    def kron(self, other):
-        d = other.dim
-        out = {}
-        for (i, j), a in self.entries.items():
-            for (k, l), b in other.entries.items():
-                out[(i * d + k, j * d + l)] = a * b
-        return ScalarMatrix(self.field, self.dim * d, out)
-
-    def dense_strings(self):
-        """Full nested-list rendering with exact fraction entries."""
-        return [
-            [repr(self.entries.get((i, j), self.field.zero)) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-
-
 def _gen_matrices(field) -> dict:
     one = field.one
     return {
@@ -378,12 +312,10 @@ def rep3_tensor(t: TensorElement) -> ScalarMatrix:
     )
 
 
-def rep3_check(field=None):
+def rep3_check():
     """D is a homomorphism: D of each normal-ordered product equals the
     matrix product, for all 16 generator pairs (exact)."""
-    from .algebra import Algebra
-
-    field = field or CoefficientField.get("z")
+    field = CoefficientField.get("z")
     alg = Algebra.classical(field)
     gens = _gen_matrices(field)
     return held(
@@ -411,8 +343,11 @@ def d_matrix(key: str, marked: bool = False, primed_reading: str = "definition")
     For ``IIs`` the creation leg is the primed generator; ``primed_reading``
     selects how its matrix is taken: ``definition`` computes it from
     e^{-zM}A₊ (which collapses to D(A₊)), ``literal-A`` substitutes D(A)
-    instead, the other reading a strict transcription would give.
+    instead, the other reading a strict transcription would give.  Any other
+    reading raises ``ValueError``, for every key.
     """
+    if primed_reading not in ("definition", "literal-A"):
+        raise ValueError(f"unknown primed_reading {primed_reading!r}")
     field = deformation(key).field()
     par = field.marked_param if marked else field.param
     gens = _gen_matrices(field)
@@ -426,12 +361,7 @@ def d_matrix(key: str, marked: bool = False, primed_reading: str = "definition")
             out = out + (gens[idx].kron(gens[M]) - gens[M].kron(gens[idx])).scale(par(name))
         return out
     z = par("z")
-    if primed_reading == "definition":
-        dap = primed_creation_matrix(field, marked)
-    elif primed_reading == "literal-A":
-        dap = gens[A]
-    else:
-        raise ValueError(f"unknown primed_reading {primed_reading!r}")
+    dap = primed_creation_matrix(field, marked) if primed_reading == "definition" else gens[A]
     return (
         eye
         + gens[AM].kron(dap).scale(2 * z)
@@ -439,27 +369,14 @@ def d_matrix(key: str, marked: bool = False, primed_reading: str = "definition")
     )
 
 
-def _three_site(mat9: ScalarMatrix, positions) -> ScalarMatrix:
-    """Place a 9×9 two-site matrix at two of three sites (27×27)."""
-    spare = ({0, 1, 2} - set(positions)).pop()
-    out = {}
-    for (r, c), v in mat9.entries.items():
-        ra, rb = divmod(r, 3)
-        ca, cb = divmod(c, 3)
-        for k in range(3):
-            row = [0, 0, 0]
-            col = [0, 0, 0]
-            row[positions[0]], row[positions[1]], row[spare] = ra, rb, k
-            col[positions[0]], col[positions[1]], col[spare] = ca, cb, k
-            out[(row[0] * 9 + row[1] * 3 + row[2], col[0] * 9 + col[1] * 3 + col[2])] = v
-    return ScalarMatrix(mat9.field, 27, out)
-
-
 def qybe_exact_matrix(mat9: ScalarMatrix):
-    """Exact 27×27 braid identity for a two-site matrix (no truncation)."""
-    r12 = _three_site(mat9, (0, 1))
-    r13 = _three_site(mat9, (0, 2))
-    r23 = _three_site(mat9, (1, 2))
+    """Exact 27×27 braid identity for a two-site matrix (no truncation):
+    R₁₂ = R⊗1, R₂₃ = 1⊗R and R₁₃ = P₂₃R₁₂P₂₃."""
+    eye = ScalarMatrix.identity(mat9.field, 3)
+    p23 = eye.kron(ScalarMatrix.flip(mat9.field, 3))
+    r12 = mat9.kron(eye)
+    r13 = p23 * r12 * p23
+    r23 = eye.kron(mat9)
     diff = r12 * r13 * r23 - r23 * r13 * r12
     return diff.is_zero, diff
 
@@ -520,37 +437,22 @@ class FreeElement(_Terms):
         return linear(self, lambda w: math.prod(map(alg.coord, w), start=alg.one()), alg.zero())
 
 
-def fun_t_matrix(alg: FunAlgebra) -> dict:
+def fun_t_matrix(alg: FunAlgebra) -> ScalarMatrix:
     """T over a quantized coordinate ring."""
     return t_matrix({n: alg.coord(n) for n in COORDS}, alg.one().scale)
 
 
-def free_t_matrix(field) -> dict:
+def free_t_matrix(field) -> ScalarMatrix:
     """T over the free (unreduced) words."""
     return t_matrix({n: FreeElement.letter(field, n) for n in COORDS}, FreeElement.unit(field).scale)
 
 
-def _frt_defect(r9: ScalarMatrix, tmat: dict, zero):
-    """The 81 entries of R·T₁T₂ − T₂T₁·R, in whatever algebra T lives in."""
-    t1t2 = {}
-    t2t1 = {}
-    for (i, j), tij in tmat.items():
-        for (a, b), tab in tmat.items():
-            t1t2[(3 * i + a, 3 * j + b)] = tij * tab
-            t2t1[(3 * i + a, 3 * j + b)] = tab * tij
-    out = {}
-    for r in range(9):
-        for c in range(9):
-            acc = zero
-            for k in range(9):
-                rc = r9.entries.get((r, k))
-                if rc is not None and (k, c) in t1t2:
-                    acc = acc + t1t2[(k, c)].scale(rc)
-                rc = r9.entries.get((k, c))
-                if rc is not None and (r, k) in t2t1:
-                    acc = acc - t2t1[(r, k)].scale(rc)
-            out[(r, c)] = acc
-    return out
+def _frt_defect(r9: ScalarMatrix, t: ScalarMatrix) -> ScalarMatrix:
+    """R·T₁T₂ − T₂T₁·R, in whatever ring T lives in, with T₁T₂ = T⊗T and
+    T₂T₁ = P(T⊗T)P."""
+    tt = t.kron(t)
+    flip = ScalarMatrix.flip(r9.field, 3)
+    return r9 * tt - flip * tt * flip * r9
 
 
 def frt_relations(key: str, order: int | None = None):
@@ -573,17 +475,11 @@ def frt_relations(key: str, order: int | None = None):
     r9 = d_matrix(key, marked=True)
     if r9.field is not field:
         raise AssertionError("coordinate ring and R-matrix field mismatch")
-    defect = _frt_defect(r9, fun_t_matrix(alg), alg.zero())
-    ok, residuals = held(defect.items())
-
-    free_defect = _frt_defect(
-        r9, free_t_matrix(field), FreeElement(field, {})
-    )
+    ok, residuals = held(sorted(_frt_defect(r9, fun_t_matrix(alg)).entries.items()))
     extracted = {}
-    for e in free_defect.values():
-        if not e.is_zero:
-            c = e.canonical()
-            extracted[c.render()] = c
+    for _, e in sorted(_frt_defect(r9, free_t_matrix(field)).entries.items()):
+        c = e.canonical()
+        extracted[c.render()] = c
     necessary = {}
     for pair in alg.tails:
         reduced = FunAlgebra(

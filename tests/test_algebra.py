@@ -17,6 +17,7 @@ from oscquant.algebra import (
     UNIT_MONO,
     Algebra,
     Element,
+    ScalarMatrix,
     TensorElement,
     apply_slot_map,
     embed,
@@ -28,7 +29,7 @@ from oscquant.algebra import (
 )
 from oscquant.coeffs import Coefficient, CoefficientField
 from oscquant.poisson import GroupRing
-from oscquant.rmatrix import FreeElement, ScalarMatrix
+from oscquant.rmatrix import FreeElement
 
 F = CoefficientField.get("z")
 CL = Algebra.classical(F)

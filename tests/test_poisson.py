@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscquant.algebra import held, mat_mul
+from oscquant.algebra import held
 from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant.poisson import (
@@ -65,17 +65,13 @@ class TestGroupLaw:
         for _ in range(100):
             g1, g2 = rand_el(), rand_el()
             composed = g1.compose(g2)
-            assert composed.matrix() == mat_mul(g1.matrix(), g2.matrix())
+            assert composed.matrix() == g1.matrix() * g2.matrix()
 
     def test_symbolic_matrix_agreement(self):
         ring = GroupRing(ZF, 2)
         left, right = site_coords(ring, 0), site_coords(ring, 1)
         composed = group_compose(left, right)
-        lhs = group_matrix(composed)
-        rhs = mat_mul(group_matrix(left), group_matrix(right))
-        for i in range(3):
-            for j in range(3):
-                assert lhs[i][j] == rhs[i][j], (i, j)
+        assert group_matrix(composed) == group_matrix(left) * group_matrix(right)
 
     def test_symbolic_associativity(self):
         ring = GroupRing(ZF, 3)

@@ -246,6 +246,47 @@ def test_exact_qybe_literal_reading_fails():
         assert (c / z).subs({"z": 0}).is_zero
 
 
+@pytest.mark.parametrize("key", R_KEYS)
+def test_d_matrix_rejects_an_unknown_primed_reading(key):
+    with pytest.raises(ValueError, match="primed_reading"):
+        d_matrix(key, primed_reading="bogus")
+
+
+def test_flip_conjugation_places_a_two_site_matrix_at_sites_1_and_3():
+    """P₂₃(R⊗1)P₂₃ is R acting on sites 1 and 3: entry ((a,k,b),(c,k,d))
+    is R[(a,b),(c,d)] for every spare index k, for a 9×9 R whose 81
+    entries are distinct."""
+    field = CoefficientField.get("z")
+    r = ScalarMatrix(field, 9, {(i, j): field.rational(9 * i + j + 1) for i in range(9) for j in range(9)})
+    eye = ScalarMatrix.identity(field, 3)
+    p23 = eye.kron(ScalarMatrix.flip(field, 3))
+    want = {
+        (9 * a + 3 * k + b, 9 * c + 3 * k + d): r.entries[(3 * a + b, 3 * c + d)]
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+        for d in range(3)
+        for k in range(3)
+    }
+    assert p23 * r.kron(eye) * p23 == ScalarMatrix(field, 27, want)
+
+
+def test_flip_conjugation_of_t_kron_t_reverses_the_factors():
+    """P(T⊗T)P has T_ab·T_ij at ((i,a),(j,b)): over the free words the
+    entries do not commute, so this pins the factor order of T₂T₁."""
+    field = CoefficientField.get("z")
+    t = free_t_matrix(field)
+    flip = ScalarMatrix.flip(field, 3)
+    want = {
+        (3 * i + a, 3 * j + b): t.entries[(a, b)] * t.entries[(i, j)]
+        for (i, j) in t.entries
+        for (a, b) in t.entries
+    }
+    got = flip * t.kron(t) * flip
+    assert got == ScalarMatrix(field, 9, want)
+    assert got != t.kron(t)
+
+
 def test_exact_qybe_identity_matrix():
     field = CoefficientField.get("z")
     ok, _ = qybe_exact_matrix(ScalarMatrix.identity(field, 9))
@@ -337,10 +378,8 @@ def test_frt_identity_r_needs_commutativity():
     field = CoefficientField.get("z")
     eye = ScalarMatrix.identity(field, 9)
     commutative = FunAlgebra(field, {}, label="commutative")
-    defect = _frt_defect(eye, fun_t_matrix(commutative), commutative.zero())
-    assert all(e.is_zero for e in defect.values())
-    free = _frt_defect(eye, free_t_matrix(field), FreeElement(field, {}))
-    nonzero = [e for e in free.values() if not e.is_zero]
+    assert _frt_defect(eye, fun_t_matrix(commutative)).is_zero
+    nonzero = list(_frt_defect(eye, free_t_matrix(field)).entries.values())
     assert nonzero  # the free defect is not trivially zero...
     assert all(e.into(commutative).is_zero for e in nonzero)  # ...only commutativity kills it
     deformed = fun_presentation("Uz").alg
