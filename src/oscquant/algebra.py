@@ -762,23 +762,19 @@ class ScalarMatrix(_Terms):
         return "; ".join(f"({i},{j})={c!r}" for (i, j), c in sorted(self.entries.items())) or "0"
 
     def _product(self, other):
-        by_row: dict = {}
+        rows: list = [{} for _ in range(self.dim)]
         for (k, j), c in other.entries.items():
-            by_row.setdefault(k, []).append((j, c))
+            rows[k][j] = c
         out: dict = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                _acc(out, (i, j), a * b)
+        for (i, _), j, c in _pair_walk(self.entries, lambda ik: rows[ik[1]], None):
+            _acc(out, (i, j), c)
         return ScalarMatrix(self.field, self.dim, out)
 
     def kron(self, other):
         """The Kronecker product: entry ((i,k),(j,l)) is self[i,j]·other[k,l]."""
         d = other.dim
-        out = {}
-        for (i, j), a in self.entries.items():
-            for (k, l), b in other.entries.items():
-                out[(i * d + k, j * d + l)] = a * b
-        return ScalarMatrix(self.field, self.dim * d, out)
+        pairs = _pair_walk(self.entries, other.entries, None)
+        return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): c for (i, j), (k, l), c in pairs})
 
     def dense_strings(self):
         """Full nested-list rendering with exact fraction entries."""
