@@ -284,9 +284,8 @@ class Algebra:
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.letter(g) for g in range(len(self.letters)))
 
-    def monomial(self, mono, coeff=None) -> "Element":
-        coeff = self.field.one if coeff is None else coeff
-        return Element(self, {tuple(mono): coeff} if coeff else {})
+    def monomial(self, mono) -> "Element":
+        return Element(self, {tuple(mono): self.field.one})
 
     def element(self, terms) -> "Element":
         return Element(self, {m: c for m, c in terms.items() if not c.is_zero})
@@ -381,10 +380,6 @@ class Algebra:
                 if not cc.is_zero:
                     stack.append((cc, pre + self.word_of(tm) + post))
         return Element(self, self._clean(out))
-
-
-word_of_mono = Algebra.word_of
-mono_of_word = Algebra.mono_of
 
 
 def _coerce_scalar(field: CoefficientField, x):
@@ -502,7 +497,7 @@ class _Terms:
         order = self.order
         out = {}
         for m, cc in self.terms.items():
-            v = (cc * c).truncate(order)
+            v = cc * c if order is None else (cc * c).truncate(order)
             if not v.is_zero:
                 out[m] = v
         return self._like(out)
@@ -775,13 +770,6 @@ class ScalarMatrix(_Terms):
         d = other.dim
         pairs = _pair_walk(self.entries, other.entries, None)
         return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): c for (i, j), (k, l), c in pairs})
-
-    def dense_strings(self):
-        """Full nested-list rendering with exact fraction entries."""
-        return [
-            [repr(self.entries.get((i, j), self.field.zero)) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
 
 
 def tensor(*factors: Element) -> TensorElement:

@@ -463,11 +463,6 @@ class Coefficient:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def is_one(self) -> bool:
-        one = self.field._one
-        return self.q == 1 and self.num == one and self.den == one
-
     def _check(self, other) -> "Coefficient | None":
         """Coerce to a coefficient of this field; None means "not my type"."""
         if isinstance(other, Coefficient):

@@ -19,8 +19,8 @@ the group law) and one antipode (the pullback of group inversion):
          [a-, m] = x a- + yp (E^-1 - 1) nonzero.
 ``IIs``  one parameter, only [a+, m] = z a+ and [a-, m] = z a-.
 
-All rule tails are polynomial, so these algebras are exact (no truncation
-needed); ``order`` may still be set to truncate.  The ring is an
+All rule tails are polynomial, so these algebras are exact: no truncation
+is needed, and none is applied.  The ring is an
 :class:`.algebra.Algebra` over six letters (E and its inverse step the same
 slot by +1 and -1), and its presentation is a
 :class:`.hopf.HopfPresentation`, so products, the coproduct and antipode
@@ -74,9 +74,6 @@ class FunAlgebra(Algebra):
                 f"rule ({hi},{lo}) has an unmarked tail; "
                 "the classical limit would not be commutative"
             )
-
-
-word_of_fun_mono = FunAlgebra.word_of
 
 
 # -- the three families --------------------------------------------------
@@ -167,13 +164,14 @@ class FunPresentation(HopfPresentation):
 _cache: dict = {}
 
 
-def fun_presentation(key: str, order: int | None = None) -> FunPresentation:
-    got = _cache.get((key, order))
+def fun_presentation(key: str) -> FunPresentation:
+    """The exact quantized coordinate ring of deformation ``key``."""
+    got = _cache.get(key)
     if got is None:
         d = deformation(key)
         field = d.field()
-        alg = FunAlgebra(field, _SWAPS[key](field), order, f"Fun-{key}")
-        got = _cache[(key, order)] = FunPresentation(key, alg, d.r(marked=False))
+        alg = FunAlgebra(field, _SWAPS[key](field), label=f"Fun-{key}")
+        got = _cache[key] = FunPresentation(key, alg, d.r(marked=False))
     return got
 
 
@@ -219,7 +217,6 @@ FUN_CHECKS = {
 }
 
 
-def fun_hopf_check(f: FunPresentation, names=None) -> dict:
-    """Run the named checks (default all); map name -> (ok, residuals)."""
-    names = tuple(FUN_CHECKS) if names is None else tuple(names)
-    return {name: FUN_CHECKS[name](f) for name in names}
+def fun_hopf_check(f: FunPresentation) -> dict:
+    """Run every check; map name -> (ok, residuals)."""
+    return {name: check(f) for name, check in FUN_CHECKS.items()}

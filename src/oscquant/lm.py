@@ -237,9 +237,9 @@ def family_spec(family) -> LMSpec:
     return LMSpec(field, (M,), (A, AP, AM), nu, key=fam.key)
 
 
-def trivial_spec(field: CoefficientField | None = None) -> LMSpec:
+def trivial_spec() -> LMSpec:
     """All matrices zero: every generator comes out primitive."""
-    field = CoefficientField.get() if field is None else field
+    field = CoefficientField.get()
     z = field.zero
     return LMSpec(field, (M,), (A, AP, AM), (((z, z, z), (z, z, z), (z, z, z)),), key="trivial")
 
@@ -266,33 +266,15 @@ def iplus_nonstandard_closed(alg: Algebra) -> ScalarMatrix:
 # -- the coproduct -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoproductMap:
-    """Generator -> tensor-square images, stated on the original basis."""
-
-    spec: LMSpec
-    order: int
-    images: dict  # generator label -> TensorElement
-    basis_note: str
-
-    def algebra(self) -> Algebra:
-        return Algebra.classical(self.spec.field, self.order)
-
-    def presentation(self, r: RMatrixSkew | None = None) -> HopfPresentation:
-        """These images as a presentation without an antipode, for the
-        homomorphism, coassociativity and counit checks of :mod:`.hopf`, and
-        for its cocommutator check when ``r`` is given."""
-        label = "exponential-matrix coproduct"
-        return HopfPresentation(self.spec.key, label, self.algebra(), self.images, None, None, r)
-
-
-def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
-    """Delta on all four generators, truncated at marker order ``order``."""
+def lm_coproduct(spec: LMSpec, order: int, r: RMatrixSkew | None = None) -> HopfPresentation:
+    """Delta on all four generators, truncated at marker order ``order`` and
+    stated on the original basis, as a presentation without an antipode: the
+    homomorphism, coassociativity and counit checks of :mod:`.hopf` take it,
+    and so does its cocommutator check when the classical ``r`` is given."""
     alg = Algebra.classical(spec.field, order)
     P = matrix_exp(spec_matrix(spec, alg), alg)
     images = {GEN_NAMES[h]: spread(alg.gen(h), 2) for h in spec.primitives}
     subst = Substitution(spec.field, spec.shift)
-    note = ""
     for k, xk in enumerate(spec.vector):
         t = tensor(alg.one(), alg.gen(xk))
         for l, xl in enumerate(spec.vector):
@@ -301,15 +283,14 @@ def lm_coproduct(spec: LMSpec, order: int) -> CoproductMap:
         img = subst.to_unprimed(t)
         if xk == A and not subst.is_identity:
             img = img + spread(alg.gen(M), 2).scale(spec.shift)
-            note = f"computed for A' = A - ({spec.shift!r})*M, images unshifted"
         images[GEN_NAMES[xk]] = img
-    return CoproductMap(spec=spec, order=order, images=images, basis_note=note)
+    return HopfPresentation(spec.key, "exponential-matrix coproduct", alg, images, None, None, r)
 
 
 def first_order_check(spec: LMSpec, r: RMatrixSkew):
     """Antisymmetrized order-h part of the coproduct equals delta from r:
     :func:`.hopf.cocommutator_check` on the order-1 coproduct."""
-    return cocommutator_check(lm_coproduct(spec, order=1).presentation(r))
+    return cocommutator_check(lm_coproduct(spec, 1, r))
 
 
 # -- the published coproduct table ---------------------------------------
@@ -326,7 +307,7 @@ class TableIIIRow:
     match: bool
 
 
-def table_III(family: str | None = None, order: int = 6):
+def table_III(order: int = 6):
     """Recompute the coproduct table and diff it against the fixture.
 
     Rows published in closed form are compared image by image at the given
@@ -337,10 +318,8 @@ def table_III(family: str | None = None, order: int = 6):
     from . import fixtures
 
     data = fixtures.load("table_III")
-    keys = [family] if family else list(FAMILIES)
     rows = []
-    for key in keys:
-        fam = FAMILIES[key]
+    for key, fam in FAMILIES.items():
         cells = data[key]
         spec = family_spec(fam)
         alg = Algebra.classical(spec.field, order)

@@ -72,9 +72,9 @@ class GroupRing:
     def element(self, terms) -> "GroupFunction":
         return GroupFunction(self, {k: c for k, c in terms.items() if not c.is_zero})
 
-    def from_expr(self, text: str, site: int = 0) -> "GroupFunction":
-        """Parse an expression over the coordinates and the field parameters."""
-        env = {name: self.coord(name, site) for name in _COORD_KEYS}
+    def from_expr(self, text: str) -> "GroupFunction":
+        """Parse an expression over site 0's coordinates and the field parameters."""
+        env = {name: self.coord(name) for name in _COORD_KEYS}
         env.update({p: self.field.param(p) for p in self.field.params})
         val = expr_evaluate(text, env, self.field.rational)
         if isinstance(val, Coefficient):
@@ -306,9 +306,9 @@ def sklyanin_bracket(r: RMatrixSkew, f: GroupFunction, g: GroupFunction) -> Grou
     return total
 
 
-def jacobi_check(r: RMatrixSkew, ring: GroupRing | None = None):
+def jacobi_check(r: RMatrixSkew):
     """Jacobi identity on all coordinate triples."""
-    ring = ring or GroupRing(r.field)
+    ring = GroupRing(r.field)
     coords = {name: ring.coord(name) for name in COORDS}
     pairs = []
     for na, nb, nc in combinations(COORDS, 3):

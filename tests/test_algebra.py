@@ -19,13 +19,12 @@ from oscquant.algebra import (
     Element,
     ScalarMatrix,
     TensorElement,
+    _Terms,
     apply_slot_map,
     embed,
     exp_series,
     lie_brackets,
-    mono_of_word,
     tensor,
-    word_of_mono,
 )
 from oscquant.coeffs import Coefficient, CoefficientField
 from oscquant.poisson import GroupRing
@@ -66,7 +65,7 @@ def some_elements(alg, with_marker=True):
     def elem(draw):
         e = alg.zero()
         for _ in range(draw(st.integers(1, 3))):
-            e = e + alg.monomial(draw(monos), draw(coeffs))
+            e = e + alg.monomial(draw(monos)).scale(draw(coeffs))
         return e
 
     return elem()
@@ -113,7 +112,7 @@ class TestClassicalPBW:
         assert x * (y + z) == x * y + x * z
 
     def test_unit_and_zero(self):
-        x = CL.monomial((1, 2, 0, 1), F.rational(3, 2))
+        x = CL.monomial((1, 2, 0, 1)).scale(F.rational(3, 2))
         assert CL.one() * x == x
         assert x * CL.one() == x
         assert x * CL.zero() == CL.zero()
@@ -141,7 +140,7 @@ class TestDeformedRewriting:
         z = F.marked_param("z")
         em = UZ.zero()
         for k in range(1, UZ.order + 2):
-            em = em + UZ.monomial((0, k, 0, 0), (-1) ** k * z ** (k - 1) * Fraction(1, factorial(k)))
+            em = em + UZ.monomial((0, k, 0, 0)).scale((-1) ** k * z ** (k - 1) * Fraction(1, factorial(k)))
         am = UZ.gen(AM)
         cas = 2 * UZ.monomial((1, 0, 0, 1)) + em * am + am * em
         for g in UZ.gens():
@@ -186,9 +185,9 @@ class TestConfluence:
         assert UZ.normalize_word(w) == UZ.normalize_word(w, rightmost=True)
 
     def test_word_mono_roundtrip(self):
-        assert word_of_mono((2, 0, 1, 3)) == (0, 0, 2, 3, 3, 3)
-        assert mono_of_word((0, 0, 2, 3, 3, 3)) == (2, 0, 1, 3)
-        assert mono_of_word(word_of_mono(UNIT_MONO)) == UNIT_MONO
+        assert Algebra.word_of((2, 0, 1, 3)) == (0, 0, 2, 3, 3, 3)
+        assert Algebra.mono_of((0, 0, 2, 3, 3, 3)) == (2, 0, 1, 3)
+        assert Algebra.mono_of(Algebra.word_of(UNIT_MONO)) == UNIT_MONO
 
 
 class TestTensors:
@@ -360,6 +359,27 @@ def test_shared_linear_laws(kind):
         for op in (lambda: a + o, lambda: a - o, lambda: a * o, lambda: a == o):
             with pytest.raises(ValueError):
                 op()
+
+
+def test_scaling_a_matrix_of_elements_copies_no_entry(monkeypatch):
+    """A matrix has no truncation order of its own, and scaling an element
+    entry already truncates it at its algebra's order: no entry is copied
+    again by a truncation at order None."""
+    z = F.marked_param("z")
+    a, ap = UZ.gen(A), UZ.gen(AP)
+    rows = [[a, ap * a], [UZ.one(), a + ap.scale(z)]]
+    want = ScalarMatrix.from_rows(F, [[e.scale(z) for e in row] for row in rows])
+    calls = []
+    truncate = _Terms.truncate
+
+    def counted(self, order):
+        calls.append(order)
+        return truncate(self, order)
+
+    monkeypatch.setattr(_Terms, "truncate", counted)
+    got = ScalarMatrix.from_rows(F, rows).scale(z)
+    assert None not in calls
+    assert got == want
 
 
 # -- the pair walk against a naive reference ------------------------------

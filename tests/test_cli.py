@@ -20,6 +20,7 @@ from oscquant import bialgebra, cli
 from oscquant.algebra import AP, Algebra, tensor
 from oscquant.cli import main
 from oscquant.expr import MAX_DEPTH
+from oscquant.hopf import HopfPresentation
 from oscquant.coeffs import CoefficientField
 from oscquant.rmatrix import CONJUGATION_CASES
 
@@ -367,9 +368,9 @@ def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
 
     def perturbed(spec, order):
         cp = built(spec, order)
-        alg = cp.algebra()
-        extra = tensor(alg.gen(AP), alg.one()).scale(spec.field.marked_param("x"))
-        return dataclasses.replace(cp, images={**cp.images, "Am": cp.images["Am"] + extra})
+        extra = tensor(cp.alg.gen(AP), cp.alg.one()).scale(spec.field.marked_param("x"))
+        images = {**cp.images, "Am": cp.images["Am"] + extra}
+        return HopfPresentation(cp.key, cp.label, cp.alg, images, None, None, cp.r)
 
     monkeypatch.setattr(cli, "lm_coproduct", perturbed)
     rc, payload, _ = run_json(

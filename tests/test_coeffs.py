@@ -347,7 +347,7 @@ class TestDenominatorOne:
         c = fresh_unit(a)
         assert c.den is not F._one
         assert c == a and hash(c) == hash(a)
-        assert c.is_one == a.is_one and repr(c) == repr(a)
+        assert (c == F.one) == (a == F.one) and repr(c) == repr(a)
         assert not c.den_has_marker and c.marker_degree == a.marker_degree
         for got, want in [(c + b, a + b), (b - c, b - a), (c * b, a * b), (b * c, b * a), (c**2, a**2),
                           (c.scale_params(), a.scale_params()), (c.h_part(1), a.h_part(1))]:

@@ -65,9 +65,8 @@ def test_coordinate_ring_element_with_inverse_E():
 
 def test_two_site_group_function():
     ring = GroupRing(CoefficientField.get("x", "y"), 2)
-    f = ring.from_expr("x*Einv*a_plus^2", 0) * ring.from_expr("m - theta", 1) + ring.from_expr(
-        "x^2 - y + 1"
-    )
+    second = ring.coord("m", 1) - ring.coord("theta", 1)
+    f = ring.from_expr("x*Einv*a_plus^2") * second + ring.from_expr("x^2 - y + 1")
     assert repr(f) == "x**2 - y + 1 + x*Einv_1*a_plus_1^2*m_2 - x*Einv_1*a_plus_1^2*theta_2"
 
 
