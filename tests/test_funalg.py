@@ -17,6 +17,7 @@ from oscquant.funalg import (
     LETTER_NAMES,
     FUN_CHECKS,
     FunAlgebra,
+    fun_hopf_check,
     fun_presentation,
 )
 from oscquant.poisson import COORDS, GroupRing, sklyanin_bracket
@@ -210,6 +211,12 @@ def test_hopf_axiom(key, check):
     p = fun_presentation(key)
     ok, residuals = FUN_CHECKS[check](p)
     assert ok, residuals
+
+
+def test_fun_hopf_check_runs_every_check():
+    results = fun_hopf_check(fun_presentation("IIn"))
+    assert list(results) == list(FUN_CHECKS)
+    assert all(ok for ok, _ in results.values()), results
 
 
 @pytest.mark.parametrize("key", KEYS)
