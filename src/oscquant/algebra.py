@@ -156,7 +156,7 @@ class Algebra:
     Each letter is a ``(slot, step)`` pair: multiplying a monomial by the
     letter adds ``step`` to exponent ``slot``.  Here the letters are the
     generators A, Ap, Am, M, each stepping its own slot by +1; subclasses
-    supply other tables (see :class:`.funalg.FunAlgebra`).  A normal word
+    supply other tables (see :class:`.poisson.FunAlgebra`).  A normal word
     lists its letters by slot, and a product is normal-ordered by the rules
     ``X_hi * X_lo = X_lo * X_hi + tail`` for letters in higher/lower slots;
     absent pairs commute.
@@ -396,11 +396,12 @@ class _Terms:
     """The one sparse linear-combination core: keys mapped to nonzero coefficients.
 
     Every container of the package is built on it: :class:`Element`,
-    :class:`TensorElement`, :class:`ScalarMatrix` (the one matrix type),
-    :class:`.poisson.GroupFunction` and :class:`.rmatrix.FreeElement`.  A
-    container lives over a ``parent`` (an algebra, a group ring, or the
-    coefficient field itself), which fixes the field and the truncation
-    order, and may have a ``shape`` (tensor arity, matrix size).  Two
+    :class:`TensorElement` (which also holds the functions on copies of the
+    group, over a :class:`.poisson.GroupRing`), :class:`ScalarMatrix` (the
+    one matrix type) and :class:`.rmatrix.FreeElement`.  A container lives
+    over a ``parent`` (an algebra or the coefficient field itself), which
+    fixes the field and the truncation order, and may have a ``shape``
+    (tensor arity, matrix size).  Two
     operands combine, or compare, only when they are the same kind of
     container over the same parent with the same shape; anything else
     raises ``ValueError``.  An ``int``, ``Fraction`` or ``Coefficient`` of
@@ -708,9 +709,9 @@ class ScalarMatrix(_Terms):
     Its parent is a coefficient field and its shape the size, so matrices
     over different fields or of different sizes never combine.  The entries
     are coefficients of the field or elements of any ring over it
-    (:class:`Element`, :class:`.rmatrix.FreeElement`,
-    :class:`.poisson.GroupFunction`); a product multiplies entries in the
-    written order, so noncommuting entries keep their factor order.
+    (:class:`Element`, :class:`TensorElement`, :class:`.rmatrix.FreeElement`);
+    a product multiplies entries in the written order, so noncommuting
+    entries keep their factor order.
     """
 
     __slots__ = ("dim",)
@@ -841,8 +842,10 @@ def rebase(x, alg: Algebra):
     """Reinterpret already-normal terms in another algebra over the same field.
 
     Legitimate between algebras sharing a normal form on the given support
-    (e.g. truncations of one another); used to compare results computed at
-    different truncation orders.
+    (e.g. truncations of one another, or a quantized coordinate ring and the
+    commutative one on the same letters); used to compare results computed
+    at different truncation orders, and a quantized ring with its classical
+    limit.
     """
     if x.alg.field is not alg.field:
         raise ValueError("rebase requires the same coefficient field")

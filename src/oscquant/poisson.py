@@ -1,13 +1,19 @@
 """The oscillator group: coordinates, group law, invariant fields, and the
 Poisson-Lie (Sklyanin) brackets induced by each skew r-matrix.
 
-Coordinates on the group are theta, a_plus, a_minus, m, with E = e^theta and
-its inverse adjoined as honest ring generators (E*Einv = 1 eagerly).  theta
-itself is kept as a distinguished polynomial coordinate that is never
-exponentiated; d/dtheta acts on both theta-powers and E-powers.  A
-:class:`GroupRing` can carry several independent coordinate copies ("sites"),
-which is how the doubled ring for the multiplicativity (Poisson map) check
-and the triple ring for group-law associativity are built.
+The coordinate functions are theta, a_plus, a_minus, m and the group-like
+exponential E = e^theta with its inverse.  They are the six letters of
+:class:`FunAlgebra`: E and Einv step one slot by +1 and -1, so a monomial is
+``(t, k, p, q, s)`` standing for ``theta^t * E^k * a_plus^p * a_minus^q *
+m^s`` with ``k`` any integer, and E*Einv = 1 eagerly.  theta itself is kept
+as a distinguished polynomial coordinate that is never exponentiated;
+d/dtheta acts on both theta-powers and E-powers.  The quantized coordinate
+rings of ``funalg`` add swap rules to this table; with none, it is the
+commutative coordinate ring.  A :class:`GroupRing` is that ring on
+``sites`` copies of the group, and a function on them is an
+arity-``sites`` :class:`.algebra.TensorElement` over it: the doubled ring
+serves the multiplicativity (Poisson map) check and the group-law pullback,
+the triple ring group-law associativity.
 
 A generic group element, as a 3x3 matrix:
 
@@ -27,54 +33,75 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import GEN_NAMES, ScalarMatrix, _acc, _Terms, held, linear, signed_sum
+from .algebra import GEN_NAMES, Algebra, ScalarMatrix, TensorElement, _acc, held, linear, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
 
 COORDS = ("theta", "E", "a_plus", "a_minus", "m")
-# Per-site monomial key: (theta_power, E_power, a_plus_power, a_minus_power, m_power)
-# with E_power any integer (Laurent) and the rest nonnegative.
-_UNIT_KEY = (0, 0, 0, 0, 0)
-_COORD_KEYS = {
-    "theta": (1, 0, 0, 0, 0),
-    "E": (0, 1, 0, 0, 0),
-    "Einv": (0, -1, 0, 0, 0),
-    "a_plus": (0, 0, 1, 0, 0),
-    "a_minus": (0, 0, 0, 1, 0),
-    "m": (0, 0, 0, 0, 1),
-}
+# Word letters; E and its inverse are distinct letters sharing the E slot.
+LETTER_NAMES = ("theta", "E", "Einv", "a_plus", "a_minus", "m")
+FUN_UNIT = (0, 0, 0, 0, 0)
 # Derivation targets, in component order for vector fields.
 DERIV_VARS = ("theta", "a_plus", "a_minus", "m")
 
 
-class GroupRing:
-    """Commutative coordinate ring of one or more copies of the group."""
+class FunAlgebra(Algebra):
+    """Coordinate ring presented by adjacent-swap rules over six letters.
 
-    order = None  # functions on the group are exact
+    The rules map ``(hi_letter, lo_letter)`` to a normal-form tail dict, so
+    ``X_hi * X_lo = X_lo * X_hi + tail``; absent pairs commute.  Every tail
+    term must carry the marker, which makes the classical limit the
+    commutative ring and (tails being polynomial) keeps products finite even
+    without a truncation order.
+    """
+
+    names = COORDS
+    letter_names = LETTER_NAMES
+    unit_mono = FUN_UNIT
+    letters = ((0, 1), (1, 1), (1, -1), (2, 1), (3, 1), (4, 1))
+
+    # Bound here as well so that per-class tracing (perfbench/spans.py,
+    # which patches through each class's own __dict__) sees the coordinate
+    # rings' products apart from the enveloping algebras'.
+    mul_mono = Algebra.mul_mono
+
+    def _check_tail(self, pair, mono, c):
+        if c.marker_degree < 1:
+            hi, lo = (LETTER_NAMES[g] for g in pair)
+            raise ValueError(
+                f"rule ({hi},{lo}) has an unmarked tail; "
+                "the classical limit would not be commutative"
+            )
+
+
+class GroupRing(FunAlgebra):
+    """Commutative coordinate ring of ``sites`` copies of the group: the
+    six-letter table with no swap rule.  Its functions are arity-``sites``
+    tensors, one monomial per site, so ``zero``, ``one``, ``coord`` and
+    ``element`` return :class:`.algebra.TensorElement`."""
 
     def __init__(self, field: CoefficientField, sites: int = 1):
-        self.field = field
+        super().__init__(field, {}, label=f"C[G^{sites}]")
         self.sites = sites
-        self._unit_key = (_UNIT_KEY,) * sites
 
-    def zero(self) -> "GroupFunction":
-        return GroupFunction(self, {})
+    def zero(self) -> TensorElement:
+        return self.tensor_zero(self.sites)
 
-    def one(self) -> "GroupFunction":
-        return GroupFunction(self, {self._unit_key: self.field.one})
+    def one(self) -> TensorElement:
+        return self.tensor_unit(self.sites)
 
-    def coord(self, name: str, site: int = 0) -> "GroupFunction":
-        key = list(self._unit_key)
-        key[site] = _COORD_KEYS[name]
-        return GroupFunction(self, {tuple(key): self.field.one})
+    def coord(self, name: str, site: int = 0) -> TensorElement:
+        key = [FUN_UNIT] * self.sites
+        key[site] = self.shift(FUN_UNIT, LETTER_NAMES.index(name))
+        return TensorElement(self, self.sites, {tuple(key): self.field.one})
 
-    def element(self, terms) -> "GroupFunction":
-        return GroupFunction(self, {k: c for k, c in terms.items() if not c.is_zero})
+    def element(self, terms) -> TensorElement:
+        return TensorElement(self, self.sites, {k: c for k, c in terms.items() if not c.is_zero})
 
-    def from_expr(self, text: str) -> "GroupFunction":
+    def from_expr(self, text: str) -> TensorElement:
         """Parse an expression over site 0's coordinates and the field parameters."""
-        env = {name: self.coord(name) for name in _COORD_KEYS}
+        env = site_coords(self, 0)
         env.update({p: self.field.param(p) for p in self.field.params})
         val = expr_evaluate(text, env, self.field.rational)
         if isinstance(val, Coefficient):
@@ -82,73 +109,32 @@ class GroupRing:
         return val
 
 
-class GroupFunction(_Terms):
-    """A finite sum of coordinate monomials with exact coefficients."""
-
-    __slots__ = ()
-
-    ring = _Terms.parent
-
-    def __repr__(self):
-        return group_str(self)
-
-    def _unit(self):
-        return self.ring.one()
-
-    @staticmethod
-    def _key_product(k1, k2):
-        return tuple(tuple(a + b for a, b in zip(s1, s2)) for s1, s2 in zip(k1, k2))
-
-    def derive(self, var: str, site: int = 0) -> "GroupFunction":
-        """Partial derivative; d/dtheta also differentiates E-powers."""
-        vi = {"theta": 0, "a_plus": 2, "a_minus": 3, "m": 4}[var]
-        out: dict = {}
-        for key, c in self.terms.items():
-            sk = key[site]
-            if var == "theta":
-                # theta-power rule ...
-                if sk[0]:
-                    new = sk[:0] + (sk[0] - 1,) + sk[1:]
-                    _acc(out, key[:site] + (new,) + key[site + 1 :], c * sk[0])
-                # ... plus the E-power chain rule (dE/dtheta = E).
-                if sk[1]:
-                    _acc(out, key, c * sk[1])
-            else:
-                if sk[vi]:
-                    new = sk[:vi] + (sk[vi] - 1,) + sk[vi + 1 :]
-                    _acc(out, key[:site] + (new,) + key[site + 1 :], c * sk[vi])
-        return GroupFunction(self.ring, out)
-
-    def substitute(self, images: dict, target_ring: GroupRing) -> "GroupFunction":
-        """Ring map determined by coordinate images (site 0 only).
-
-        ``images`` maps each of theta, E, Einv, a_plus, a_minus, m to a
-        function in the target ring; E and Einv images must be the two
-        halves of a unit pair.
-        """
-        if self.ring.sites != 1:
-            raise ValueError("substitute expects a single-site function")
-
-        def image(key):
-            t, k, p, q, s = key[0]
-            ek = "E" if k > 0 else "Einv"
-            word = ["theta"] * t + ["a_plus"] * p + ["a_minus"] * q + ["m"] * s + [ek] * abs(k)
-            return math.prod((images[name] for name in word), start=target_ring.one())
-
-        return linear(self, image, target_ring.zero())
+def derive(f: TensorElement, var: str, site: int) -> TensorElement:
+    """Partial derivative of a group function in one site's coordinate
+    ``var``; d/dtheta also differentiates E-powers (dE/dtheta = E)."""
+    slot = COORDS.index(var)
+    out: dict = {}
+    for key, c in f.terms.items():
+        sk = key[site]
+        if sk[slot]:
+            new = sk[:slot] + (sk[slot] - 1,) + sk[slot + 1 :]
+            _acc(out, key[:site] + (new,) + key[site + 1 :], c * sk[slot])
+        if var == "theta" and sk[1]:
+            _acc(out, key, c * sk[1])
+    return f._like(out)
 
 
 # -- group law -----------------------------------------------------------
 
 
 def site_coords(ring: GroupRing, site: int) -> dict:
-    return {name: ring.coord(name, site) for name in _COORD_KEYS}
+    return {name: ring.coord(name, site) for name in LETTER_NAMES}
 
 
 def group_compose(left: dict, right: dict) -> dict:
     """Coordinates of the product element; ``left`` is the left factor.
 
-    Both arguments are coordinate dicts (name -> GroupFunction) over a
+    Both arguments are coordinate dicts (letter name -> function) over a
     common ring, e.g. two sites of a doubled ring.
     """
     return {
@@ -225,11 +211,11 @@ class VectorField:
     site: int
     comps: tuple  # coefficients of d/dtheta, d/da_plus, d/da_minus, d/dm
 
-    def __call__(self, f: GroupFunction) -> GroupFunction:
+    def __call__(self, f: TensorElement) -> TensorElement:
         total = self.ring.zero()
         for comp, var in zip(self.comps, DERIV_VARS):
             if not comp.is_zero:
-                total = total + comp * f.derive(var, self.site)
+                total = total + comp * derive(f, var, self.site)
         return total
 
     def commutator(self, other: "VectorField") -> "VectorField":
@@ -283,10 +269,10 @@ def right_fields(ring: GroupRing, site: int = 0) -> dict:
 # -- the Sklyanin bracket --------------------------------------------------
 
 
-def sklyanin_bracket(r: RMatrixSkew, f: GroupFunction, g: GroupFunction) -> GroupFunction:
+def sklyanin_bracket(r: RMatrixSkew, f: TensorElement, g: TensorElement) -> TensorElement:
     """{f, g} = sum r^{ab} (X^L_a f X^L_b g - X^R_a f X^R_b g), summed over sites."""
-    ring = f.ring
-    if g.ring is not ring:
+    ring = f.alg
+    if g.alg is not ring:
         raise ValueError("bracket arguments from different rings")
     total = ring.zero()
     for site in range(ring.sites):
@@ -335,10 +321,15 @@ def multiplicativity_check(r: RMatrixSkew):
     single = GroupRing(r.field, 1)
     double = GroupRing(r.field, 2)
     images = group_compose(site_coords(double, 0), site_coords(double, 1))
+
+    def pullback(key):
+        word = FunAlgebra.word_of(key[0])
+        return math.prod((images[LETTER_NAMES[g]] for g in word), start=double.one())
+
     pairs = []
     for na, nb in combinations(COORDS, 2):
         fa, fb = single.coord(na), single.coord(nb)
-        lhs = sklyanin_bracket(r, fa, fb).substitute(images, double)
+        lhs = linear(sklyanin_bracket(r, fa, fb), pullback, double.zero())
         pairs.append(((na, nb), lhs - sklyanin_bracket(r, images[na], images[nb])))
     return held(pairs)
 
@@ -359,8 +350,8 @@ EXTRA_PAIRS = (("theta", "E"), ("E", "a_plus"), ("E", "a_minus"), ("E", "m"))
 @dataclass(frozen=True)
 class TableIIRow:
     key: str
-    computed: dict  # pair -> GroupFunction, over all ten pairs
-    table: dict  # pair -> GroupFunction, the six transcribed cells
+    computed: dict  # pair -> one-site group function, over all ten pairs
+    table: dict  # pair -> one-site group function, the six transcribed cells
     extras: tuple  # pairs computed but not present in the table
     match: bool
 
@@ -404,23 +395,23 @@ def _site_powers(sk) -> list:
     return [(COORDS[i], sk[i]) for i in _PRINT_ORDER if sk[i]]
 
 
-def _site_mono_str(sk, suffix=""):
+def _site_mono_str(sk):
     bits = []
     for name, n in _site_powers(sk):
         if name == "E" and n < 0:
             name, n = "Einv", -n
-        bits.append(name + suffix + ("" if n == 1 else f"^{n}"))
+        bits.append(name + ("" if n == 1 else f"^{n}"))
     return "*".join(bits)
 
 
-def group_terms(f: GroupFunction) -> list:
+def group_terms(f: TensorElement) -> list:
     """The term keys of ``f`` in print order: by total degree, then by key."""
     return sorted(f.terms, key=lambda k: (sum(sum(map(abs, sk)) for sk in k), k))
 
 
-def group_str(f: GroupFunction) -> str:
-    suffixes = [""] if f.ring.sites == 1 else [f"_{site + 1}" for site in range(f.ring.sites)]
-    return signed_sum(
-        (f.terms[key], "*".join(filter(None, map(_site_mono_str, key, suffixes))))
-        for key in group_terms(f)
-    )
+def group_str(f: TensorElement) -> str:
+    """A one-site group function as Table II prints it: Einv for negative
+    powers of E, and in each monomial the power of E first."""
+    if f.alg.sites != 1:
+        raise ValueError("group_str prints one-site functions")
+    return signed_sum((f.terms[key], _site_mono_str(key[0])) for key in group_terms(f))

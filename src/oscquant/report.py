@@ -21,7 +21,7 @@ from .algebra import GEN_NAMES, TensorElement, signed_sum
 from .bialgebra import GEN_MONOS, WEDGE_SLOTS, RMatrixSkew, wedge
 from .coeffs import Coefficient
 from .expr import evaluate
-from .poisson import GroupFunction, _site_powers, group_str, group_terms
+from .poisson import _site_powers, group_str, group_terms
 
 STATUSES = ("pass", "fail", "finding")
 
@@ -331,7 +331,7 @@ def _site_mono_latex(sk) -> str:
     )
 
 
-def latex_group(f: GroupFunction) -> str:
+def latex_group(f: TensorElement) -> str:
     return latex_sum(
         (f.terms[key], r" \, ".join(filter(None, map(_site_mono_latex, key))))
         for key in group_terms(f)

@@ -58,9 +58,9 @@ from .algebra import (
 )
 from .bialgebra import deformation
 from .coeffs import CoefficientField
-from .funalg import LETTER_NAMES, FunAlgebra, fun_presentation
+from .funalg import fun_presentation
 from .hopf import HopfPresentation, expm1_over, presentation
-from .poisson import COORDS, t_matrix
+from .poisson import COORDS, LETTER_NAMES, FunAlgebra, t_matrix
 
 
 # -- universal R as a product of exponentials ---------------------------

@@ -15,7 +15,6 @@ import contextlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from oscquant.algebra import A, AM, AP, GEN_MONOS, M, Algebra, held, lie_brackets, tensor
 from oscquant.bialgebra import (
@@ -119,7 +118,7 @@ def test_03_table_II():
             # The six transcribed cells are diffed inside row.match; the four
             # E-pairs beyond the printed table are pinned by the chain rule
             # {E, f} = E * {theta, f}.
-            ring = row.computed[TABLE_II_PAIRS[0]].ring
+            ring = row.computed[TABLE_II_PAIRS[0]].alg
             E = ring.coord("E")
             assert row.computed[("theta", "E")].is_zero, row.key
             for name in ("a_plus", "a_minus", "m"):

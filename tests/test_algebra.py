@@ -321,7 +321,7 @@ def _containers(kind):
         a = tensor(UZ.gen(A), UZ.gen(AP)).scale(z)
         b = tensor(UZ.gen(AP), UZ.gen(M)) + tensor(UZ.one(), UZ.gen(A))
         return a, b, [tensor(CL.gen(A), CL.gen(AP)), tensor(UZ.gen(A), UZ.gen(A), UZ.gen(A))]
-    if kind == "GroupFunction":
+    if kind == "GroupRing":
         ring = GroupRing(F)
         a = ring.coord("a_plus") * ring.coord("E") + ring.coord("theta").scale(z)
         b = ring.coord("Einv") - ring.coord("m") * 2
@@ -335,13 +335,14 @@ def _containers(kind):
     return a, b, [_matrix(F, 9, (0, 1)), _matrix(OTHER_FIELD, 3, (0, 1))]
 
 
-CONTAINERS = ("Element", "TensorElement", "GroupFunction", "FreeElement", "ScalarMatrix")
+# A function on the group is a one-site tensor over the commutative ring.
+CONTAINERS = ("Element", "TensorElement", "GroupRing", "FreeElement", "ScalarMatrix")
 
 
 @pytest.mark.parametrize("kind", CONTAINERS)
 def test_shared_linear_laws(kind):
     a, b, others = _containers(kind)
-    assert type(a).__name__ == kind
+    assert type(a).__name__ == ("TensorElement" if kind == "GroupRing" else kind)
     assert a + b - b == a
     assert (-a + a).is_zero
     assert a - a == 0 and a + 1 - a == 1

@@ -10,12 +10,10 @@ from oscquant.algebra import (
     M,
     Algebra,
     tensor,
-    tensor_adjoint,
 )
 from oscquant.bialgebra import (
     FAMILIES,
     AmbiguousStratum,
-    Classification,
     NotCoboundary,
     RMatrixSkew,
     ad_invariant_check,

@@ -305,6 +305,20 @@ def test_detects_wrong_antipode():
     assert any("m" == tag.split()[-1] for tag, _ in residuals)
 
 
+def test_detects_a_primitive_a_plus():
+    from oscquant.algebra import spread
+    from oscquant.funalg import group_law_check
+    from oscquant.hopf import HopfPresentation
+
+    p = fun_presentation("Uz")
+    images = dict(p.images, a_plus=spread(p.alg.coord("a_plus"), 2))
+    q = HopfPresentation(p.key, p.label, p.alg, images, p.antipode, None, p.r)
+    ok, residuals = group_law_check(q)
+    assert not ok
+    assert [name for name, _ in residuals] == ["a_plus"]
+    assert not residuals[0][1].is_zero
+
+
 def test_detects_wrong_r_matrix():
     from oscquant.bialgebra import RMatrixSkew
     from oscquant.funalg import semiclassical_check

@@ -6,7 +6,6 @@ import pytest
 
 from oscquant.algebra import A, AM, AP, M, Algebra, exp_series, rebase, spread, tensor
 from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation, cocommutator_map
-from oscquant.coeffs import CoefficientField
 from oscquant.hopf import (
     CHECKS,
     HopfPresentation,

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and none imports
-sympy when it is itself imported.
+"""No module of the package, test or script imports a name it never uses,
+and no module of the package imports sympy when it is itself imported.
 
 sympy is needed only for LaTeX output: two modules reach it, and only from
 inside a function, so a text or JSON run never loads it.
@@ -7,7 +7,7 @@ inside a function, so a text or JSON run never loads it.
 No linter ships with the project's toolchain, so this is the unused-import
 rule (F401) written against the standard library's ``ast``.  An import that
 exists to re-export a name says so with ``# noqa: F401`` on its line.
-``__init__.py`` is all re-exports and is left out.
+The package's ``__init__.py`` is all re-exports and is left out.
 """
 
 import ast
@@ -18,7 +18,10 @@ import pytest
 import oscquant
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The tests and the scripts, named by directory: ``tests/test_lm.py``.
+OTHER_SOURCES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _annotation_names(node):
@@ -84,7 +87,9 @@ def test_checker_flags_an_unused_import_and_honours_noqa():
     assert unused_imports(src) == ["4: b"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + OTHER_SOURCES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -10,11 +10,14 @@ components, not a term dict, and its negation is componentwise.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import oscquant
+from oscquant.algebra import _Terms
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -60,3 +63,23 @@ def test_checker_flags_a_second_copy():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_linear_operations_live_in_the_core(path):
     assert linear_op_definitions(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_core_has_four_containers():
+    """No second container of group functions (or of anything else): a
+    function on copies of the group is a ``TensorElement``."""
+    for mod in pkgutil.iter_modules(oscquant.__path__):
+        if mod.name != "__main__":
+            importlib.import_module(f"oscquant.{mod.name}")
+    found, todo = set(), [_Terms]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("oscquant."):
+                found.add(f"{sub.__module__}.{sub.__name__}")
+                todo.append(sub)
+    assert found == {
+        "oscquant.algebra.Element",
+        "oscquant.algebra.TensorElement",
+        "oscquant.algebra.ScalarMatrix",
+        "oscquant.rmatrix.FreeElement",
+    }

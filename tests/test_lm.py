@@ -8,7 +8,6 @@ from oscquant.algebra import (
     AP,
     GEN_NAMES,
     M,
-    UNIT_MONO,
     Algebra,
     ScalarMatrix,
     exp_series,
@@ -22,7 +21,6 @@ from oscquant.lm import (
     DivisionByZeroParam,
     LMSpec,
     NoncommutingEntries,
-    Substitution,
     basis_change,
     family_spec,
     first_order_check,

@@ -200,7 +200,7 @@ def test_group_function(field):
 
     got = linear(x, image, ring.zero())
     assert got == ring.from_expr("(a_plus + m)^2 + 3*theta")
-    assert got == _by_hand(x, image, ring.zero()) == x.substitute(images, ring)
+    assert got == _by_hand(x, image, ring.zero())
 
 
 def test_an_image_with_a_zero_coefficient_drops(field):

@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from oscquant.algebra import held
 from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
+from oscquant import poisson
 from oscquant.poisson import (
-    COORDS,
     GroupRing,
     NumericElement,
     group_compose,
@@ -85,6 +86,43 @@ class TestGroupLaw:
         ring = GroupRing(ZF, 2)
         composed = group_compose(site_coords(ring, 0), site_coords(ring, 1))
         assert composed["theta"] == ring.coord("theta", 0) + ring.coord("theta", 1)
+
+
+class TestGroupRing:
+    """Functions on copies of the group are tensors over the rule-free
+    six-letter table: a product of monomials adds exponents site by site."""
+
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_products_add_exponents(self, sites):
+        rng = random.Random(sites)
+        ring = GroupRing(ZF, sites)
+
+        def laurent_terms():
+            return {
+                tuple(
+                    (rng.randint(0, 2), rng.randint(-3, 3), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+                    for _ in range(sites)
+                ): ZF.rational(rng.choice([-3, -1, 1, 2, Fraction(1, 2)]))
+                for _ in range(rng.randint(1, 3))
+            }
+
+        for _ in range(40):
+            t1, t2 = laurent_terms(), laurent_terms()
+            want = ring.zero()
+            for k1, c1 in t1.items():
+                for k2, c2 in t2.items():
+                    key = tuple(tuple(map(add, s1, s2)) for s1, s2 in zip(k1, k2))
+                    want = want + ring.element({key: c1 * c2})
+            f, g = ring.element(t1), ring.element(t2)
+            assert f * g == want == g * f
+
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_e_times_einv_is_one(self, sites):
+        ring = GroupRing(ZF, sites)
+        for site in range(sites):
+            assert ring.coord("E", site) * ring.coord("Einv", site) == 1
+            assert ring.coord("Einv", site) * ring.coord("E", site) == ring.one()
+            assert ring.coord("E", site) ** 3 * ring.coord("Einv", site) ** 2 == ring.coord("E", site)
 
 
 class TestInvariantFields:
@@ -203,6 +241,27 @@ class TestPoissonLieProperties:
         for fam in FAMILIES.values():
             ok, residuals = multiplicativity_check(fam.r(marked=False))
             assert ok, (fam.key, residuals)
+
+    def test_multiplicativity_fails_for_a_wrong_group_law(self, monkeypatch):
+        compose = poisson.group_compose
+
+        def without_the_m_correction(left, right):
+            out = compose(left, right)
+            out["m"] = left["m"] + right["m"]  # drops -Einv*a_plus*a_minus
+            return out
+
+        monkeypatch.setattr(poisson, "group_compose", without_the_m_correction)
+        ok, residuals = multiplicativity_check(self.r_uz())
+        assert not ok
+        assert [pair for pair, _ in residuals] == [("theta", "m"), ("E", "m"), ("a_plus", "m"), ("a_minus", "m")]
+        assert all(not diff.is_zero for _, diff in residuals)
+
+    def test_jacobi_fails_off_the_coboundaries(self):
+        # c1 = c2 = 1 is not a coboundary (see test_multiplicativity_needs_mcybe)
+        ok, residuals = jacobi_check(RMatrixSkew(CoefficientField.get(), (1, 1, 0, 0, 0, 0)))
+        assert not ok
+        assert len(residuals) == 5
+        assert all(not diff.is_zero for _, diff in residuals)
 
     def test_multiplicativity_needs_mcybe(self):
         GF = CoefficientField.get("c1", "c2", "c3", "c4", "c5", "c6")
