@@ -10,8 +10,10 @@ Subpackages build on each other roughly in this order:
                  ``ScalarMatrix``, the one matrix type
 - ``bialgebra``  classical r-matrices, Schouten brackets, cocommutators,
                  and the classification of coboundary Lie bialgebra families
-- ``poisson``    the oscillator group, invariant vector fields, and the
-                 Poisson-Lie brackets induced by each r-matrix family
+- ``poisson``    the oscillator group, its coordinate ring (the six-letter
+                 table ``funalg`` deforms, with no swap rule), invariant
+                 vector fields, and the Poisson-Lie brackets induced by
+                 each r-matrix family
 - ``lm``         exponential-coproduct construction of the quantized
                  coalgebras from commuting exponent matrices, and their
                  closed forms
