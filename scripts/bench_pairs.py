@@ -17,8 +17,16 @@ medians and quartiles, the change's median relative to the base, the pairs
 the change won, and whether the gain is resolved: won in at least 9 of 10
 pairs and better in the median by more than the base's interquartile
 range.  It also holds the two commits and the environment stamp of
-``run.py`` (Python, sympy, gmpy2, cores).  Exit code 1 if any verdict was
-wrong or any run failed.
+``run.py`` (Python, sympy, gmpy2, cores).
+
+A run that exits with a code other than 0 (every verdict right) or 1 (one
+wrong), or prints no result, is recorded under ``failures`` with its side,
+workload, seed, exit code and the tail of its standard error, and the pairs
+go on; the statistics use the pairs in which both sides finished.  After the
+pairs, each side runs every workload once more with ``--trace 1`` and seed
+``first_seed``; ``traced`` holds each such run's exit code, verdicts and
+per-layer counts.  Exit code 1 if any verdict was wrong or any run failed,
+a traced run included.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
+STDERR_TAIL = 2000
 
 
 def git(*args) -> str:
@@ -50,18 +59,50 @@ def unpack(commit: str, into: Path) -> None:
         tf.extractall(into, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float):
-    """(metrics {name: value}, attempted, failed, env stamp) of one untraced run."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+    """(exit code, standard output, standard error) of one run of ``run.py``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
-    lines = out.stdout.strip().splitlines()
-    if out.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr[-2000:]}")
+    return out.returncode, out.stdout, out.stderr
+
+
+def read_result(code: int, stdout: str):
+    """(result object, env stamp) of a run that finished, else None.
+
+    A run finished when it exited 0 or 1 and its last line of output is the
+    result object; a crash can exit 1 too, after printing no result."""
+    lines = stdout.strip().splitlines()
+    if code not in (0, 1) or not lines:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    result = json.loads(lines[-1])
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, result["attempted"], result["failed"], env
+    return result, env
+
+
+def failure(side: str, workload: str, seed: int, trace: int, code: int, stderr: str) -> dict:
+    """The record of a run that failed."""
+    return {"side": side, "workload": workload, "seed": seed, "trace": trace, "exit": code,
+            "stderr_tail": stderr[-STDERR_TAIL:]}
+
+
+def metric_values(result) -> dict:
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def layer_counts(result) -> dict:
+    """The per-layer counts of a traced run's result (its metrics in unit ``count``)."""
+    return {name: m["value"] for name, m in result["metrics"].items() if m["unit"] == "count"}
+
+
+def both_finished(base, change):
+    """The two sides' values over the pairs in which both runs finished
+    (a run that did not finish is None)."""
+    kept = [(b, c) for b, c in zip(base, change) if b is not None and c is not None]
+    return [b for b, _ in kept], [c for _, c in kept]
 
 
 def describe(values):
@@ -114,31 +155,55 @@ def main(argv=None) -> int:
             unpack(sha, trees[side])
         runs = {w: {"base": [], "change": []} for w in names}
         verdicts = {"attempted": 0, "failed": 0}
+        failures = []
         env = None
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for workload in names:
                 for side in order:
-                    metrics, attempted, failed, env = run_once(trees[side], workload, seed, seconds)
+                    code, stdout, stderr = run_once(trees[side], workload, seed, seconds, 0)
+                    got = read_result(code, stdout)
+                    if got is None:
+                        failures.append(failure(side, workload, seed, 0, code, stderr))
+                        runs[workload][side].append(None)
+                        print(f"pair {i + 1} seed {seed} {workload} {side}: exited {code}", flush=True)
+                        continue
+                    result, env = got
+                    metrics = metric_values(result)
                     runs[workload][side].append(metrics)
-                    verdicts["attempted"] += attempted
-                    verdicts["failed"] += failed
+                    verdicts["attempted"] += result["attempted"]
+                    verdicts["failed"] += result["failed"]
                     print(f"pair {i + 1} seed {seed} {workload} {side}: "
                           + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
+        traced = {w: {} for w in names}
+        for workload in names:
+            for side in ("base", "change"):
+                code, stdout, stderr = run_once(trees[side], workload, args.first_seed, seconds, 1)
+                got = read_result(code, stdout)
+                row = traced[workload][side] = {"exit": code}
+                if got is not None:
+                    result = got[0]
+                    row.update(attempted=result["attempted"], failed=result["failed"], counts=layer_counts(result))
+                if code != 0:
+                    failures.append(failure(side, workload, args.first_seed, 1, code, stderr))
+                print(f"traced {workload} {side}: exited {code}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     env = {k: v for k, v in (env or {}).items() if k != "git_commit"}
     doc = {"label": label, "commits": commits, "pairs": args.pairs,
            "seeds": [args.first_seed + i for i in range(args.pairs)], "seconds": seconds,
-           "env": env, "verdicts": verdicts, "workloads": {}}
+           "env": env, "verdicts": verdicts, "failures": failures, "traced": traced, "workloads": {}}
     for workload in names:
         entry = doc["workloads"][workload] = {}
+        base, change = both_finished(runs[workload]["base"], runs[workload]["change"])
+        if len(base) < 2:
+            print(f"{workload}: {len(base)} pairs finished on both sides, too few to compare")
+            continue
         for m in spec["end_to_end"]:
             name = m["name"]
-            row = compare([r[name] for r in runs[workload]["base"]],
-                          [r[name] for r in runs[workload]["change"]], m["better"])
+            row = compare([r[name] for r in base], [r[name] for r in change], m["better"])
             entry[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], **row}
             print(f"{workload} {name}: {row['base']['median']:.4g} -> {row['change']['median']:.4g} "
                   f"({row['change_vs_base']:+.1%}), won {row['pairs_won']}/{row['pairs']}"
@@ -146,7 +211,9 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
-    return 0 if verdicts["failed"] == 0 and verdicts["attempted"] > 0 else 1
+    for f in failures:
+        print(f"failed: {f['side']} {f['workload']} seed {f['seed']} trace {f['trace']} exited {f['exit']}")
+    return 0 if verdicts["failed"] == 0 and verdicts["attempted"] > 0 and not failures else 1
 
 
 if __name__ == "__main__":

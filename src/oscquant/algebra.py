@@ -78,6 +78,8 @@ def _pair_walk(lhs, rhs, order):
     """The one bilinear pair loop: every product of a term of ``lhs`` by a
     term of ``rhs`` that can survive truncation at ``order``, in the order
     lhs × rhs, as ``(k1, k2, c)`` with ``c = c1*c2`` truncated and nonzero.
+    Every product of term dicts runs through it: the container products,
+    :func:`tensor`, :func:`linear`, :func:`apply_slot_map` and ``kron``.
 
     ``rhs`` is a term dict, or a function of the left key giving one.
     Valuations add exactly, so the right-hand terms that cannot survive are
@@ -496,12 +498,9 @@ class _Terms:
         if c.is_zero:
             return self._like({})
         order = self.order
-        out = {}
-        for m, cc in self.terms.items():
-            v = cc * c if order is None else (cc * c).truncate(order)
-            if not v.is_zero:
-                out[m] = v
-        return self._like(out)
+        if order is None:
+            return self.map_coeffs(lambda v: v * c)
+        return self.map_coeffs(lambda v: (v * c).truncate(order))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -554,7 +553,8 @@ class _Terms:
     def strip_marker(self):
         return self.map_coeffs(lambda c: c.strip_marker())
 
-    def marker_degree(self):
+    @property
+    def marker_degree(self) -> int:
         """Lowest series order present across all terms (0 for zero)."""
         if self.is_zero:
             return 0
@@ -576,14 +576,10 @@ class Element(_Terms):
     __mul__ = _Terms.__mul__
 
     def __repr__(self):
-        names = self.alg.names
-        return signed_sum(
-            (self.terms[m], mono_str(m, names))
-            for m in sorted(self.terms, key=lambda m: (mono_degree(m), m))
-        )
+        return repr(tensor(self))
 
     def _unit(self):
-        return self.alg.one()
+        return Element(self.alg, {self.alg.unit_mono: self.field.one})
 
     @property
     def degree(self) -> int:
@@ -657,10 +653,7 @@ class TensorElement(_Terms):
 
     def permute(self, perm) -> "TensorElement":
         """Reorder slots: new slot s holds old slot perm[s]."""
-        out: dict = {}
-        for k, c in self.terms.items():
-            _acc(out, tuple(k[p] for p in perm), c)
-        return TensorElement(self.alg, self.arity, out)
+        return embed(self, tuple(perm.index(s) for s in range(self.arity)), self.arity)
 
     def swap(self) -> "TensorElement":
         """The flip on a tensor square."""
@@ -774,20 +767,15 @@ class ScalarMatrix(_Terms):
 
 
 def tensor(*factors: Element) -> TensorElement:
-    """The tensor product of algebra elements."""
+    """The tensor product of algebra elements, truncated at their order.
+
+    The pair walk folds the factors in from the left, starting from the
+    unit; every key it makes is distinct, so nothing accumulates."""
     alg = factors[0].alg
-    order = alg.order
-    out: dict = {}
-    keys_coeffs = [f.terms.items() for f in factors]
-    for combo in _cartesian(*keys_coeffs):
-        c = alg.field.one
-        for _, cf in combo:
-            c = c * cf
-        c = c.truncate(order)
-        if c.is_zero:
-            continue
-        _acc(out, tuple(m for m, _ in combo), c)
-    return TensorElement(alg, len(factors), out)
+    terms = {(): alg.field.one}
+    for f in factors:
+        terms = {k + (m,): c for k, m, c in _pair_walk(terms, f.terms, alg.order)}
+    return TensorElement(alg, len(factors), terms)
 
 
 def embed(t: TensorElement, positions: tuple[int, ...], arity: int) -> TensorElement:
@@ -822,15 +810,8 @@ def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
 
 def spread(x: Element, arity: int) -> TensorElement:
     """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x."""
-    alg = x.alg
-    out: dict = {}
-    unit = alg.unit_mono
-    for s in range(arity):
-        for m, c in x.terms.items():
-            key = [unit] * arity
-            key[s] = m
-            _acc(out, tuple(key), c)
-    return TensorElement(alg, arity, out)
+    t = tensor(x)
+    return sum((embed(t, (s,), arity) for s in range(arity)), x.alg.tensor_zero(arity))
 
 
 def tensor_adjoint(x: Element, t: TensorElement) -> TensorElement:
@@ -855,24 +836,37 @@ def rebase(x, alg: Algebra):
     return Element(alg, terms)
 
 
+def _exp_sum(term, step, bound):
+    """The one exponential series: Σ_k term_k/k!, where term_0 = ``term`` and
+    term_k = step(term_{k−1}) for a linear ``step``.
+
+    It stops at the first term that vanishes.  The caller's ``bound`` says
+    that term_{bound+1} vanishes (a marker raised past the truncation order,
+    a nilpotent matrix); a term still nonzero there raises ``ValueError``
+    instead of summing on.
+    """
+    total = term
+    for k in range(1, bound + 2):
+        term = step(term).scale(Fraction(1, k))
+        if term.is_zero:
+            return total
+        total = total + term
+    raise ValueError(f"exponential series did not terminate within {bound} steps")
+
+
 def exp_series(x):
     """exp of an element/tensor whose coefficients all carry the marker.
 
-    The marker grading makes the series terminate at the truncation order;
-    inputs with an order-0 part are rejected rather than summed blindly.
+    The marker grading makes the series terminate at the truncation order,
+    summed by :func:`_exp_sum`; inputs with an order-0 part are rejected
+    rather than summed blindly.
     """
     order = x.order
     if order is None:
         raise ValueError("exp needs a truncation order")
-    if not x.is_zero and x.marker_degree() < 1:
+    if not x.is_zero and x.marker_degree < 1:
         raise ValueError("exp argument has an order-0 part; series would not terminate")
-    total = term = x._unit()
-    for k in range(1, order + 1):
-        term = (term * x).scale(Fraction(1, k)).truncate(order)
-        if term.is_zero:
-            break
-        total = total + term
-    return total
+    return _exp_sum(x._unit(), lambda t: t * x, order)
 
 
 def held(pairs):

@@ -363,7 +363,7 @@ def cocommutator_check(p: HopfPresentation):
     for name, target in cocommutator_map(p.r).items():
         t = p.images[name]
         lhs = rebase((t - t.swap()).h_part(1), exact)
-        if not target.is_zero and target.marker_degree() >= 1:
+        if not target.is_zero and target.marker_degree >= 1:
             target = target.h_part(1)
         pairs.append((name, lhs - target))
     return held(pairs)

@@ -22,7 +22,6 @@ Everything else is expanded as a truncated series in the grading marker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     A,
@@ -33,6 +32,7 @@ from .algebra import (
     Algebra,
     ScalarMatrix,
     TensorElement,
+    _exp_sum,
     exp_series,
     linear,
     spread,
@@ -118,7 +118,10 @@ def spec_matrix(spec: LMSpec, alg: Algebra) -> ScalarMatrix:
 
 
 def matrix_exp(mat: ScalarMatrix, alg: Algebra) -> ScalarMatrix:
-    """Truncated exponential of a square matrix of commuting elements of ``alg``."""
+    """Truncated exponential of a square matrix of commuting elements of ``alg``.
+
+    The entries commute and carry the marker, so exp is the series of
+    :func:`.algebra._exp_sum` in powers of ``mat``, ending at the order."""
     order = alg.order
     if order is None:
         raise ValueError("matrix exp needs a truncation order")
@@ -128,15 +131,10 @@ def matrix_exp(mat: ScalarMatrix, alg: Algebra) -> ScalarMatrix:
             if not a.commutator(b).is_zero:
                 raise NoncommutingEntries("matrix entries do not commute")
     for e in entries:
-        if e.marker_degree() < 1:
+        if e.marker_degree < 1:
             raise ValueError("matrix entry has an order-0 part; series would not terminate")
-    total = term = ScalarMatrix(alg.field, mat.dim, {(i, i): alg.one() for i in range(mat.dim)})
-    for k in range(1, order + 1):
-        term = (term * mat).scale(Fraction(1, k))
-        if term.is_zero:
-            break
-        total = total + term
-    return total
+    unit = ScalarMatrix(alg.field, mat.dim, {(i, i): alg.one() for i in range(mat.dim)})
+    return _exp_sum(unit, lambda t: t * mat, order)
 
 
 # -- basis shifts --------------------------------------------------------

@@ -46,6 +46,7 @@ from .algebra import (
     Element,
     ScalarMatrix,
     TensorElement,
+    _exp_sum,
     _Terms,
     embed,
     exp_series,
@@ -126,24 +127,15 @@ class UniversalR:
 
 
 def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
-    """exp(F) t exp(−F) = Σ_k ad_F^k(t)/k!.
+    """exp(F) t exp(−F) = Σ_k ad_F^k(t)/k!, summed by :func:`.algebra._exp_sum`.
 
     Every factor used here carries positive marker degree, so each ad_F
     raises the order by at least one and the sum terminates at the
-    algebra's truncation order.  This turns conjugation by a dense
+    algebra's truncation order; an unmarked factor, whose chain would not
+    terminate, raises ``ValueError``.  This turns conjugation by a dense
     exponential series into a short chain of sparse commutators.
     """
-    out = t
-    term = t
-    k = 0
-    limit = t.alg.order
-    while not term.is_zero:
-        k += 1
-        term = factor.commutator(term).scale(Fraction(1, k))
-        if limit is not None and k > limit and not term.is_zero:
-            raise AssertionError("ad chain did not terminate; factor unmarked?")
-        out = out + term
-    return out
+    return _exp_sum(t, factor.commutator, t.alg.order)
 
 
 def universal_R(key: str, order: int) -> UniversalR:
@@ -326,12 +318,14 @@ def rep3_check():
 def primed_creation_matrix(field, marked: bool = False) -> ScalarMatrix:
     """The matrix of e^{-zM}·A₊, computed from the definition.
 
-    D(M) is nilpotent and annihilates D(A₊) on the left, so the
-    exponential collapses and the product equals D(A₊) exactly.
+    D(M) is a nilpotent 3×3 matrix, so the series of e^{-zM} ends within
+    three steps (at the second: D(M)² = 0), and D(M) annihilates D(A₊) on
+    the left, so the product equals D(A₊) exactly.
     """
     z = field.marked_param("z") if marked else field.param("z")
     gens = _gen_matrices(field)
-    exp_m = ScalarMatrix.identity(field, 3) + gens[M].scale(-z)  # D(M)^2 = 0
+    exponent = gens[M].scale(-z)
+    exp_m = _exp_sum(ScalarMatrix.identity(field, 3), lambda t: t * exponent, 3)
     return exp_m * gens[AP]
 
 

@@ -1,5 +1,6 @@
 """Engine tests: PBW straightening, deformed rewriting, tensors, exp."""
 
+import random
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import factorial
@@ -19,6 +20,7 @@ from oscquant.algebra import (
     Element,
     ScalarMatrix,
     TensorElement,
+    _exp_sum,
     _Terms,
     apply_slot_map,
     embed,
@@ -27,6 +29,7 @@ from oscquant.algebra import (
     tensor,
 )
 from oscquant.coeffs import Coefficient, CoefficientField
+from oscquant.hopf import presentation
 from oscquant.poisson import GroupRing
 from oscquant.rmatrix import FreeElement
 
@@ -274,6 +277,34 @@ class TestExp:
             exp_series(CL.gen(M).scale(F.marked_param("z")))
 
 
+    def test_exp_series_truncates_no_container(self, monkeypatch):
+        """``scale`` already truncates each term of the series, so no term
+        is copied once more by ``_Terms.truncate``."""
+        alg = presentation("Uz", 4).alg
+        x = tensor(alg.gen(AP), alg.gen(A)).scale(alg.field.marked_param("z"))
+        want = sum(((x**k).scale(Fraction(1, factorial(k))) for k in range(5)), alg.tensor_zero(2))
+        calls = []
+        truncate = _Terms.truncate
+
+        def counted(self, order):
+            calls.append(order)
+            return truncate(self, order)
+
+        monkeypatch.setattr(_Terms, "truncate", counted)
+        assert exp_series(x) == want
+        assert calls == []
+
+    def test_exp_sum_of_a_nilpotent_matrix(self):
+        n = ScalarMatrix.from_rows(F, [[F.rational(v) for v in row] for row in ([0, 1, 2], [0, 0, 3], [0, 0, 0])])
+        eye = ScalarMatrix.identity(F, 3)
+        assert _exp_sum(eye, lambda t: t * n, 3) == eye + n + (n * n).scale(Fraction(1, 2))
+
+    def test_exp_sum_refuses_a_series_that_does_not_end(self):
+        cycle = ScalarMatrix.from_rows(F, [[F.rational(v) for v in row] for row in ([0, 1, 0], [0, 0, 1], [1, 0, 0])])
+        with pytest.raises(ValueError, match="terminate"):
+            _exp_sum(ScalarMatrix.identity(F, 3), lambda t: t * cycle, 3)
+
+
 class TestElementOps:
     def test_h_part_and_strip(self):
         z = F.marked_param("z")
@@ -446,6 +477,53 @@ def _slot_image(mono):
     """A linear map mono -> tensor square with coefficients of several valuations."""
     m = UZ.monomial(mono)
     return tensor(m, UZ.one()) + tensor(UZ.one(), m).scale(_HZ**2 - _HZ) + tensor(m, m).scale(_HZ**3)
+
+
+def naive_tensor(*factors):
+    """Every combination of terms multiplied out and truncated."""
+    alg = factors[0].alg
+    out = {}
+    for combo in _cartesian(*(f.terms.items() for f in factors)):
+        c = alg.field.one
+        for _, cf in combo:
+            c = c * cf
+        _naive_acc(out, tuple(m for m, _ in combo), c.truncate(alg.order))
+    return out
+
+
+def tensor_scalars(case):
+    """(algebra, coefficients to draw from): marked and unmarked monomials
+    of several valuations, sums of them, and a marker-free denominator; only
+    rationals in the exact algebra."""
+    if case == "exact":
+        return CL, [F.rational(v) for v in (1, -2, Fraction(1, 3), Fraction(5, 7))]
+    alg = presentation(case, 3).alg
+    field = alg.field
+    h = [field.marked_param(n) for n in field.params]
+    p = field.param(field.params[-1])
+    return alg, [
+        field.one,
+        field.rational(-2),
+        h[0],
+        h[0] * h[-1],
+        field.one + h[0] + h[-1] ** 2,
+        h[0] ** 3 - 2 * h[-1] ** 4,
+        h[-1] ** 2 / (p + 1),
+    ]
+
+
+@pytest.mark.parametrize("case", ["Uz", "IIn", "exact"])
+def test_tensor_matches_naive(case):
+    alg, scalars = tensor_scalars(case)
+    rng = random.Random(case)
+    for _ in range(25):
+        factors = [
+            alg.element({tuple(rng.randint(0, 2) for _ in range(4)): rng.choice(scalars) for _ in range(rng.randint(1, 4))})
+            for _ in range(rng.choice([2, 3]))
+        ]
+        got = tensor(*factors)
+        assert got.arity == len(factors)
+        assert list(got.terms.items()) == list(naive_tensor(*factors).items())
 
 
 class TestPairWalk:

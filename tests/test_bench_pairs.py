@@ -1,6 +1,7 @@
-"""The pair statistics of ``scripts/bench_pairs.py``."""
+"""The pair statistics and run records of ``scripts/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -38,3 +39,38 @@ def test_higher_is_better_counts_the_other_way():
     row = bench_pairs.compare([1.0, 1.0, 1.0], [2.0, 2.0, 0.5], "higher")
     assert row["pairs_won"] == 2
     assert row["base"]["median"] == 1.0 and row["change"]["median"] == 2.0
+
+
+RESULT = {"correct": True, "attempted": 12, "failed": 0,
+          "metrics": {"wall_s": {"value": 0.5, "unit": "s"},
+                      "coeffs.arith.calls": {"value": 40255, "unit": "count"},
+                      "coeffs.den1_ratio": {"value": 0.95, "unit": "ratio"}}}
+STDOUT = 'env {"python": "3.11.7"}\nrmatrix-series  wall_s  0.5 s\n' + json.dumps(RESULT) + "\n"
+
+
+def test_a_finished_run_gives_its_result_and_env():
+    for code in (0, 1):
+        assert bench_pairs.read_result(code, STDOUT) == (RESULT, {"python": "3.11.7"})
+
+
+def test_a_run_that_did_not_finish_gives_none():
+    assert bench_pairs.read_result(3, STDOUT) is None  # tracing self-check failed
+    assert bench_pairs.read_result(2, "") is None  # could not set up
+    assert bench_pairs.read_result(1, 'env {}\nTraceback (most recent call last):\n') is None
+
+
+def test_a_failure_keeps_the_tail_of_stderr():
+    err = "x" * 5000 + "error: tracing self-check failed"
+    row = bench_pairs.failure("change", "paper-exact", 3, 1, 3, err)
+    assert row["stderr_tail"].endswith("self-check failed") and len(row["stderr_tail"]) == bench_pairs.STDERR_TAIL
+    assert (row["side"], row["workload"], row["seed"], row["trace"], row["exit"]) == ("change", "paper-exact", 3, 1, 3)
+
+
+def test_layer_counts_are_the_count_metrics():
+    assert bench_pairs.layer_counts(RESULT) == {"coeffs.arith.calls": 40255}
+    assert bench_pairs.metric_values(RESULT)["wall_s"] == 0.5
+
+
+def test_pairs_with_a_missing_side_are_left_out():
+    base, change = bench_pairs.both_finished([1, None, 3, 4], [5, 6, None, 8])
+    assert (base, change) == ([1, 4], [5, 8])

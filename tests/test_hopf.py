@@ -260,7 +260,7 @@ def test_broken_antipode_is_detected():
     ok, res = antipode_check(broken)
     assert not ok
     assert any(name.endswith("Ap") for name, _ in res)
-    assert min(r.marker_degree() for _, r in res) == 0
+    assert min(r.marker_degree for _, r in res) == 0
 
 
 def test_negated_r_matrix_is_detected():
@@ -278,7 +278,7 @@ def test_noncentral_element_is_detected():
     wrong = HopfPresentation(p.key, p.label, p.alg, p.images, p.antipode, p.alg.gen(A), p.r)
     ok, res = center_check(wrong)
     assert not ok
-    assert min(r.marker_degree() for _, r in res) == 0
+    assert min(r.marker_degree for _, r in res) == 0
 
 
 def test_cocommutator_targets_match_table():

@@ -11,6 +11,7 @@ components, not a term dict, and its negation is componentwise.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 
 import oscquant
 from oscquant.algebra import _Terms
+from oscquant.coeffs import Coefficient
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -83,3 +85,65 @@ def test_the_core_has_four_containers():
         "oscquant.algebra.ScalarMatrix",
         "oscquant.rmatrix.FreeElement",
     }
+
+
+def cartesian_calls(source: str, module: str) -> list[str]:
+    """``"module.Class.function"`` enclosing each call of ``itertools.product``,
+    called by a ``from`` import's name or through the module."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names |= {a.asname or a.name for a in node.names if a.name == "product"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "itertools"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id in names) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == "product"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in modules
+                ):
+                    found.append(".".join([module, *scope]))
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+def test_checker_finds_cartesian_loops():
+    src = (
+        "import itertools\n"
+        "from itertools import product as cp\n"
+        "def tensor(fs):\n"
+        "    return [c for c in cp(*fs)]\n"
+        "class T:\n"
+        "    def _product(self, s):\n"
+        "        return list(itertools.product(*s))\n"
+        "math.product(1)\n"
+    )
+    assert cartesian_calls(src, "algebra") == ["algebra.tensor", "algebra.T._product"]
+
+
+def test_only_the_slot_combination_is_a_cartesian_loop():
+    """Every other product of term dicts runs through ``_pair_walk``; the
+    slot combination of a tensor product multiplies per-slot results, which
+    are not term dicts of the operands."""
+    found = [c for path in MODULES for c in cartesian_calls(path.read_text(encoding="utf-8"), path.stem)]
+    assert found == ["algebra.TensorElement._product"]
+
+
+@pytest.mark.parametrize("cls", [_Terms, Coefficient], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["is_zero", "marker_degree"])
+def test_predicates_are_properties(cls, name):
+    """A bound method read as a property is always truthy: that is how
+    ``VectorField.is_zero`` once passed a nonzero field."""
+    assert isinstance(inspect.getattr_static(cls, name), property)

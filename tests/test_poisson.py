@@ -11,6 +11,7 @@ from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant import poisson
 from oscquant.poisson import (
+    FUN_UNIT,
     GroupRing,
     NumericElement,
     group_compose,
@@ -123,6 +124,17 @@ class TestGroupRing:
             assert ring.coord("E", site) * ring.coord("Einv", site) == 1
             assert ring.coord("Einv", site) * ring.coord("E", site) == ring.one()
             assert ring.coord("E", site) ** 3 * ring.coord("Einv", site) ** 2 == ring.coord("E", site)
+
+
+    def test_a_scalar_lifts_to_the_letter_unit(self):
+        """The ``Element``s the ring inherits lift a scalar to their own unit,
+        a five-slot monomial, and never mix with the ring's tensor unit."""
+        ring = GroupRing(ZF)
+        e = ring.letter(0) + 1
+        assert e == ring.letter(0) + ring.monomial(FUN_UNIT) == 1 + ring.letter(0)
+        assert all(len(k) == 5 and all(type(x) is int for x in k) for k in e.terms)
+        with pytest.raises(ValueError):
+            ring.letter(0) + ring.one()
 
 
 class TestInvariantFields:

@@ -188,7 +188,7 @@ def test_exp_ad_rejects_nonterminating_chain():
     # An unmarked factor never raises the truncation order: the ad chain
     # cannot die, and the helper must refuse rather than loop.
     bare = tensor(alg.gen(AP), alg.gen(A))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="terminate"):
         exp_ad(bare, spread(alg.gen(AM), 2))
 
 
