@@ -132,9 +132,12 @@ def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
     Every factor used here carries positive marker degree, so each ad_F
     raises the order by at least one and the sum terminates at the
     algebra's truncation order; an unmarked factor, whose chain would not
-    terminate, raises ``ValueError``.  This turns conjugation by a dense
-    exponential series into a short chain of sparse commutators.
+    terminate, raises ``ValueError``, as does an untruncated algebra.  This
+    turns conjugation by a dense exponential series into a short chain of
+    sparse commutators.
     """
+    if t.alg.order is None:
+        raise ValueError("exp_ad needs a truncation order")
     return _exp_sum(t, factor.commutator, t.alg.order)
 
 

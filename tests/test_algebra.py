@@ -276,7 +276,6 @@ class TestExp:
         with pytest.raises(ValueError, match="order"):
             exp_series(CL.gen(M).scale(F.marked_param("z")))
 
-
     def test_exp_series_truncates_no_container(self, monkeypatch):
         """``scale`` already truncates each term of the series, so no term
         is copied once more by ``_Terms.truncate``."""

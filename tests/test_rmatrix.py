@@ -192,6 +192,15 @@ def test_exp_ad_rejects_nonterminating_chain():
         exp_ad(bare, spread(alg.gen(AM), 2))
 
 
+def test_exp_ad_needs_a_truncation_order():
+    from oscquant.algebra import Algebra, spread, tensor
+    from oscquant.rmatrix import exp_ad
+
+    alg = Algebra.classical(presentation("Uz", 3).field)
+    with pytest.raises(ValueError, match="truncation order"):
+        exp_ad(tensor(alg.gen(AP), alg.gen(M)), spread(alg.gen(A), 2))
+
+
 def test_two_step_conjugation():
     ok, residuals = two_step_intertwining_check(5)
     assert ok, [tag for tag, _ in residuals]
