@@ -89,10 +89,6 @@ def failure(side: str, workload: str, seed: int, trace: int, code: int, stderr: 
             "stderr_tail": stderr[-STDERR_TAIL:]}
 
 
-def metric_values(result) -> dict:
-    return {name: m["value"] for name, m in result["metrics"].items()}
-
-
 def layer_counts(result) -> dict:
     """The per-layer counts of a traced run's result (its metrics in unit ``count``)."""
     return {name: m["value"] for name, m in result["metrics"].items() if m["unit"] == "count"}
@@ -170,7 +166,7 @@ def main(argv=None) -> int:
                         print(f"pair {i + 1} seed {seed} {workload} {side}: exited {code}", flush=True)
                         continue
                     result, env = got
-                    metrics = metric_values(result)
+                    metrics = {name: m["value"] for name, m in result["metrics"].items()}
                     runs[workload][side].append(metrics)
                     verdicts["attempted"] += result["attempted"]
                     verdicts["failed"] += result["failed"]
