@@ -17,7 +17,9 @@ medians and quartiles, the change's median relative to the base, the pairs
 the change won, and whether the gain is resolved: won in at least 9 of 10
 pairs and better in the median by more than the base's interquartile
 range.  It also holds the two commits and the environment stamp of
-``run.py`` (Python, sympy, gmpy2, cores).
+``run.py`` (Python, sympy, gmpy2, cores), plus two set-up conditions that
+move ``setup_s``: ``PYTHONDONTWRITEBYTECODE`` and each side's line count of
+``src/oscquant``.
 
 A run that exits with a code other than 0 (every verdict right) or 1 (one
 wrong), or prints no result, is recorded under ``failures`` with its side,
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import shutil
 import statistics
@@ -57,6 +60,19 @@ def unpack(commit: str, into: Path) -> None:
     tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as tf:
         tf.extractall(into, filter="data")
+
+
+def source_lines(tree: Path) -> int:
+    """The line count of ``src/oscquant`` under ``tree``."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (tree / "src" / "oscquant").rglob("*.py"))
+
+
+def setup_conditions(trees: dict, environ=os.environ) -> dict:
+    """What moves ``setup_s`` besides the program's speed.  Without written
+    bytecode every fresh process compiles the package, so its line count
+    counts too."""
+    return {"PYTHONDONTWRITEBYTECODE": environ.get("PYTHONDONTWRITEBYTECODE"),
+            "src_lines": {side: source_lines(tree) for side, tree in trees.items()}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -149,6 +165,7 @@ def main(argv=None) -> int:
         for side, sha in commits.items():
             trees[side] = tmp / side
             unpack(sha, trees[side])
+        setup = setup_conditions(trees)
         runs = {w: {"base": [], "change": []} for w in names}
         verdicts = {"attempted": 0, "failed": 0}
         failures = []
@@ -187,7 +204,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    env = {k: v for k, v in (env or {}).items() if k != "git_commit"}
+    env = {**{k: v for k, v in (env or {}).items() if k != "git_commit"}, **setup}
     doc = {"label": label, "commits": commits, "pairs": args.pairs,
            "seeds": [args.first_seed + i for i in range(args.pairs)], "seconds": seconds,
            "env": env, "verdicts": verdicts, "failures": failures, "traced": traced, "workloads": {}}

@@ -139,7 +139,7 @@ class FunPresentation(HopfPresentation):
             "a_minus": -(E * am),
             "m": -m - (Einv * ap * E) * am,
         }
-        super().__init__(key, "quantized coordinate ring", alg, images, antipode, None, r)
+        super().__init__(key, alg, images, antipode, None, r)
         self.counit["E"] = self.counit["Einv"] = alg.field.one
 
 

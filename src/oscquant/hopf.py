@@ -23,6 +23,8 @@ of the presentation's r-matrix.  Residual terms are returned for failures.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from math import factorial
 
 from .algebra import (
@@ -103,9 +105,8 @@ class HopfPresentation:
     homomorphism, coassociativity and counit checks.
     """
 
-    def __init__(self, key, label, alg, images, antipode, casimir, r):
+    def __init__(self, key, alg, images, antipode, casimir, r):
         self.key = key
-        self.label = label
         self.alg = alg
         self.field = alg.field
         self.order = alg.order
@@ -200,7 +201,7 @@ def uz_presentation(order: int) -> HopfPresentation:
     # central element 2 A M + F Am + Am F with F = (e^{-z*Ap}-1)/z
     F = -expm1_over(alg, -z, AP)
     casimir = (gA * gM).scale(2) + F * gAm + gAm * F
-    return HopfPresentation(d.key, "one-parameter, primitive Ap and M", alg, images, antipode, casimir, d.r())
+    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
 
 
 def ii_nonstandard_presentation(order: int) -> HopfPresentation:
@@ -246,7 +247,7 @@ def ii_nonstandard_presentation(order: int) -> HopfPresentation:
         + (v_series(alg, -x) * gAm).scale(yp * 2)
         - (v_series(alg, x) * gAp).scale(bp * 2)
     )
-    return HopfPresentation(d.key, "three-parameter, primitive M", alg, images, antipode, casimir, d.r())
+    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
 
 
 def ii_standard_presentation(order: int) -> HopfPresentation:
@@ -282,7 +283,7 @@ def ii_standard_presentation(order: int) -> HopfPresentation:
         "M": -gM,
     }
     casimir = (gA * sinh_over(alg, z)).scale(2) - gAp * gAm - gAm * gAp
-    return HopfPresentation(d.key, "standard, shifted creation basis", alg, images, antipode, casimir, d.r())
+    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
 
 
 _BUILDERS = {
@@ -291,14 +292,27 @@ _BUILDERS = {
     "IIs": ii_standard_presentation,
 }
 
+# (key, order) -> weak reference to its presentation; a key is added on the
+# first build only, so len(_cache) counts first builds
 _cache: dict = {}
+_recent: deque = deque(maxlen=2)
 
 
 def presentation(key: str, order: int) -> HopfPresentation:
-    got = _cache.get((key, order))
+    """The presentation of deformation ``key`` truncated at ``order``.
+
+    A presentation lives while something holds it, and the results of the
+    last two calls are held here, so an order sweep keeps two alive, not
+    one per order.  While one lives it is the one returned, so the elements
+    of two calls for the same ``(key, order)`` share one algebra.
+    """
+    ref = _cache.get((key, order))
+    got = ref and ref()
     if got is None:
         deformation(key)  # UnknownDeformation on a key that names none
-        got = _cache[(key, order)] = _BUILDERS[key](order)
+        got = _BUILDERS[key](order)
+        _cache[(key, order)] = weakref.ref(got)
+    _recent.append(got)
     return got
 
 

@@ -282,7 +282,7 @@ def lm_coproduct(spec: LMSpec, order: int, r: RMatrixSkew | None = None) -> Hopf
         if xk == A and not subst.is_identity:
             img = img + spread(alg.gen(M), 2).scale(spec.shift)
         images[GEN_NAMES[xk]] = img
-    return HopfPresentation(spec.key, "exponential-matrix coproduct", alg, images, None, None, r)
+    return HopfPresentation(spec.key, alg, images, None, None, r)
 
 
 def first_order_check(spec: LMSpec, r: RMatrixSkew):

@@ -73,3 +73,16 @@ def test_layer_counts_are_the_count_metrics():
 def test_pairs_with_a_missing_side_are_left_out():
     base, change = bench_pairs.both_finished([1, None, 3, 4], [5, 6, None, 8])
     assert (base, change) == ([1, 4], [5, 8])
+
+
+def test_setup_conditions_count_each_sides_source_lines(tmp_path):
+    for side, lines in (("base", 3), ("change", 5)):
+        pkg = tmp_path / side / "src" / "oscquant"
+        (pkg / "fixtures").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n" * (lines - 1))
+        (pkg / "fixtures" / "b.py").write_text("y = 2\n")
+        (pkg / "fixtures" / "t.json").write_text("{}\n" * 9)  # not source
+    trees = {side: tmp_path / side for side in ("base", "change")}
+    got = bench_pairs.setup_conditions(trees, {"PYTHONDONTWRITEBYTECODE": "1"})
+    assert got == {"PYTHONDONTWRITEBYTECODE": "1", "src_lines": {"base": 3, "change": 5}}
+    assert bench_pairs.setup_conditions(trees, {})["PYTHONDONTWRITEBYTECODE"] is None

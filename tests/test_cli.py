@@ -370,7 +370,7 @@ def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
         cp = built(spec, order)
         extra = tensor(cp.alg.gen(AP), cp.alg.one()).scale(spec.field.marked_param("x"))
         images = {**cp.images, "Am": cp.images["Am"] + extra}
-        return HopfPresentation(cp.key, cp.label, cp.alg, images, None, None, cp.r)
+        return HopfPresentation(cp.key, cp.alg, images, None, None, cp.r)
 
     monkeypatch.setattr(cli, "lm_coproduct", perturbed)
     rc, payload, _ = run_json(

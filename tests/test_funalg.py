@@ -298,7 +298,7 @@ def test_detects_wrong_antipode():
     alg = p.alg
     broken = dict(p.antipode)
     broken["m"] = -alg.letter(L_M)  # drop the a+ a- correction
-    q = HopfPresentation(p.key, p.label, alg, p.images, broken, None, p.r)
+    q = HopfPresentation(p.key, alg, p.images, broken, None, p.r)
     q.counit = p.counit
     ok, residuals = antipode_check(q)
     assert not ok
@@ -312,7 +312,7 @@ def test_detects_a_primitive_a_plus():
 
     p = fun_presentation("Uz")
     images = dict(p.images, a_plus=spread(p.alg.coord("a_plus"), 2))
-    q = HopfPresentation(p.key, p.label, p.alg, images, p.antipode, None, p.r)
+    q = HopfPresentation(p.key, p.alg, images, p.antipode, None, p.r)
     ok, residuals = group_law_check(q)
     assert not ok
     assert [name for name, _ in residuals] == ["a_plus"]

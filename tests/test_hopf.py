@@ -1,9 +1,12 @@
 """Hopf-axiom verification for the three fully deformed presentations."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from oscquant import hopf
 from oscquant.algebra import A, AM, AP, M, Algebra, exp_series, rebase, spread, tensor
 from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation, cocommutator_map
 from oscquant.hopf import (
@@ -86,6 +89,38 @@ def test_presentation_registry_and_cache():
     assert p.order == 4 and p.alg.order == 4
     with pytest.raises(UnknownDeformation):
         presentation("bogus", 4)
+
+
+OTHERS = [("Uz", 2), ("IIs", 2), ("IIn", 2)]
+
+
+def test_a_held_presentation_stays_the_one_instance():
+    p = presentation("Uz", 3)
+    for key, order in OTHERS:
+        presentation(key, order)
+    assert presentation("Uz", 3) is p
+    # one algebra, so elements of the two calls combine
+    assert (p.images["A"] - presentation("Uz", 3).images["A"]).is_zero
+
+
+def test_an_unheld_presentation_is_released():
+    ref = weakref.ref(presentation("Uz", 3))
+    for key, order in OTHERS:
+        presentation(key, order)
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_cache_grows_by_one_on_a_first_build_only():
+    # perfbench/spans.py counts hopf.presentation.builds as the growth of
+    # len(hopf._cache) during one call
+    assert ("IIs", 11) not in hopf._cache  # an order no other test asks for
+    before = len(hopf._cache)
+    p = presentation("IIs", 11)
+    assert len(hopf._cache) == before + 1
+    assert presentation("IIs", 11) is p
+    assert len(hopf._cache) == before + 1
+    assert all(isinstance(k, tuple) and len(k) == 2 for k in hopf._cache)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -250,7 +285,6 @@ def test_broken_antipode_is_detected():
     p = presentation("Uz", 3)
     broken = HopfPresentation(
         "Uz",
-        p.label,
         p.alg,
         dict(p.images),
         {**p.antipode, "Ap": p.alg.gen(AP)},
@@ -266,7 +300,7 @@ def test_broken_antipode_is_detected():
 def test_negated_r_matrix_is_detected():
     p = presentation("IIn", 3)
     wrong = HopfPresentation(
-        p.key, p.label, p.alg, p.images, p.antipode, p.casimir,
+        p.key, p.alg, p.images, p.antipode, p.casimir,
         p.r.map_coeffs(lambda c: -c),
     )
     ok, res = cocommutator_check(wrong)
@@ -275,7 +309,7 @@ def test_negated_r_matrix_is_detected():
 
 def test_noncentral_element_is_detected():
     p = presentation("IIs", 3)
-    wrong = HopfPresentation(p.key, p.label, p.alg, p.images, p.antipode, p.alg.gen(A), p.r)
+    wrong = HopfPresentation(p.key, p.alg, p.images, p.antipode, p.alg.gen(A), p.r)
     ok, res = center_check(wrong)
     assert not ok
     assert min(r.marker_degree for _, r in res) == 0
