@@ -62,17 +62,15 @@ def unpack(commit: str, into: Path) -> None:
         tf.extractall(into, filter="data")
 
 
-def source_lines(tree: Path) -> int:
-    """The line count of ``src/oscquant`` under ``tree``."""
-    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (tree / "src" / "oscquant").rglob("*.py"))
-
-
-def setup_conditions(trees: dict, environ=os.environ) -> dict:
+def setup_conditions(trees: dict) -> dict:
     """What moves ``setup_s`` besides the program's speed.  Without written
-    bytecode every fresh process compiles the package, so its line count
-    counts too."""
-    return {"PYTHONDONTWRITEBYTECODE": environ.get("PYTHONDONTWRITEBYTECODE"),
-            "src_lines": {side: source_lines(tree) for side, tree in trees.items()}}
+    bytecode every fresh process compiles the package, so each side's line
+    count of ``src/oscquant`` counts too."""
+    def lines(tree):
+        return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (tree / "src" / "oscquant").rglob("*.py"))
+
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "src_lines": {side: lines(tree) for side, tree in trees.items()}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):

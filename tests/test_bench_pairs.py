@@ -75,7 +75,7 @@ def test_pairs_with_a_missing_side_are_left_out():
     assert (base, change) == ([1, 4], [5, 8])
 
 
-def test_setup_conditions_count_each_sides_source_lines(tmp_path):
+def test_setup_conditions_count_each_sides_source_lines(tmp_path, monkeypatch):
     for side, lines in (("base", 3), ("change", 5)):
         pkg = tmp_path / side / "src" / "oscquant"
         (pkg / "fixtures").mkdir(parents=True)
@@ -83,6 +83,8 @@ def test_setup_conditions_count_each_sides_source_lines(tmp_path):
         (pkg / "fixtures" / "b.py").write_text("y = 2\n")
         (pkg / "fixtures" / "t.json").write_text("{}\n" * 9)  # not source
     trees = {side: tmp_path / side for side in ("base", "change")}
-    got = bench_pairs.setup_conditions(trees, {"PYTHONDONTWRITEBYTECODE": "1"})
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    got = bench_pairs.setup_conditions(trees)
     assert got == {"PYTHONDONTWRITEBYTECODE": "1", "src_lines": {"base": 3, "change": 5}}
-    assert bench_pairs.setup_conditions(trees, {})["PYTHONDONTWRITEBYTECODE"] is None
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.setup_conditions(trees)["PYTHONDONTWRITEBYTECODE"] is None
