@@ -27,8 +27,12 @@ workload, seed, exit code and the tail of its standard error, and the pairs
 go on; the statistics use the pairs in which both sides finished.  After the
 pairs, each side runs every workload once more with ``--trace 1`` and seed
 ``first_seed``; ``traced`` holds each such run's exit code, verdicts and
-per-layer counts.  Exit code 1 if any verdict was wrong or any run failed,
-a traced run included.
+per-layer counts, and the span coverage of one more traced pass of the same
+workload and seed: the spans' self time over the traced wall time, which
+``run.py --trace 1`` refuses below its floor of 0.90.  That pass is made by
+calling ``run.run_pass`` of the tree's own ``perfbench/`` in a subprocess.
+Exit code 1 if any verdict was wrong or any run failed, a traced run
+included.
 """
 
 from __future__ import annotations
@@ -79,6 +83,35 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
     return out.returncode, out.stdout, out.stderr
+
+
+# One traced pass of a tree's own perfbench, run in that tree; prints the
+# pass's summary as its last line.
+TRACED_PASS = (
+    "import json, sys\n"
+    "sys.path.insert(0, 'perfbench')\n"
+    "import run\n"
+    "print(json.dumps(run.run_pass(sys.argv[1], int(sys.argv[2]), 1, run.DEADLINE_S)[0]))\n"
+)
+
+
+def span_coverage(summary: dict):
+    """The spans' self time over the traced wall time of one traced pass, the
+    number ``run.py`` holds against its floor; None for a pass that did not
+    complete."""
+    if not summary.get("complete") or "self_s_total" not in summary or not summary["wall_s"]:
+        return None
+    return summary["self_s_total"] / summary["wall_s"]
+
+
+def traced_coverage(tree: Path, workload: str, seed: int):
+    """The span coverage of one traced pass in ``tree``, or None."""
+    out = subprocess.run([sys.executable, "-c", TRACED_PASS, workload, str(seed)],
+                         cwd=tree, capture_output=True, text=True, timeout=900)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        return None
+    return span_coverage(json.loads(lines[-1]))
 
 
 def read_result(code: int, stdout: str):
@@ -193,12 +226,13 @@ def main(argv=None) -> int:
                 code, stdout, stderr = run_once(trees[side], workload, args.first_seed, seconds, 1)
                 got = read_result(code, stdout)
                 row = traced[workload][side] = {"exit": code}
+                row["coverage"] = traced_coverage(trees[side], workload, args.first_seed)
                 if got is not None:
                     result = got[0]
                     row.update(attempted=result["attempted"], failed=result["failed"], counts=layer_counts(result))
                 if code != 0:
                     failures.append(failure(side, workload, args.first_seed, 1, code, stderr))
-                print(f"traced {workload} {side}: exited {code}", flush=True)
+                print(f"traced {workload} {side}: exited {code}, coverage {row['coverage']}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -74,19 +74,23 @@ def _grade(c):
     return c.marker_degree, top
 
 
-def _pair_walk(lhs, rhs, order):
+def _pair_walk(lhs, rhs, order, skip=None):
     """The one bilinear pair loop: every product of a term of ``lhs`` by a
     term of ``rhs`` that can survive truncation at ``order``, in the order
     lhs × rhs, as ``(k1, k2, c)`` with ``c = c1*c2`` truncated and nonzero.
     Every product of term dicts runs through it: the container products,
-    :func:`tensor`, :func:`linear`, :func:`apply_slot_map` and ``kron``.
+    :func:`tensor`, :func:`linear`, :func:`apply_slot_map`, :func:`spread`
+    and ``kron``.
 
     ``rhs`` is a term dict, or a function of the left key giving one.
     Valuations add exactly, so the right-hand terms that cannot survive are
     filtered out once per distinct left valuation.  Polynomial tops add
     exactly too, so a product of two polynomials whose tops sum to at most
     the order is not truncated.  A term whose denominator carries the marker
-    raises ``ValueError``, as ``truncate`` does.
+    raises ``ValueError``, as ``truncate`` does.  A pair for which
+    ``skip(k1, k2)`` is true is left out before its coefficient is formed;
+    the test of ``skip`` runs once per left term, so a walk without it pays
+    nothing per pair.
     """
     rhs_of = rhs if callable(rhs) else lambda _: rhs
     exact = order is None
@@ -104,7 +108,8 @@ def _pair_walk(lhs, rhs, order):
                     rows.append((k2, c2, t2))
             got = rows_at[(id(r), d1)] = (r, rows)
         one = c1.field.one
-        for k2, c2, t2 in got[1]:
+        rows = got[1] if skip is None else [row for row in got[1] if not skip(k1, row[0])]
+        for k2, c2, t2 in rows:
             c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             if not exact and (t1 is None or t2 is None or t1 + t2 > order):
                 c = c.truncate(order)
@@ -626,11 +631,13 @@ class TensorElement(_Terms):
             pairs.append((self.terms[k], " o ".join(s or "1" for s in slots) if any(slots) else ""))
         return signed_sum(pairs)
 
-    def _product(self, other):
+    def _product(self, other, out=None, skip=None):
+        """self·other, its terms accumulated into ``out`` (a new dict by
+        default), leaving out the pairs of keys that ``skip`` names."""
         alg, order = self.alg, self.alg.order
         one = alg.field.one
-        out: dict = {}
-        for k1, k2, c in _pair_walk(self.terms, other.terms, order):
+        out = {} if out is None else out
+        for k1, k2, c in _pair_walk(self.terms, other.terms, order, skip):
             slot_terms = [alg.mul_mono(k1[s], k2[s]).items() for s in range(self.arity)]
             # Mostly every slot's product is one monomial with the unit
             # coefficient: then the product is ``c`` at one key.
@@ -650,6 +657,25 @@ class TensorElement(_Terms):
                 if not v.is_zero:
                     _acc(out, tuple(m for m, _ in combo), v)
         return TensorElement(alg, self.arity, out)
+
+    def product_difference(self, y, z, w) -> "TensorElement":
+        """self·y − z·w, the two products accumulated into one dict: the
+        terms of z·w cancel into those of self·y as they arrive, so the two
+        products are never held at once.
+
+        When (z, w) is (y, self) the difference is the commutator
+        [self, y].  A pair of keys whose slots multiply the same way in
+        either order then adds the same term to both products, so the
+        kernel never forms it."""
+        for t in (y, z, w):
+            self._check(t)
+        skip = self._slots_commute if z is y and w is self else None
+        out = self._product(y, None, skip).terms
+        return z._product(-w, out, skip)
+
+    def _slots_commute(self, k1, k2) -> bool:
+        mul, unit = self.alg.mul_mono, self.alg.unit_mono
+        return all(a == b or unit in (a, b) or mul(a, b) == mul(b, a) for a, b in zip(k1, k2))
 
     def permute(self, perm) -> "TensorElement":
         """Reorder slots: new slot s holds old slot perm[s]."""
@@ -809,9 +835,13 @@ def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
 
 
 def spread(x: Element, arity: int) -> TensorElement:
-    """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x."""
-    t = tensor(x)
-    return sum((embed(t, (s,), arity) for s in range(arity)), x.alg.tensor_zero(arity))
+    """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x: one
+    pair walk of x's terms by the slots, the placements merged in one dict."""
+    units = (x.alg.unit_mono,) * arity
+    out: dict = {}
+    for m, s, c in _pair_walk(x.terms, dict.fromkeys(range(arity), x.field.one), x.order):
+        _acc(out, units[:s] + (m,) + units[s + 1 :], c)
+    return TensorElement(x.alg, arity, out)
 
 
 def tensor_adjoint(x: Element, t: TensorElement) -> TensorElement:

@@ -202,10 +202,13 @@ def qybe_check(R: UniversalR):
     as (R₁₂R₁₃R₁₂⁻¹)(R₁₂R₂₃R₁₂⁻¹) = R₂₃R₁₃: R₁₂ is invertible, so the two
     hold together, and conjugating each factor alone is conjugating their
     product, since conjugation is an algebra automorphism.  The residual is
-    the conjugated difference R₁₂R₁₃R₂₃R₁₂⁻¹ − R₂₃R₁₃."""
+    the conjugated difference R₁₂R₁₃R₂₃R₁₂⁻¹ − R₂₃R₁₃, accumulated in one
+    dict.  Where R₁₂ commutes with R₁₃ and R₂₃ (``IIn``), conjugation
+    returns them unchanged, so the residual is the commutator [R₁₃, R₂₃]
+    and its pairs of commuting terms are never formed."""
     r13 = R.embedded((0, 2))
     r23 = R.embedded((1, 2))
-    return held([("qybe", R.conjugate(r13) * R.conjugate(r23) - r23 * r13)])
+    return held([("qybe", R.conjugate(r13).product_difference(R.conjugate(r23), r23, r13))])
 
 
 def intertwining_check(R: UniversalR):

@@ -31,7 +31,7 @@ from oscquant.algebra import (
 from oscquant.coeffs import Coefficient, CoefficientField
 from oscquant.hopf import presentation
 from oscquant.poisson import GroupRing
-from oscquant.rmatrix import FreeElement
+from oscquant.rmatrix import FreeElement, universal_R
 
 F = CoefficientField.get("z")
 CL = Algebra.classical(F)
@@ -513,16 +513,41 @@ def tensor_scalars(case):
 
 @pytest.mark.parametrize("case", ["Uz", "IIn", "exact"])
 def test_tensor_matches_naive(case):
+    """Also the fused product-difference, at arity 2 and 3, against its two
+    products, with four tensors and in commutator mode."""
     alg, scalars = tensor_scalars(case)
     rng = random.Random(case)
+
+    def factor():
+        return alg.element({tuple(rng.randint(0, 2) for _ in range(4)): rng.choice(scalars) for _ in range(rng.randint(1, 4))})
+
     for _ in range(25):
-        factors = [
-            alg.element({tuple(rng.randint(0, 2) for _ in range(4)): rng.choice(scalars) for _ in range(rng.randint(1, 4))})
-            for _ in range(rng.choice([2, 3]))
-        ]
+        factors = [factor() for _ in range(rng.choice([2, 3]))]
         got = tensor(*factors)
         assert got.arity == len(factors)
         assert list(got.terms.items()) == list(naive_tensor(*factors).items())
+    for arity in (2, 3):
+        for _ in range(3):
+            x, y, z, w = (tensor(*(factor() for _ in range(arity))) for _ in range(4))
+            assert x.product_difference(y, z, w) == x * y - z * w
+            assert x.product_difference(y, y, x) == x * y - y * x
+
+
+@pytest.mark.parametrize("key", ["Uz", "IIs"])
+def test_commutator_mode_keeps_the_noncommuting_slots(key):
+    """R₁₃ and R₂₃ share a slot whose products do not all commute, so the
+    kernel must form those pairs and skip only the commuting ones."""
+    R = universal_R(key, 3)
+    r13, r23 = R.embedded((0, 2)), R.embedded((1, 2))
+    got = r13.product_difference(r23, r23, r13)
+    assert not got.is_zero
+    assert got == r13.commutator(r23)
+
+
+def test_product_difference_rejects_a_foreign_operand():
+    x = tensor(UZ.gen(A), UZ.gen(AP))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        x.product_difference(x, x, tensor(UZ.gen(A), UZ.gen(A), UZ.gen(A)))
 
 
 class TestPairWalk:

@@ -88,3 +88,10 @@ def test_setup_conditions_count_each_sides_source_lines(tmp_path, monkeypatch):
     assert got == {"PYTHONDONTWRITEBYTECODE": "1", "src_lines": {"base": 3, "change": 5}}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.setup_conditions(trees)["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_span_coverage_is_self_time_over_traced_wall_time():
+    summary = {"complete": True, "wall_s": 2.0, "self_s_total": 1.8, "layers": {}}
+    assert bench_pairs.span_coverage(summary) == 0.9
+    assert bench_pairs.span_coverage({**summary, "complete": False}) is None  # crashed or timed out
+    assert bench_pairs.span_coverage({"complete": True, "wall_s": 2.0}) is None  # an untraced pass

@@ -1,6 +1,7 @@
 """Universal R-matrices: series checks, exact matrix image, FRT relations."""
 
 import operator
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,22 @@ def test_qybe_uz_order_five():
 def test_qybe_other_families(key):
     ok, residuals = qybe_check(_R(key))
     assert ok, residuals
+
+
+def test_qybe_iin_never_holds_two_products():
+    """For ``IIn`` conjugation returns R₁₃ and R₂₃ unchanged, so the residual
+    is [R₁₃, R₂₃], accumulated in one dict with its commuting pairs never
+    formed.  Holding R₁₃R₂₃ and R₂₃R₁₃ at once peaks at about 9 MiB here."""
+    R = universal_R("IIn", 5)
+    R.expansion
+    tracemalloc.start()
+    try:
+        ok, residuals = qybe_check(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, residuals
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("key", R_KEYS)
