@@ -670,7 +670,8 @@ class TensorElement(_Terms):
         for t in (y, z, w):
             self._check(t)
         skip = self._slots_commute if z is y and w is self else None
-        out = self._product(y, None, skip).terms
+        out: dict = {}
+        self._product(y, out, skip)
         return z._product(-w, out, skip)
 
     def _slots_commute(self, k1, k2) -> bool:
