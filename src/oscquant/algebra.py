@@ -837,10 +837,10 @@ def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
 
 def spread(x: Element, arity: int) -> TensorElement:
     """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x: one
-    pair walk of x's terms by the slots, the placements merged in one dict."""
+    pair walk of the slots by x's terms, the placements merged in one dict."""
     units = (x.alg.unit_mono,) * arity
     out: dict = {}
-    for m, s, c in _pair_walk(x.terms, dict.fromkeys(range(arity), x.field.one), x.order):
+    for s, m, c in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
         _acc(out, units[:s] + (m,) + units[s + 1 :], c)
     return TensorElement(x.alg, arity, out)
 
