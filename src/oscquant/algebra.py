@@ -89,8 +89,8 @@ def _pair_walk(lhs, rhs, order, skip=None):
     the order is not truncated.  A term whose denominator carries the marker
     raises ``ValueError``, as ``truncate`` does.  A pair for which
     ``skip(k1, k2)`` is true is left out before its coefficient is formed;
-    the test of ``skip`` runs once per left term, so a walk without it pays
-    nothing per pair.
+    whether ``skip`` is given is asked once per left term, so a walk without
+    it pays nothing per pair.
     """
     rhs_of = rhs if callable(rhs) else lambda _: rhs
     exact = order is None

@@ -146,7 +146,8 @@ def test_qybe_other_families(key):
 def test_qybe_iin_never_holds_two_products():
     """For ``IIn`` conjugation returns R₁₃ and R₂₃ unchanged, so the residual
     is [R₁₃, R₂₃], accumulated in one dict with its commuting pairs never
-    formed.  Holding R₁₃R₂₃ and R₂₃R₁₃ at once peaks at about 9 MiB here."""
+    formed.  Holding R₁₃R₂₃ and R₂₃R₁₃ at once peaks at about 9 MiB at this
+    order."""
     R = universal_R("IIn", 5)
     R.expansion
     tracemalloc.start()
