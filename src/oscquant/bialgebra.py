@@ -377,8 +377,8 @@ class Family:
             coeffs.append(c.scale_params() if marked else c)
         return RMatrixSkew(field, coeffs)
 
-    def cocommutators(self, marked: bool = True) -> dict:
-        return cocommutator_map(self.r(marked))
+    def cocommutators(self) -> dict:
+        return cocommutator_map(self.r(marked=False))
 
     def classification(self) -> Classification:
         return classify(self.r(marked=False), nonzero=self.nonzero)
@@ -493,7 +493,7 @@ def table_I() -> tuple:
         cells = data[key]
         field = fam.field()
         alg = Algebra.classical(field)
-        computed = fam.cocommutators(marked=False)
+        computed = fam.cocommutators()
         table = {
             label: fixtures.wedge_tensor(alg, cells["delta"].get(label, []))
             for label in GEN_NAMES

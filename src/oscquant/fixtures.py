@@ -39,31 +39,29 @@ def wedge_tensor(alg: Algebra, cells) -> TensorElement:
     return t
 
 
-def element_of(alg: Algebra, text: str, marked: bool = False) -> Element:
-    """Decode a polynomial in the generators; ``marked`` applies p -> h*p."""
-    e = parse_element(alg, text)
-    return e.scale_params() if marked else e
+def element_of(alg: Algebra, text: str) -> Element:
+    """Decode a polynomial in the generators and apply p -> h*p."""
+    return parse_element(alg, text).scale_params()
 
 
-def coproduct_tensor(alg: Algebra, summands, marked: bool = True) -> TensorElement:
+def coproduct_tensor(alg: Algebra, summands) -> TensorElement:
     """Decode coproduct summands ``{"c": coeff, "f": [leg, leg]}``.
 
     Each leg is a product of ``{"p": poly, "e": exponent}`` pieces meaning
-    p * exp(e); exponential factors need ``marked=True`` (or an already
-    marker-graded exponent) to make the series finite at the algebra's order.
+    p * exp(e).  Every coefficient, polynomial and exponent is marked
+    (p -> h*p), which makes each exponential series finite at the algebra's
+    order.
     """
     out = alg.tensor_zero(2)
     for s in summands:
-        c = parse_coefficient(alg.field, s.get("c", "1"))
-        if marked:
-            c = c.scale_params()
+        c = parse_coefficient(alg.field, s.get("c", "1")).scale_params()
         legs = []
         for leg in s["f"]:
             e = alg.one()
             for fac in leg:
-                p = element_of(alg, fac["p"], marked)
+                p = element_of(alg, fac["p"])
                 if fac.get("e"):
-                    p = p * exp_series(element_of(alg, fac["e"], marked))
+                    p = p * exp_series(element_of(alg, fac["e"]))
                 e = e * p
             legs.append(e)
         out = out + tensor(*legs).scale(c)

@@ -332,12 +332,12 @@ def table_III(order: int = 6):
         if "matrix" in cells:
             matrix_form = ScalarMatrix.from_rows(
                 spec.field,
-                [[fixtures.element_of(alg, e, marked=True).truncate(order) for e in row] for row in cells["matrix"]],
+                [[fixtures.element_of(alg, e).truncate(order) for e in row] for row in cells["matrix"]],
             )
             ok = ok and matrix_form == spec_matrix(spec, alg)
         else:
             for label, summands in cells["coproducts"].items():
-                closed[label] = fixtures.coproduct_tensor(alg, summands, marked=True)
+                closed[label] = fixtures.coproduct_tensor(alg, summands)
             for h in spec.primitives:
                 closed[GEN_NAMES[h]] = spread(alg.gen(h), 2)
             ok = ok and all(cp.images[label] == closed[label] for label in GEN_NAMES)

@@ -1,8 +1,11 @@
 """Universal R-matrices for the deformed oscillator algebras.
 
 Each family's R is an ordered product of exponential factors whose
-exponents are marked arity-2 tensors over the deformed algebra, expanded
-to the truncation order.  The module machine-checks everything the R is
+exponents F_k are marked arity-2 tensors, stated once in ``_exponents``
+over any algebra of the deformation's field.  Over the deformed algebra
+they give the series R, expanded to the truncation order; over the exact
+classical algebra, under the 3×3 representation D, they give the finite
+9×9 matrix ∏ exp((D⊗D)F_k).  The module machine-checks everything the R is
 supposed to do:
 
 * base behaviour: order-0 part is 1⊗1, order-1 part is the classical
@@ -18,9 +21,9 @@ supposed to do:
 * the two-step conjugation that proves intertwining for the one-parameter
   creation-type family, and the four auxiliary conjugation identities
   that prove it for the three-parameter family;
-* the exact 3×3 matrix image: representation property, collapse of R to
-  a finite matrix form, and the 27×27 braid identity with no truncation,
-  its three factors placed with ``kron`` and the flip P₂₃;
+* the exact 3×3 matrix image: representation property, collapse of the
+  series R to the 9×9 matrix, and the 27×27 braid identity with no
+  truncation, its three factors placed with ``kron`` and the flip P₂₃;
 * the FRT construction R T₁T₂ = T₂T₁ R over the quantized coordinate
   rings, with T₁T₂ = T⊗T and T₂T₁ = P(T⊗T)P: all 81 entries vanish, the
   relations extracted from the free (unreduced) entries are reported, and
@@ -141,28 +144,29 @@ def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
     return _exp_sum(t, factor.commutator, t.alg.order)
 
 
-def universal_R(key: str, order: int) -> UniversalR:
-    p = presentation(key, order)
-    alg = p.alg
-    field = p.field
+def _exponents(key: str, alg: Algebra):
+    """The one statement of each universal R: its marked exponents F_k, in
+    product order, and its second factorization (``None`` where there is
+    none), over any algebra of the deformation's field.  For ``IIs`` the
+    creation slot is the primed generator A₊' = e^{−zM}A₊."""
+    field = alg.field
     gA, gAp, gAm, gM = (alg.gen(i) for i in (A, AP, AM, M))
     if key == "Uz":
         z = field.marked_param("z")
-        f1 = tensor(gAp, gA).scale(-z)
-        f2 = tensor(gA, gAp).scale(z)
-        return UniversalR(key, p, [f1, f2])
+        return [tensor(gAp, gA).scale(-z), tensor(gA, gAp).scale(z)], None
     if key == "IIn":
         x, bp, yp = (field.marked_param(n) for n in ("x", "bp", "yp"))
         w = gA.scale(x) + gAp.scale(bp) + gAm.scale(yp)
-        wedge = tensor(w, gM) - tensor(gM, w)
-        alt = [-tensor(gM, w), tensor(w, gM)]
-        return UniversalR(key, p, [wedge], alt_factors=alt)
-    # IIs; the creation slot of this presentation is the primed generator
+        return [tensor(w, gM) - tensor(gM, w)], [-tensor(gM, w), tensor(w, gM)]
     z = field.marked_param("z")
     sym = (tensor(gA, gM) + tensor(gM, gA)).scale(-z)
     skew = tensor(gAm, gAp).scale(2 * z)
-    alt = [tensor(gA, gM).scale(-z), tensor(gM, gA).scale(-z), skew]
-    return UniversalR(key, p, [sym, skew], alt_factors=alt)
+    return [sym, skew], [tensor(gA, gM).scale(-z), tensor(gM, gA).scale(-z), skew]
+
+
+def universal_R(key: str, order: int) -> UniversalR:
+    p = presentation(key, order)
+    return UniversalR(key, p, *_exponents(key, p.alg))
 
 
 # -- series-level checks -------------------------------------------------
@@ -293,18 +297,17 @@ def _mono_matrix(gens, mono) -> ScalarMatrix:
     return math.prod((gens[g] for g in Algebra.word_of(mono)), start=start)
 
 
-def rep3(e: Element) -> ScalarMatrix:
-    """Linear extension of the generator matrices to normal monomials."""
-    gens = _gen_matrices(e.alg.field)
-    return linear(e, lambda mono: _mono_matrix(gens, mono), ScalarMatrix.zero(e.alg.field, 3))
-
-
-def rep3_tensor(t: TensorElement) -> ScalarMatrix:
-    gens = _gen_matrices(t.alg.field)
+def rep3(t: TensorElement, gens=None) -> ScalarMatrix:
+    """D on each slot, the slots' matrices placed with ``kron``: the linear
+    extension of the generator matrices ``gens`` (by default
+    :func:`_gen_matrices`) to tensors of normal monomials, of any arity; an
+    element goes in as its arity-1 tensor."""
+    field = t.alg.field
+    gens = gens or _gen_matrices(field)
     return linear(
         t,
         lambda key: reduce(ScalarMatrix.kron, (_mono_matrix(gens, m) for m in key)),
-        ScalarMatrix.zero(t.alg.field, 3**t.arity),
+        ScalarMatrix.zero(field, 3**t.arity),
     )
 
 
@@ -315,56 +318,36 @@ def rep3_check():
     alg = Algebra.classical(field)
     gens = _gen_matrices(field)
     return held(
-        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(alg.gen(i) * alg.gen(j)) - gens[i] * gens[j])
+        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(tensor(alg.gen(i) * alg.gen(j))) - gens[i] * gens[j])
         for i in range(4)
         for j in range(4)
     )
 
 
-def primed_creation_matrix(field, marked: bool = False) -> ScalarMatrix:
-    """The matrix of e^{-zM}·A₊, computed from the definition.
+def d_matrix(key: str, primed_reading: str = "definition") -> ScalarMatrix:
+    """The finite 9×9 matrix form each universal R collapses to:
+    ∏ exp((D⊗D)F_k) over the exponents of :func:`_exponents`, taken in the
+    exact classical algebra, its parameters marked.
 
-    D(M) is a nilpotent 3×3 matrix, so the series of e^{-zM} ends within
-    three steps (at the second: D(M)² = 0), and D(M) annihilates D(A₊) on
-    the left, so the product equals D(A₊) exactly.
-    """
-    z = field.marked_param("z") if marked else field.param("z")
-    gens = _gen_matrices(field)
-    exponent = gens[M].scale(-z)
-    exp_m = _exp_sum(ScalarMatrix.identity(field, 3), lambda t: t * exponent, 3)
-    return exp_m * gens[AP]
-
-
-def d_matrix(key: str, marked: bool = False, primed_reading: str = "definition") -> ScalarMatrix:
-    """The finite 9×9 matrix form each universal R collapses to.
-
-    For ``IIs`` the creation leg is the primed generator; ``primed_reading``
-    selects how its matrix is taken: ``definition`` computes it from
-    e^{-zM}A₊ (which collapses to D(A₊)), ``literal-A`` substitutes D(A)
-    instead, the other reading a strict transcription would give.  Any other
-    reading raises ``ValueError``, for every key.
+    Each (D⊗D)F_k is a nilpotent 9×9 matrix, so its exponential series ends
+    within nine steps.  For ``IIs`` the creation leg is the primed generator
+    e^{−zM}A₊, and ``primed_reading`` selects its matrix: ``definition``
+    takes D(e^{−zM})D(A₊), which is D(A₊) because D(M) annihilates D(A₊) on
+    the left; ``literal-A`` substitutes D(A) instead, the other reading a
+    strict transcription would give.  Any other reading raises
+    ``ValueError``, for every key.
     """
     if primed_reading not in ("definition", "literal-A"):
         raise ValueError(f"unknown primed_reading {primed_reading!r}")
     field = deformation(key).field()
-    par = field.marked_param if marked else field.param
     gens = _gen_matrices(field)
-    eye = ScalarMatrix.identity(field, 9)
-    if key == "Uz":
-        z = par("z")
-        return eye + (gens[A].kron(gens[AP]) - gens[AP].kron(gens[A])).scale(z)
-    if key == "IIn":
-        out = eye
-        for name, idx in (("x", A), ("bp", AP), ("yp", AM)):
-            out = out + (gens[idx].kron(gens[M]) - gens[M].kron(gens[idx])).scale(par(name))
-        return out
-    z = par("z")
-    dap = primed_creation_matrix(field, marked) if primed_reading == "definition" else gens[A]
-    return (
-        eye
-        + gens[AM].kron(dap).scale(2 * z)
-        - (gens[A].kron(gens[M]) + gens[M].kron(gens[A])).scale(z)
-    )
+    if key == "IIs" and primed_reading == "literal-A":
+        gens[AP] = gens[A]
+    eye = out = ScalarMatrix.identity(field, 9)
+    for f in _exponents(key, Algebra.classical(field))[0]:
+        m = rep3(f, gens)
+        out = out * _exp_sum(eye, lambda t: t * m, 9)
+    return out
 
 
 def qybe_exact_matrix(mat9: ScalarMatrix):
@@ -380,7 +363,7 @@ def qybe_exact_matrix(mat9: ScalarMatrix):
 
 
 def qybe_exact_rep(key: str, primed_reading: str = "definition"):
-    ok, diff = qybe_exact_matrix(d_matrix(key, primed_reading=primed_reading))
+    ok, diff = qybe_exact_matrix(d_matrix(key, primed_reading).strip_marker())
     return ok, ([] if ok else [("qybe-exact", diff)])
 
 
@@ -470,7 +453,7 @@ def frt_relations(key: str):
     f = fun_presentation(key)
     alg = f.alg
     field = alg.field
-    r9 = d_matrix(key, marked=True)
+    r9 = d_matrix(key)
     if r9.field is not field:
         raise AssertionError("coordinate ring and R-matrix field mismatch")
     ok, residuals = held(sorted(_frt_defect(r9, fun_t_matrix(alg)).entries.items()))

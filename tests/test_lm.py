@@ -216,7 +216,7 @@ def test_shift_clears_primitive_pair_terms():
     for key, h1 in (("Iplus-standard", AP), ("Iminus-standard", AM)):
         fam = FAMILIES[key]
         subst = basis_change(fam)
-        delta_a = fam.cocommutators(marked=False)["A"]
+        delta_a = fam.cocommutators()["A"]
         hot = (GEN_MONOS[h1], GEN_MONOS[M])
         assert hot in delta_a.terms or (hot[1], hot[0]) in delta_a.terms
         primed = subst.to_primed(delta_a)

@@ -168,7 +168,7 @@ def test_scalar_matrix(field):
     z = field.param("z")
     alg = Algebra.classical(field)
     x = alg.gen(AP) * alg.gen(M).scale(z) + alg.one().scale(2)
-    got = rep3(x)
+    got = rep3(tensor(x))
     assert isinstance(got, ScalarMatrix) and got.dim == 3
     # D(Ap) D(M) = 0, so only 2·1 is left.
     assert got == ScalarMatrix.identity(field, 3).scale(2)

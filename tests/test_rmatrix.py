@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from oscquant.algebra import A, AM, AP, M, embed, exp_series, held
+from oscquant.algebra import A, AM, AP, M, _exp_sum, embed, exp_series, held, tensor
 from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import FunAlgebra, fun_presentation
@@ -24,14 +24,12 @@ from oscquant.rmatrix import (
     fun_t_matrix,
     intertwining_check,
     inverse_check,
-    primed_creation_matrix,
     qybe_check,
     qybe_exact_matrix,
     qybe_exact_rep,
     refactorization_check,
     rep3,
     rep3_check,
-    rep3_tensor,
     two_step_intertwining_check,
     universal_R,
 )
@@ -247,19 +245,43 @@ def test_rep3_commutator_reproduces_central_matrix():
 
 def test_rep3_of_unit_is_identity():
     alg = presentation("Uz", 3).alg
-    assert rep3(alg.one()) == ScalarMatrix.identity(alg.field, 3)
+    assert rep3(tensor(alg.one())) == ScalarMatrix.identity(alg.field, 3)
 
 
 def test_primed_creation_matrix_collapses():
+    """D(e^{−zM})·D(A₊) = D(A₊), z marked or not: D(M) is nilpotent and
+    annihilates D(A₊) on the left, so ``d_matrix`` may take the primed
+    creation leg of ``IIs`` as D(A₊)."""
     field = CoefficientField.get("z")
-    assert primed_creation_matrix(field) == _gen_matrices(field)[AP]
-    assert primed_creation_matrix(field, marked=True) == _gen_matrices(field)[AP]
+    g = _gen_matrices(field)
+    eye = ScalarMatrix.identity(field, 3)
+    for z in (field.param("z"), field.marked_param("z")):
+        exponent = g[M].scale(-z)
+        exp_m = _exp_sum(eye, lambda t: t * exponent, 3)
+        assert exp_m != eye
+        assert exp_m * g[AP] == g[AP]
 
 
 @pytest.mark.parametrize("key", R_KEYS)
 def test_expansion_collapses_to_matrix_form(key):
-    got = rep3_tensor(_R(key).expansion)
-    assert got == d_matrix(key, marked=True)
+    """(D⊗D)(series R) = ∏ exp((D⊗D)F_k): the truncated series and the
+    exact product of matrix exponentials, both from ``_exponents``."""
+    assert rep3(_R(key).expansion) == d_matrix(key)
+
+
+@pytest.mark.parametrize("key", ("Uz", "IIn"))
+def test_literal_reading_changes_nothing_without_a_primed_leg(key):
+    assert d_matrix(key, "literal-A") == d_matrix(key)
+
+
+def test_literal_reading_replaces_the_primed_leg_by_a():
+    """For ``IIs`` the literal-A reading only swaps D(A₊) for D(A) in the
+    creation leg of 1 + 2z·A₋⊗A₊'."""
+    field = DEFORMATIONS["IIs"].field()
+    g = _gen_matrices(field)
+    z = field.marked_param("z")
+    want = (g[AM].kron(g[A]) - g[AM].kron(g[AP])).scale(2 * z)
+    assert d_matrix("IIs", "literal-A") - d_matrix("IIs") == want
 
 
 @pytest.mark.parametrize("key", R_KEYS)
