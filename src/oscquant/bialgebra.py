@@ -14,7 +14,9 @@ three families by which of c1, c2 can be nonzero:
     II     : c1 = c2 = 0
 
 each in a ``standard`` ([[r,r]] != 0) and a ``nonstandard`` ([[r,r]] = 0)
-flavor.  The cocommutator of a coboundary bialgebra is
+flavor.  Those constraints clear every other component of [[r,r]], so the
+flavor boundary is its Ap^Am^M coefficient c1*c6 + c2*c5 - c4^2, which
+``classify`` reads and ``cli._generic_components`` prints.  The cocommutator of a coboundary bialgebra is
 delta(X) = [X(x)1 + 1(x)X, r]; this module computes all of it from r alone
 and cross-checks the published family table against the computation.
 
@@ -353,8 +355,7 @@ class Family:
     ``coeff_exprs`` maps slot names c1..c6 to expressions in the family's
     parameters; unlisted slots are zero.  ``nonzero`` lists the parameters
     declared nonzero (those appearing in denominators or deciding the
-    family), and ``flavor_condition`` renders the standard/nonstandard
-    boundary for documentation.
+    family).
     """
 
     key: str
@@ -363,7 +364,6 @@ class Family:
     params: tuple
     nonzero: tuple
     coeff_exprs: dict
-    flavor_condition: str = ""
 
     def field(self) -> CoefficientField:
         return CoefficientField.get(*self.params)
@@ -394,7 +394,6 @@ FAMILIES = {
             params=("ap", "x", "bp", "yp"),
             nonzero=("ap",),
             coeff_exprs={"c1": "ap", "c3": "x", "c4": "-x", "c5": "bp", "c6": "yp"},
-            flavor_condition="ap*yp - x^2 != 0",
         ),
         Family(
             key="Iplus-nonstandard",
@@ -403,7 +402,6 @@ FAMILIES = {
             params=("ap", "x", "bp"),
             nonzero=("ap",),
             coeff_exprs={"c1": "ap", "c3": "x", "c4": "-x", "c5": "bp", "c6": "x^2/ap"},
-            flavor_condition="c6 = x^2/ap",
         ),
         Family(
             key="Iminus-standard",
@@ -412,7 +410,6 @@ FAMILIES = {
             params=("am", "x", "bp", "yp"),
             nonzero=("am",),
             coeff_exprs={"c2": "am", "c3": "x", "c4": "x", "c5": "bp", "c6": "yp"},
-            flavor_condition="am*bp - x^2 != 0",
         ),
         Family(
             key="Iminus-nonstandard",
@@ -421,7 +418,6 @@ FAMILIES = {
             params=("am", "x", "yp"),
             nonzero=("am",),
             coeff_exprs={"c2": "am", "c3": "x", "c4": "x", "c5": "x^2/am", "c6": "yp"},
-            flavor_condition="c5 = x^2/am",
         ),
         Family(
             key="II-standard",
@@ -430,7 +426,6 @@ FAMILIES = {
             params=("x", "y", "bp", "yp"),
             nonzero=("y",),
             coeff_exprs={"c3": "x", "c4": "y", "c5": "bp", "c6": "yp"},
-            flavor_condition="y != 0",
         ),
         Family(
             key="II-nonstandard",
@@ -439,7 +434,6 @@ FAMILIES = {
             params=("x", "bp", "yp"),
             nonzero=(),
             coeff_exprs={"c3": "x", "c5": "bp", "c6": "yp"},
-            flavor_condition="c4 = 0",
         ),
     )
 }

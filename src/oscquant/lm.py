@@ -7,12 +7,14 @@ stacked in a vector X, receive
     Delta(X_k) = 1 (x) X_k + sum_l X_l (x) exp(N)_kl,    N = sum_i nu_i H_i,
 
 where the nu_i are square parameter matrices.  The order-h part
-antisymmetrizes to the cocommutator delta(X_k) = -sum_l N_kl ^ X_l, which is
-how the nu matrices are read off the classification table.  The nu_i, N and
+antisymmetrizes to the cocommutator delta(X_k) = -sum_l N_kl ^ X_l, so the
+primitives (delta = 0), the vector and the nu_i are read off Table I, the
+transcribed cocommutators of ``fixtures/table_I.json``.  The nu_i, N and
 exp(N) are :class:`.algebra.ScalarMatrix`es, over coefficients and over
-algebra elements.  When delta(A) carries an H_i ^ H_j term that no matrix
-row can produce, the shift A' = A - s*M absorbs it first; the emitted images
-undo the shift, so every coproduct is stated on the original generators.
+algebra elements.  The one H ^ M term of delta(A) that no matrix row can
+produce is absorbed by the shift A' = A - s*M, also read off Table I: the
+vector holds A', and Delta(A) = Delta(A') + s*Delta(M), so every coproduct
+is stated on the original generators.
 
 The I+ non-standard family is the case where exp(N) has a closed form:
 N = (ap*Ap + x*M)*1 + B with B^2 = 0, so exp(N) = e^{ap*Ap + x*M} (1 + B).
@@ -23,18 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fixtures
 from .algebra import (
     A,
     AM,
     AP,
+    GEN_MONOS,
     GEN_NAMES,
     M,
     Algebra,
     ScalarMatrix,
-    TensorElement,
     _exp_sum,
     exp_series,
-    linear,
     spread,
     tensor,
 )
@@ -46,10 +48,6 @@ from .hopf import HopfPresentation, cocommutator_check
 
 class NoncommutingEntries(ValueError):
     """Matrix data violates a commutativity requirement."""
-
-
-class DivisionByZeroParam(ZeroDivisionError):
-    """A basis shift would divide by a parameter that is zero."""
 
 
 # -- parameter matrices --------------------------------------------------
@@ -71,9 +69,9 @@ class LMSpec:
     ``primitives`` and ``vector`` are generator indices; ``nu[i]`` is the
     square matrix attached to ``primitives[i]``, sized by the vector, given
     as nested rows and held as a :class:`.algebra.ScalarMatrix`.  ``shift``
-    records the absorbed substitution A' = A - shift*M (zero when none);
-    coproducts are emitted unshifted.  Matrix entries are expected
-    marker-graded so series terminate.
+    is s in the absorbed substitution A' = A - s*M (zero when none);
+    coproducts are stated on the original generators.  Matrix entries are
+    expected marker-graded so series terminate.
     """
 
     field: CoefficientField
@@ -137,102 +135,33 @@ def matrix_exp(mat: ScalarMatrix, alg: Algebra) -> ScalarMatrix:
     return _exp_sum(unit, lambda t: t * mat, order)
 
 
-# -- basis shifts --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """The invertible shift A' = A - s*M, as a map on elements and tensors.
-
-    ``to_primed`` rewrites an expression so that the A slot denotes A'
-    (substituting A = A' + s*M); ``to_unprimed`` is its inverse.  M being
-    central makes both directions algebra morphisms.
-    """
-
-    field: CoefficientField
-    s: Coefficient
-
-    @property
-    def is_identity(self) -> bool:
-        return self.s.is_zero
-
-    def _apply(self, x, t):
-        if self.is_identity:
-            return x
-        alg = x.alg
-        img = alg.gen(A) + alg.gen(M).scale(t)
-
-        def mono_image(mono):
-            return img ** mono[A] * alg.monomial((0,) + mono[1:])
-
-        if isinstance(x, TensorElement):
-            return linear(x, lambda key: tensor(*map(mono_image, key)), alg.tensor_zero(x.arity))
-        return linear(x, mono_image, alg.zero())
-
-    def to_primed(self, x):
-        return self._apply(x, self.s)
-
-    def to_unprimed(self, x):
-        return self._apply(x, -self.s)
-
-
-def shift_substitution(field: CoefficientField, numerator: Coefficient, denominator: Coefficient) -> Substitution:
-    """Build A' = A - (numerator/denominator)*M; zero numerator is identity."""
-    if numerator.is_zero:
-        return Substitution(field, field.zero)
-    if denominator.is_zero:
-        raise DivisionByZeroParam("basis shift denominator parameter is zero")
-    return Substitution(field, numerator / denominator)
-
-
-def basis_change(family) -> Substitution:
-    """The generator shift that clears primitive^primitive cocommutator terms.
-
-    Families with nonzero c1 shift by bp/ap; families with nonzero c2 by
-    yp/am; type II needs no shift.
-    """
-    fam = FAMILIES[family] if isinstance(family, str) else family
-    field = fam.field()
-    if fam.family == "Iplus":
-        return shift_substitution(field, field.param("bp"), field.param("ap"))
-    if fam.family == "Iminus":
-        return shift_substitution(field, field.param("yp"), field.param("am"))
-    return Substitution(field, field.zero)
-
-
 # -- family data ---------------------------------------------------------
 
 
 def family_spec(family) -> LMSpec:
-    """The commuting-matrix data quantizing one classification family.
+    """The commuting-matrix data quantizing one classification family, read
+    off its cocommutators in the ``table_I`` fixture.
 
-    Matrix entries are marker-graded (each parameter carries one power of h),
-    so every exponential terminates at the working truncation order.
+    The primitives are the generators with delta = 0 and the vector holds the
+    rest; nu_i[k][l] is minus the coefficient of H_i (x) X_l in delta(X_k),
+    marked (p -> h*p) so every exponential terminates at the working order.
+    With c the coefficients of delta(A), the shift s = -c(H (x) M)/c(H (x) A)
+    absorbs the one H^M term that no matrix row can produce.
     """
     fam = FAMILIES[family] if isinstance(family, str) else family
     field = fam.field()
-    p = {name: field.marked_param(name) for name in fam.params}
-    z = field.zero
-    if fam.family == "Iplus":
-        ap, x = p["ap"], p["x"]
-        yp = p["yp"] if fam.flavor == "standard" else x * x / ap
-        nu = (
-            ((ap, z), (z, ap)),  # attached to Ap
-            ((z, -yp), (ap, 2 * x)),  # attached to M
-        )
-        return LMSpec(field, (AP, M), (A, AM), nu, shift=basis_change(fam).s, key=fam.key)
-    if fam.family == "Iminus":
-        am, x = p["am"], p["x"]
-        bp = p["bp"] if fam.flavor == "standard" else x * x / am
-        nu = (
-            ((-am, z), (z, -am)),  # attached to Am
-            ((z, bp), (-am, -2 * x)),  # attached to M
-        )
-        return LMSpec(field, (AM, M), (A, AP), nu, shift=basis_change(fam).s, key=fam.key)
-    x = p["x"]
-    y = p["y"] if fam.flavor == "standard" else z
-    nu = (((z, p["bp"], -p["yp"]), (z, -(x + y), z), (z, z, x - y)),)
-    return LMSpec(field, (M,), (A, AP, AM), nu, key=fam.key)
+    alg = Algebra.classical(field)
+    cells = fixtures.load("table_I")[fam.key]["delta"]
+    delta = [fixtures.wedge_tensor(alg, cells[label]) for label in GEN_NAMES]
+    primitives = tuple(g for g, d in enumerate(delta) if d.is_zero)
+    vector = tuple(g for g, d in enumerate(delta) if not d.is_zero)
+
+    def c(k, h, l):
+        return delta[k].terms.get((GEN_MONOS[h], GEN_MONOS[l]), field.zero)
+
+    nu = [[[-c(k, h, l).scale_params() for l in vector] for k in vector] for h in primitives]
+    shift = sum((-c(A, h, M) / c(A, h, A) for h in primitives if not c(A, h, M).is_zero), field.zero)
+    return LMSpec(field, primitives, vector, nu, shift=shift, key=fam.key)
 
 
 def trivial_spec() -> LMSpec:
@@ -272,16 +201,15 @@ def lm_coproduct(spec: LMSpec, order: int, r: RMatrixSkew | None = None) -> Hopf
     alg = Algebra.classical(spec.field, order)
     P = matrix_exp(spec_matrix(spec, alg), alg)
     images = {GEN_NAMES[h]: spread(alg.gen(h), 2) for h in spec.primitives}
-    subst = Substitution(spec.field, spec.shift)
+    x = [alg.gen(v) - alg.gen(M).scale(spec.shift) if v == A else alg.gen(v) for v in spec.vector]
     for k, xk in enumerate(spec.vector):
-        t = tensor(alg.one(), alg.gen(xk))
-        for l, xl in enumerate(spec.vector):
+        t = tensor(alg.one(), x[k])
+        for l, xl in enumerate(x):
             if (k, l) in P.entries:
-                t = t + tensor(alg.gen(xl), P.entries[(k, l)])
-        img = subst.to_unprimed(t)
-        if xk == A and not subst.is_identity:
-            img = img + spread(alg.gen(M), 2).scale(spec.shift)
-        images[GEN_NAMES[xk]] = img
+                t = t + tensor(xl, P.entries[(k, l)])
+        if xk == A:
+            t = t + spread(alg.gen(M), 2).scale(spec.shift)
+        images[GEN_NAMES[xk]] = t
     return HopfPresentation(spec.key, alg, images, None, None, r)
 
 
@@ -305,7 +233,7 @@ class TableIIIRow:
     match: bool
 
 
-def table_III(order: int = 6):
+def table_III(order: int):
     """Recompute the coproduct table and diff it against the fixture.
 
     Rows published in closed form are compared image by image at the given
@@ -313,8 +241,6 @@ def table_III(order: int = 6):
     data, so their transcription is compared against the assembled matrix and
     the machine-expanded series is carried alongside.
     """
-    from . import fixtures
-
     data = fixtures.load("table_III")
     rows = []
     for key, fam in FAMILIES.items():

@@ -1,7 +1,8 @@
-"""Coproduct construction: matrix exponentials, basis shifts, table recovery."""
+"""Coproduct construction: matrix exponentials, the shift, table recovery."""
 
 import pytest
 
+from oscquant import fixtures
 from oscquant.algebra import (
     A,
     AM,
@@ -18,16 +19,13 @@ from oscquant.bialgebra import FAMILIES, GEN_MONOS, RMatrixSkew
 from oscquant.coeffs import CoefficientField
 from oscquant.hopf import counit_check
 from oscquant.lm import (
-    DivisionByZeroParam,
     LMSpec,
     NoncommutingEntries,
-    basis_change,
     family_spec,
     first_order_check,
     iplus_nonstandard_closed,
     lm_coproduct,
     matrix_exp,
-    shift_substitution,
     spec_matrix,
     table_III,
     trivial_spec,
@@ -196,51 +194,45 @@ def test_first_order_detects_mismatch():
     assert not first_order_check(family_spec(fam), wrong)[0]
 
 
-# -- basis shifts --------------------------------------------------------
-
-
-def test_shift_roundtrip_on_elements_and_tensors():
-    fam = FAMILIES["Iplus-standard"]
-    subst = basis_change(fam)
-    alg = Algebra.classical(fam.field())
-    e = alg.monomial((2, 1, 1, 1)) + alg.gen(A).scale(alg.field.param("yp"))
-    assert subst.to_unprimed(subst.to_primed(e)) == e
-    assert subst.to_primed(subst.to_unprimed(e)) == e
-    t = tensor(alg.gen(A) * alg.gen(A), alg.gen(AP)) + tensor(alg.gen(M), alg.gen(A))
-    assert subst.to_unprimed(subst.to_primed(t)) == t
-
-
-def test_shift_clears_primitive_pair_terms():
-    # In the shifted basis delta(A) loses its H1^H2 component (Ap^M for the
-    # c1 families, Am^M for the c2 families).
-    for key, h1 in (("Iplus-standard", AP), ("Iminus-standard", AM)):
-        fam = FAMILIES[key]
-        subst = basis_change(fam)
-        delta_a = fam.cocommutators()["A"]
-        hot = (GEN_MONOS[h1], GEN_MONOS[M])
-        assert hot in delta_a.terms or (hot[1], hot[0]) in delta_a.terms
-        primed = subst.to_primed(delta_a)
-        assert hot not in primed.terms and (hot[1], hot[0]) not in primed.terms
-
-
-def test_zero_numerator_gives_identity_shift():
-    field = FAMILIES["Iplus-standard"].field()
-    subst = shift_substitution(field, field.zero, field.param("ap"))
-    assert subst.is_identity
-    alg = Algebra.classical(field)
-    e = alg.monomial((3, 0, 1, 2))
-    assert subst.to_primed(e) == e
-
-
-def test_zero_denominator_raises():
-    field = FAMILIES["Iplus-standard"].field()
-    with pytest.raises(DivisionByZeroParam):
-        shift_substitution(field, field.param("bp"), field.zero)
+# -- the shift -----------------------------------------------------------
 
 
 def test_type_II_needs_no_shift():
-    assert basis_change("II-standard").is_identity
-    assert basis_change("II-nonstandard").is_identity
+    assert family_spec("II-standard").shift.is_zero
+    assert family_spec("II-nonstandard").shift.is_zero
+
+
+def test_shift_clears_primitive_pair_terms():
+    # Without the shift, delta(A)'s H^M term (Ap^M for I+, Am^M for I-) is
+    # left over, and the first-order check fails.
+    for key in ("Iplus-standard", "Iminus-standard"):
+        fam = FAMILIES[key]
+        spec = family_spec(fam)
+        assert not spec.shift.is_zero
+        z = spec.field.zero
+        nu = [[[m.entries.get((k, l), z) for l in range(m.dim)] for k in range(m.dim)] for m in spec.nu]
+        unshifted = LMSpec(spec.field, spec.primitives, spec.vector, nu, key=spec.key)
+        assert first_order_check(spec, fam.r(marked=True))[0], key
+        assert not first_order_check(unshifted, fam.r(marked=True))[0], key
+
+
+def test_lm_data_follows_table_I(monkeypatch):
+    # Drop the bp Ap^M summand from the Iplus-standard cell delta(A): the
+    # shift it implied goes, and Table III no longer matches that row.
+    load = fixtures.load
+
+    def edited(name):
+        data = load(name)
+        if name == "table_I":
+            cell = data["Iplus-standard"]["delta"]
+            cell["A"] = [s for s in cell["A"] if s != ["bp", "Ap", "M"]]
+        return data
+
+    monkeypatch.setattr(fixtures, "load", edited)
+    assert family_spec("Iplus-standard").shift.is_zero
+    rows = {r.key: r for r in table_III(order=2)}
+    assert not rows["Iplus-standard"].match
+    assert all(row.match for key, row in rows.items() if key != "Iplus-standard")
 
 
 # -- the published table -------------------------------------------------
