@@ -23,8 +23,8 @@ with no separator (the first 16 hex digits are printed):
                     the ``necessary`` map, then ``ok``, one per line.
 
 A ``verify`` document is hashed whole, with every ``wall_time_s`` removed,
-as ``json.dumps(..., sort_keys=True)``.  ``OSCQUANT_ORDER`` is ignored, so
-``tables`` runs at the built-in default order.
+as ``json.dumps(..., sort_keys=True)``.  ``tables`` runs at the built-in
+default order.
 
 Run from the repository root::
 
@@ -37,11 +37,10 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 
 from oscquant.bialgebra import FAMILIES, SLOT_NAMES
-from oscquant.cli import ORDER_ENV, main as cli_main
+from oscquant.cli import main as cli_main
 from oscquant.report import Report, render_reports_latex, render_reports_text
 from oscquant.rmatrix import frt_relations
 
@@ -151,7 +150,6 @@ def main(argv=None) -> int:
     unknown = [name for name in args.outputs if name not in OUTPUTS]
     if unknown:
         ap.error(f"unknown outputs: {', '.join(unknown)}")
-    os.environ.pop(ORDER_ENV, None)
     for name in args.outputs or OUTPUTS:
         print(f"{name} {digest(OUTPUTS[name]())}", flush=True)
     return 0

@@ -19,13 +19,15 @@ truncated at a fixed marker order always terminate.
 Everything heavy (monomial products, generator appends) is memoized per
 algebra instance, which is what makes order-8 coproduct checks tractable.
 
-The package's structure maps (coproduct, antipode, the 3×3 representation,
-FRT evaluation of free words, the Poisson pull-back) are fixed on keys and
-extended by :func:`linear`, the one sum of ``c*image(k)`` over the terms of
-a container.  Every matrix of the package (the 3×3 representation, the
-R-matrices and the FRT group element, the exponent matrices of ``lm``, the
-group matrix of ``poisson``) is a :class:`ScalarMatrix`, whose product is the
-one matrix product.
+The package's structure maps (coproduct, counit, antipode, the 3×3
+representation, the Poisson pull-back) are fixed on letters, extended to
+normal monomials by :func:`multiplicative`, the one memoized walk of
+``image(g) * of(rest)``, and then to containers by :func:`linear`, the one
+sum of ``c*image(k)`` over the terms of a container; FRT evaluation of free
+words goes straight through :func:`linear`.  Every matrix of the package
+(the 3×3 representation, the R-matrices and the FRT group element, the
+exponent matrices of ``lm``, the group matrix of ``poisson``) is a
+:class:`ScalarMatrix`, whose product is the one matrix product.
 """
 
 from __future__ import annotations
@@ -825,6 +827,32 @@ def linear(x, image, zero):
     for _, k2, c in _pair_walk(x.terms, lambda k: image(k).terms, zero.order):
         _acc(out, k2, c)
     return zero._like(out)
+
+
+def multiplicative(alg: Algebra, image, one, peel):
+    """The extension of ``image`` (a letter -> a value like ``one``) to the
+    normal monomials of ``alg``: 1 goes to ``one``, and a monomial to
+    ``image(g) * of(rest)``, where ``peel`` splits off its letter ``g``.
+    ``alg.first_letter`` gives a morphism and ``alg.last_letter`` an
+    anti-morphism.  Results are memoized per monomial; the walk down to the
+    nearest memoized one is a loop, and the returned function holds no
+    reference to itself, so its memo dies with it."""
+    memo = {alg.unit_mono: one}
+    shift = alg.shift
+
+    def of(mono):
+        hit = memo.get(mono)
+        chain = []
+        while hit is None:
+            g = peel(mono)
+            chain.append((mono, g))
+            mono = shift(mono, g, -1)
+            hit = memo.get(mono)
+        for mono, g in reversed(chain):
+            hit = memo[mono] = image(g) * hit
+        return hit
+
+    return of
 
 
 def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:

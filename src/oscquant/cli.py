@@ -12,14 +12,13 @@ Three subcommands:
 
 Exit codes: 0 all checks passed, 1 some asserted identity failed or a
 table mismatched, 2 usage error.  ``tables`` and ``verify`` take a truncation
-order (``--order``, else ``OSCQUANT_ORDER``, else 6); ``classify`` is exact.
+order (``--order``, default 6); ``classify`` is exact.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 import time
@@ -67,7 +66,6 @@ from .rmatrix import (
 )
 
 DEFAULT_ORDER = 6
-ORDER_ENV = "OSCQUANT_ORDER"
 
 # The universal QYBE and the two-sided inverse check multiply arity-3 and
 # arity-2 series whose term counts grow steeply with the truncation order;
@@ -412,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--order",
                 type=int,
-                default=None,
-                help=f"truncation order (default: ${ORDER_ENV} or {DEFAULT_ORDER})",
+                default=DEFAULT_ORDER,
+                help=f"truncation order (default: {DEFAULT_ORDER})",
             )
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
@@ -469,21 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_order(args) -> int:
-    order = args.order
-    if order is None:
-        raw = os.environ.get(ORDER_ENV)
-        if raw is None:
-            return DEFAULT_ORDER
-        try:
-            order = int(raw)
-        except ValueError:
-            raise UsageError(f"${ORDER_ENV} must be an integer, got {raw!r}")
-    if order < 0:
-        raise UsageError("order must be >= 0")
-    return order
-
-
 def _join_r(argv: list) -> list:
     """``--r VALUE`` as ``--r=VALUE``, so that argparse takes a VALUE that
     starts with a minus sign (``-1,0,0,0,0,0``) as the value, not an option."""
@@ -498,12 +481,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "classify":
             return cmd_classify(args)
-        order = _resolve_order(args)
+        if args.order < 0:
+            raise UsageError("order must be >= 0")
         if args.command == "tables":
-            return cmd_tables(args, order)
+            return cmd_tables(args, args.order)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        return cmd_verify(args, order)
+        return cmd_verify(args, args.order)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

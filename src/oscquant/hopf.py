@@ -39,6 +39,7 @@ from .algebra import (
     apply_slot_map,
     held,
     linear,
+    multiplicative,
     rebase,
     spread,
     tensor,
@@ -98,10 +99,12 @@ class HopfPresentation:
     ``images``/``antipode`` map letter names to coproduct tensors and
     antipode elements; ``counit`` starts at zero on every letter.  ``r`` is
     the classical r-matrix whose cocommutator the order-h part must
-    reproduce.  The coproduct and antipode extend to arbitrary elements as
-    (anti)algebra morphisms through ``delta``/``antipode_of``, memoized per
-    monomial.  The axiom checks run over the letters ``images`` names.  A
-    coproduct with no antipode (``antipode=None``) still supports the
+    reproduce.  Each map is fixed on letters and extended to normal
+    monomials by :func:`.algebra.multiplicative` (``delta_mono`` and
+    ``counit_scalar`` as morphisms, ``antipode_mono`` as an anti-morphism),
+    then to elements by ``delta``/``antipode_of``.  The axiom checks run
+    over the letters ``images`` names.  A coproduct with no antipode
+    (``antipode=None``, and ``antipode_mono`` None) still supports the
     homomorphism, coassociativity and counit checks.
     """
 
@@ -111,62 +114,30 @@ class HopfPresentation:
         self.field = alg.field
         self.order = alg.order
         self.images = images
-        self.counit = {name: alg.field.zero for name in alg.letter_names}
+        self.counit = counit = {name: alg.field.zero for name in alg.letter_names}
         self.antipode = antipode
         self.casimir = casimir
         self.r = r
-        self._delta_cache: dict = {}
-        self._antipode_cache: dict = {}
+        names = alg.letter_names
+        self._delta = multiplicative(alg, lambda g: images[names[g]], alg.tensor_unit(2), alg.first_letter)
+        self.counit_scalar = multiplicative(alg, lambda g: counit[names[g]], alg.field.one, alg.first_letter)
+        self.antipode_mono = None
+        if antipode is not None:
+            self.antipode_mono = multiplicative(alg, lambda g: antipode[names[g]], alg.one(), alg.last_letter)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.key} (order {self.order})>"
 
     def delta_mono(self, mono) -> TensorElement:
-        hit = self._delta_cache.get(mono)
-        if hit is None:
-            alg = self.alg
-            g = alg.first_letter(mono)
-            if g is None:
-                hit = alg.tensor_unit(2)
-            else:
-                rest = alg.shift(mono, g, -1)
-                hit = self.images[alg.letter_names[g]] * self.delta_mono(rest)
-            self._delta_cache[mono] = hit
-        return hit
+        return self._delta(mono)
 
     def delta(self, e: Element) -> TensorElement:
         """The coproduct, extended multiplicatively over normal monomials."""
         return linear(e, self.delta_mono, self.alg.tensor_zero(2))
 
-    def antipode_mono(self, mono) -> Element:
-        hit = self._antipode_cache.get(mono)
-        if hit is None:
-            alg = self.alg
-            g = alg.last_letter(mono)
-            if g is None:
-                hit = alg.one()
-            else:
-                rest = alg.shift(mono, g, -1)
-                hit = self.antipode[alg.letter_names[g]] * self.antipode_mono(rest)
-            self._antipode_cache[mono] = hit
-        return hit
-
     def antipode_of(self, e: Element) -> Element:
         """The antipode, extended anti-multiplicatively over normal monomials."""
         return linear(e, self.antipode_mono, self.alg.zero())
-
-    def counit_scalar(self, mono) -> Coefficient:
-        """The counit of a monomial: the product of its letters' counits."""
-        alg, one = self.alg, self.field.one
-        out = one
-        for slot, e in enumerate(mono):
-            if e:
-                c = self.counit[alg.letter_names[alg.letter_at(slot, e)]]
-                if c.is_zero:
-                    return c
-                if c != one:
-                    out = out * c ** abs(e)
-        return out
 
 
 def uz_presentation(order: int) -> HopfPresentation:

@@ -27,13 +27,12 @@ and ``NumericElement.matrix`` return :class:`.algebra.ScalarMatrix`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import GEN_NAMES, Algebra, ScalarMatrix, TensorElement, _acc, held, linear, signed_sum
+from .algebra import GEN_NAMES, Algebra, ScalarMatrix, TensorElement, _acc, held, linear, multiplicative, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
 from .coeffs import Coefficient, CoefficientField
 from .expr import evaluate as expr_evaluate
@@ -321,15 +320,11 @@ def multiplicativity_check(r: RMatrixSkew):
     single = GroupRing(r.field, 1)
     double = GroupRing(r.field, 2)
     images = group_compose(site_coords(double, 0), site_coords(double, 1))
-
-    def pullback(key):
-        word = FunAlgebra.word_of(key[0])
-        return math.prod((images[LETTER_NAMES[g]] for g in word), start=double.one())
-
+    pullback = multiplicative(single, lambda g: images[LETTER_NAMES[g]], double.one(), single.first_letter)
     pairs = []
     for na, nb in combinations(COORDS, 2):
         fa, fb = single.coord(na), single.coord(nb)
-        lhs = linear(sklyanin_bracket(r, fa, fb), pullback, double.zero())
+        lhs = linear(sklyanin_bracket(r, fa, fb), lambda key: pullback(key[0]), double.zero())
         pairs.append(((na, nb), lhs - sklyanin_bracket(r, images[na], images[nb])))
     return held(pairs)
 

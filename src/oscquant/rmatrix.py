@@ -55,6 +55,7 @@ from .algebra import (
     exp_series,
     held,
     linear,
+    multiplicative,
     rebase,
     signed_sum,
     tensor,
@@ -291,24 +292,15 @@ def _gen_matrices(field) -> dict:
     }
 
 
-def _mono_matrix(gens, mono) -> ScalarMatrix:
-    """D of a normal monomial: the product of its letters' matrices."""
-    start = ScalarMatrix.identity(gens[A].field, 3)
-    return math.prod((gens[g] for g in Algebra.word_of(mono)), start=start)
-
-
 def rep3(t: TensorElement, gens=None) -> ScalarMatrix:
-    """D on each slot, the slots' matrices placed with ``kron``: the linear
-    extension of the generator matrices ``gens`` (by default
-    :func:`_gen_matrices`) to tensors of normal monomials, of any arity; an
-    element goes in as its arity-1 tensor."""
+    """D on each slot, the slots' matrices placed with ``kron``: the
+    multiplicative, then linear, extension of the generator matrices ``gens``
+    (by default :func:`_gen_matrices`) to tensors of normal monomials, of
+    any arity; an element goes in as its arity-1 tensor."""
     field = t.alg.field
     gens = gens or _gen_matrices(field)
-    return linear(
-        t,
-        lambda key: reduce(ScalarMatrix.kron, (_mono_matrix(gens, m) for m in key)),
-        ScalarMatrix.zero(field, 3**t.arity),
-    )
+    d_mono = multiplicative(t.alg, gens.__getitem__, ScalarMatrix.identity(field, 3), t.alg.first_letter)
+    return linear(t, lambda key: reduce(ScalarMatrix.kron, map(d_mono, key)), ScalarMatrix.zero(field, 3**t.arity))
 
 
 def rep3_check():

@@ -25,11 +25,6 @@ from oscquant.coeffs import CoefficientField
 from oscquant.rmatrix import CONJUGATION_CASES
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
-
-
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -243,16 +238,6 @@ def test_classify_latex_reads_every_name_as_a_symbol(capsys, name, tex):
     assert out == rf"$r = {tex} \, A \wedge A_+$: type $I_+$, non-standard" + "\n"
 
 
-def test_classify_ignores_the_order_environment(capsys, monkeypatch):
-    # Classification is exact: $OSCQUANT_ORDER concerns tables and verify.
-    rc, want, _ = run(capsys, ["classify", "--r", "1,0,0,0,0,0"])
-    monkeypatch.setenv(cli.ORDER_ENV, "abc")
-    rc_env, out, err = run(capsys, ["classify", "--r", "1,0,0,0,0,0"])
-    assert rc == rc_env == 0
-    assert out == want and "family: Type I+" in out
-    assert err == ""
-
-
 def test_classify_takes_no_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--r", "1,0,0,0,0,0", "--order", "3"])
@@ -420,7 +405,6 @@ def test_import_keeps_recursion_limit_and_deep_checks_pass():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop(cli.ORDER_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
     )
@@ -450,7 +434,6 @@ def test_text_and_json_runs_never_load_sympy():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop(cli.ORDER_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
     )
@@ -463,7 +446,6 @@ def test_python_dash_m_runs_the_cli(capsys):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop(cli.ORDER_ENV, None)
 
     def python_m(*argv):
         return subprocess.run(
@@ -659,32 +641,14 @@ def test_verify_family_unknown(capsys):
     assert "unknown family" in err
 
 
-def test_verify_env_order(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "0")
+def test_verify_order_zero_keeps_first_order_at_one(capsys):
     rc, payload, _ = run_json(
-        capsys, ["verify", "--target", "prop1", "--family", "Uz", "--format", "json"]
+        capsys, ["verify", "--target", "prop1", "--family", "Uz", "--order", "0", "--format", "json"]
     )
     assert rc == 0
     # coassociativity/counit run at the requested order; the first-order
     # comparison is pinned at order 1 by definition.
     assert {r["order"] for r in payload["reports"]} == {0, 1}
-
-
-def test_verify_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "3")
-    rc, payload, _ = run_json(
-        capsys,
-        ["verify", "--target", "appendixA", "--order", "1", "--format", "json"],
-    )
-    assert rc == 0
-    assert {r["order"] for r in payload["reports"]} == {1}
-
-
-def test_verify_env_order_invalid(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "abc")
-    rc, _, err = run(capsys, ["verify", "--target", "appendixA"])
-    assert rc == 2
-    assert "must be an integer" in err
 
 
 def test_verify_jobs_pool_matches_inline(capsys):

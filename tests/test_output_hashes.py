@@ -83,7 +83,6 @@ PINNED = {
 }
 
 
-def test_every_output_matches_its_pinned_prefix(monkeypatch):
-    monkeypatch.delenv(output_hashes.ORDER_ENV, raising=False)
+def test_every_output_matches_its_pinned_prefix():
     got = {name: output_hashes.digest(pieces()) for name, pieces in output_hashes.OUTPUTS.items()}
     assert got == PINNED
