@@ -102,10 +102,12 @@ class HopfPresentation:
     reproduce.  Each map is fixed on letters and extended to normal
     monomials by :func:`.algebra.multiplicative` (``delta_mono`` and
     ``counit_scalar`` as morphisms, ``antipode_mono`` as an anti-morphism),
-    then to elements by ``delta``/``antipode_of``.  The axiom checks run
-    over the letters ``images`` names.  A coproduct with no antipode
-    (``antipode=None``, and ``antipode_mono`` None) still supports the
-    homomorphism, coassociativity and counit checks.
+    then to elements by ``delta``/``antipode_of``.  They read the dicts
+    given here, so a letter's value is changed in place before the first
+    call (as ``funalg`` sets its counit), never by rebinding the attribute.
+    The axiom checks run over the letters ``images`` names.  A coproduct
+    with no antipode (``antipode=None``, and ``antipode_mono`` None) still
+    supports the homomorphism, coassociativity and counit checks.
     """
 
     def __init__(self, key, alg, images, antipode, casimir, r):

@@ -299,7 +299,7 @@ def test_detects_wrong_antipode():
     broken = dict(p.antipode)
     broken["m"] = -alg.letter(L_M)  # drop the a+ a- correction
     q = HopfPresentation(p.key, alg, p.images, broken, None, p.r)
-    q.counit = p.counit
+    q.counit.update(p.counit)
     ok, residuals = antipode_check(q)
     assert not ok
     assert any("m" == tag.split()[-1] for tag, _ in residuals)
