@@ -19,6 +19,10 @@ truncated at a fixed marker order always terminate.
 Everything heavy (monomial products, generator appends) is memoized per
 algebra instance, which is what makes order-8 coproduct checks tractable.
 
+An algebra element is the arity-1 :class:`TensorElement`, keyed ``(mono,)``:
+elements and their tensor powers share one container and one product
+kernel, and :func:`tensor` concatenates its factors' keys.
+
 The package's structure maps (coproduct, counit, antipode, the 3×3
 representation, the Poisson pull-back) are fixed on letters, extended to
 normal monomials by :func:`multiplicative`, the one memoized walk of
@@ -48,7 +52,7 @@ def mono_degree(mono) -> int:
     return sum(mono)
 
 
-def mono_str(mono, names=GEN_NAMES) -> str:
+def mono_str(mono, names) -> str:
     """``A^2*M`` style; the unit monomial prints as the empty string."""
     parts = []
     for name, e in zip(names, mono):
@@ -276,28 +280,33 @@ class Algebra:
 
     # -- element constructors -------------------------------------------
 
-    def zero(self) -> "Element":
-        return Element(self, {})
+    # An element of the algebra is its arity-1 tensor; a ring of functions on
+    # several copies of the group (:class:`.poisson.GroupRing`) raises this.
+    sites = 1
 
-    def one(self) -> "Element":
-        return Element(self, {self.unit_mono: self.field.one})
+    def zero(self) -> "TensorElement":
+        return self.tensor_zero(self.sites)
 
-    def letter(self, g: int) -> "Element":
-        return Element(self, {self.shift(self.unit_mono, g): self.field.one})
+    def one(self) -> "TensorElement":
+        return self.tensor_unit(self.sites)
+
+    def letter(self, g: int) -> "TensorElement":
+        return self.monomial(self.shift(self.unit_mono, g))
 
     gen = letter
 
-    def coord(self, name: str) -> "Element":
+    def coord(self, name: str) -> "TensorElement":
         return self.letter(self.letter_names.index(name))
 
-    def gens(self) -> tuple["Element", ...]:
+    def gens(self) -> tuple["TensorElement", ...]:
         return tuple(self.letter(g) for g in range(len(self.letters)))
 
-    def monomial(self, mono) -> "Element":
-        return Element(self, {tuple(mono): self.field.one})
+    def monomial(self, mono) -> "TensorElement":
+        return TensorElement(self, 1, {(tuple(mono),): self.field.one})
 
-    def element(self, terms) -> "Element":
-        return Element(self, {m: c for m, c in terms.items() if not c.is_zero})
+    def element(self, terms) -> "TensorElement":
+        """The element with these terms, keyed as ``.terms`` holds them."""
+        return TensorElement(self, self.sites, {k: c for k, c in terms.items() if not c.is_zero})
 
     def tensor_unit(self, arity: int) -> "TensorElement":
         return TensorElement(self, arity, {(self.unit_mono,) * arity: self.field.one})
@@ -356,7 +365,7 @@ class Algebra:
         self._mm_cache[key] = out
         return out
 
-    def normalize_word(self, word, rightmost: bool = False) -> "Element":
+    def normalize_word(self, word, rightmost: bool = False) -> "TensorElement":
         """Normal form of a free word of letter indices.
 
         The default strategy folds left to right through the memoized
@@ -379,7 +388,7 @@ class Algebra:
                     idx = i
                     break
             if idx is None:
-                _acc(out, self.mono_of(w), c)
+                _acc(out, (self.mono_of(w),), c)
                 continue
             hi, lo = w[idx], w[idx + 1]
             pre, post = w[:idx], w[idx + 2 :]
@@ -388,7 +397,7 @@ class Algebra:
                 cc = (c * tc).truncate(self.order)
                 if not cc.is_zero:
                     stack.append((cc, pre + self.word_of(tm) + post))
-        return Element(self, self._clean(out))
+        return TensorElement(self, 1, self._clean(out))
 
 
 def _coerce_scalar(field: CoefficientField, x):
@@ -404,10 +413,11 @@ def _coerce_scalar(field: CoefficientField, x):
 class _Terms:
     """The one sparse linear-combination core: keys mapped to nonzero coefficients.
 
-    Every container of the package is built on it: :class:`Element`,
-    :class:`TensorElement` (which also holds the functions on copies of the
-    group, over a :class:`.poisson.GroupRing`), :class:`ScalarMatrix` (the
-    one matrix type) and :class:`.rmatrix.FreeElement`.  A container lives
+    Every container of the package is built on it, and there are three:
+    :class:`TensorElement` (an algebra element is its arity-1 tensor, and a
+    function on copies of the group a tensor over a
+    :class:`.poisson.GroupRing`), :class:`ScalarMatrix` (the one matrix
+    type) and :class:`.rmatrix.FreeElement`.  A container lives
     over a ``parent`` (an algebra or the coefficient field itself), which
     fixes the field and the truncation order, and may have a ``shape``
     (tensor arity, matrix size).  Two
@@ -571,40 +581,10 @@ class _Terms:
         return self * other - other * self
 
 
-class Element(_Terms):
-    """An enveloping-algebra element: PBW monomials with exact coefficients."""
-
-    __slots__ = ()
-
-    alg = _Terms.parent
-
-    # Bound on each container class of its own so that per-class tracing
-    # (perfbench/spans.py patches through the class's __dict__) sees it.
-    __mul__ = _Terms.__mul__
-
-    def __repr__(self):
-        return repr(tensor(self))
-
-    def _unit(self):
-        return Element(self.alg, {self.alg.unit_mono: self.field.one})
-
-    @property
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def _product(self, other):
-        alg, order = self.alg, self.alg.order
-        out: dict = {}
-        for m1, m2, c in _pair_walk(self.terms, other.terms, order):
-            for m, cm in alg.mul_mono(m1, m2).items():
-                v = _times(c, (cm,), order)
-                if not v.is_zero:
-                    _acc(out, m, v)
-        return Element(alg, out)
-
-
 class TensorElement(_Terms):
-    """An element of the tensor square or cube of an :class:`Algebra`."""
+    """An element of a tensor power of an :class:`Algebra`: keys are tuples
+    of normal monomials, one per slot.  An element of the algebra itself is
+    the arity-1 tensor, keyed ``(mono,)``."""
 
     __slots__ = ("arity",)
 
@@ -635,29 +615,18 @@ class TensorElement(_Terms):
 
     def _product(self, other, out=None, skip=None):
         """self·other, its terms accumulated into ``out`` (a new dict by
-        default), leaving out the pairs of keys that ``skip`` names."""
+        default), leaving out the pairs of keys that ``skip`` names: each
+        pair of keys multiplies slot by slot, and every combination of the
+        slots' terms is one term of the product."""
         alg, order = self.alg, self.alg.order
-        one = alg.field.one
+        mul = alg.mul_mono
         out = {} if out is None else out
         for k1, k2, c in _pair_walk(self.terms, other.terms, order, skip):
-            slot_terms = [alg.mul_mono(k1[s], k2[s]).items() for s in range(self.arity)]
-            # Mostly every slot's product is one monomial with the unit
-            # coefficient: then the product is ``c`` at one key.
-            key = []
-            for items in slot_terms:
-                if len(items) != 1:
-                    break
-                ((m, cm),) = items
-                if cm is not one:
-                    break
-                key.append(m)
-            else:
-                _acc(out, tuple(key), c)
-                continue
-            for combo in _cartesian(*slot_terms):
-                v = _times(c, [cs for _, cs in combo], order)
+            for combo in _cartesian(*map(dict.items, map(mul, k1, k2))):
+                monos, consts = zip(*combo)
+                v = _times(c, consts, order)
                 if not v.is_zero:
-                    _acc(out, tuple(m for m, _ in combo), v)
+                    _acc(out, monos, v)
         return TensorElement(alg, self.arity, out)
 
     def product_difference(self, y, z, w) -> "TensorElement":
@@ -695,34 +664,29 @@ class TensorElement(_Terms):
 
     def contract(self, pos: int, scalar_of_mono):
         """Apply a scalar-valued linear map to one slot and drop it."""
-        keep = [s for s in range(self.arity) if s != pos]
         out: dict = {}
         for k, c in self.terms.items():
             v = c * scalar_of_mono(k[pos])
-            if v.is_zero:
-                continue
-            key = k[keep[0]] if self.arity == 2 else tuple(k[s] for s in keep)
-            _acc(out, key, v)
-        if self.arity == 2:
-            return Element(self.alg, out)
+            if not v.is_zero:
+                _acc(out, k[:pos] + k[pos + 1 :], v)
         return TensorElement(self.alg, self.arity - 1, out)
 
-    def fold_slots(self, maps=None) -> Element:
-        """Multiply the slots together in the base algebra, left to right.
-
-        ``maps`` optionally supplies a per-slot linear map (monomial ->
-        Element) applied before multiplying; slot maps default to identity.
-        """
-        alg, one = self.alg, self.alg.field.one
-        maps = maps or [None] * self.arity
+    def fold_slots(self, maps) -> "TensorElement":
+        """Multiply the slots together in the base algebra, left to right,
+        each slot first sent through its linear map in ``maps`` (monomial ->
+        element), or left as it is where the map is None."""
+        alg = self.alg
 
         def image(k):
-            facs = (
-                Element(alg, {m: one}) if maps[s] is None else maps[s](m) for s, m in enumerate(k)
-            )
+            facs = (alg.monomial(m) if maps[s] is None else maps[s](m) for s, m in enumerate(k))
             return math.prod(facs, start=alg.one())
 
         return linear(self, image, alg.zero())
+
+
+# The former name of an algebra element, kept only because the benchmark's
+# tracer (``perfbench/spans.py``) patches ``algebra.Element.__mul__``.
+Element = TensorElement
 
 
 class ScalarMatrix(_Terms):
@@ -731,7 +695,7 @@ class ScalarMatrix(_Terms):
     Its parent is a coefficient field and its shape the size, so matrices
     over different fields or of different sizes never combine.  The entries
     are coefficients of the field or elements of any ring over it
-    (:class:`Element`, :class:`TensorElement`, :class:`.rmatrix.FreeElement`);
+    (:class:`TensorElement`, :class:`.rmatrix.FreeElement`);
     a product multiplies entries in the written order, so noncommuting
     entries keep their factor order.
     """
@@ -795,16 +759,17 @@ class ScalarMatrix(_Terms):
         return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): c for (i, j), (k, l), c in pairs})
 
 
-def tensor(*factors: Element) -> TensorElement:
-    """The tensor product of algebra elements, truncated at their order.
+def tensor(*factors: TensorElement) -> TensorElement:
+    """The tensor product of tensors (algebra elements being arity 1),
+    truncated at their order: each key is the concatenation of its factors'.
 
     The pair walk folds the factors in from the left, starting from the
     unit; every key it makes is distinct, so nothing accumulates."""
     alg = factors[0].alg
     terms = {(): alg.field.one}
     for f in factors:
-        terms = {k + (m,): c for k, m, c in _pair_walk(terms, f.terms, alg.order)}
-    return TensorElement(alg, len(factors), terms)
+        terms = {k + k2: c for k, k2, c in _pair_walk(terms, f.terms, alg.order)}
+    return TensorElement(alg, sum(f.arity for f in factors), terms)
 
 
 def embed(t: TensorElement, positions: tuple[int, ...], arity: int) -> TensorElement:
@@ -863,17 +828,17 @@ def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
     return TensorElement(t.alg, t.arity + 1, out)
 
 
-def spread(x: Element, arity: int) -> TensorElement:
+def spread(x: TensorElement, arity: int) -> TensorElement:
     """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x: one
     pair walk of the slots by x's terms, the placements merged in one dict."""
     units = (x.alg.unit_mono,) * arity
     out: dict = {}
-    for s, m, c in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
-        _acc(out, units[:s] + (m,) + units[s + 1 :], c)
+    for s, k, c in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
+        _acc(out, units[:s] + k + units[s + 1 :], c)
     return TensorElement(x.alg, arity, out)
 
 
-def tensor_adjoint(x: Element, t: TensorElement) -> TensorElement:
+def tensor_adjoint(x: TensorElement, t: TensorElement) -> TensorElement:
     """Adjoint action of x on a tensor power: [spread(x), t]."""
     return spread(x, t.arity).commutator(t)
 
@@ -889,10 +854,7 @@ def rebase(x, alg: Algebra):
     """
     if x.alg.field is not alg.field:
         raise ValueError("rebase requires the same coefficient field")
-    terms = alg._clean(x.terms)
-    if isinstance(x, TensorElement):
-        return TensorElement(alg, x.arity, terms)
-    return Element(alg, terms)
+    return TensorElement(alg, x.arity, alg._clean(x.terms))
 
 
 def _exp_sum(term, step, bound):

@@ -40,12 +40,10 @@ from .algebra import (
     M,
     UNIT_MONO,
     Algebra,
-    Element,
     TensorElement,
     apply_slot_map,
     embed,
     held,
-    linear,
     mono_degree,
     signed_sum,
     tensor,
@@ -64,12 +62,12 @@ SLOT_NAMES = ("c1", "c2", "c3", "c4", "c5", "c6")
 THREE_WEDGES = ((A, AP, AM), (A, AP, M), (A, AM, M), (AP, AM, M))
 
 
-def wedge(x: Element, y: Element) -> TensorElement:
+def wedge(x: TensorElement, y: TensorElement) -> TensorElement:
     """x^y = x(x)y - y(x)x (no 1/2 factor)."""
     return tensor(x, y) - tensor(y, x)
 
 
-def wedge3(x: Element, y: Element, z: Element) -> TensorElement:
+def wedge3(x: TensorElement, y: TensorElement, z: TensorElement) -> TensorElement:
     """Full six-term antisymmetrization of x(x)y(x)z."""
     return (
         tensor(x, y, z)
@@ -272,8 +270,8 @@ def _delta_of_mono(r: RMatrixSkew):
     return delta
 
 
-def _delta_of_element(r: RMatrixSkew, e: Element) -> TensorElement:
-    return linear(e, _delta_of_mono(r), e.alg.tensor_zero(2))
+def _delta_of_element(r: RMatrixSkew, e: TensorElement) -> TensorElement:
+    return apply_slot_map(e, 0, _delta_of_mono(r))
 
 
 def cocycle_check(r: RMatrixSkew):

@@ -3,7 +3,8 @@
 Grammar: integers, names, binary ``+ - * /``, unary ``-``, powers ``^`` or
 ``**`` with integer exponents, parentheses.  Evaluation is generic over any
 value type supporting Python arithmetic operators, so the same parser serves
-exact coefficients, group functions, and algebra elements.
+exact coefficients and the elements of any algebra, group functions included
+(:func:`parse_element`).
 
 Flat sums and products of any length evaluate; nesting (parentheses, unary
 minus, powers) deeper than ``MAX_DEPTH`` levels raises :class:`ExprError`.
@@ -155,14 +156,15 @@ def parse_coefficient(field, text: str):
 
 
 def parse_element(alg, text: str):
-    """Read an enveloping-algebra element over generator names and parameters."""
-    from .algebra import GEN_NAMES, Element
+    """Read an element of ``alg`` over its letter names and the field's
+    parameters: an enveloping-algebra element, or a group function."""
+    from .algebra import TensorElement
 
     field = alg.field
-    env = {name: alg.gen(i) for i, name in enumerate(GEN_NAMES)}
+    env = {name: alg.coord(name) for name in alg.letter_names}
     for p in field.params:
         env[p] = field.param(p)
     val = evaluate(text, env, field.rational)
-    if not isinstance(val, Element):
+    if not isinstance(val, TensorElement):
         val = alg.one().scale(val)
     return val

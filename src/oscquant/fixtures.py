@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .algebra import Algebra, Element, TensorElement, exp_series, tensor
+from .algebra import Algebra, TensorElement, exp_series, tensor
 from .expr import parse_coefficient, parse_element
 
 
@@ -39,7 +39,7 @@ def wedge_tensor(alg: Algebra, cells) -> TensorElement:
     return t
 
 
-def element_of(alg: Algebra, text: str) -> Element:
+def element_of(alg: Algebra, text: str) -> TensorElement:
     """Decode a polynomial in the generators and apply p -> h*p."""
     return parse_element(alg, text).scale_params()
 

@@ -109,8 +109,9 @@ def _iis_swaps(field):
 _SWAPS = {"Uz": _uz_swaps, "IIn": _iin_swaps, "IIs": _iis_swaps}
 
 
-class FunPresentation(HopfPresentation):
-    """A deformed coordinate ring plus the (shared) group coalgebra.
+def _group_coalgebra(key, alg, r) -> HopfPresentation:
+    """The presentation of a deformed coordinate ring with the (shared)
+    group coalgebra.
 
     ``images``/``antipode``/``counit`` are keyed by the six letter names;
     the coproduct is the pullback of the group law, the antipode the
@@ -119,55 +120,54 @@ class FunPresentation(HopfPresentation):
     classical r-matrix whose Sklyanin bracket the order-h commutators
     must reproduce.
     """
-
-    def __init__(self, key, alg, r):
-        one = alg.one()
-        th, E, Einv, ap, am, m = alg.gens()
-        images = {
-            "theta": spread(th, 2),
-            "E": tensor(E, E),
-            "Einv": tensor(Einv, Einv),
-            "a_plus": tensor(E, ap) + tensor(ap, one),
-            "a_minus": tensor(Einv, am) + tensor(am, one),
-            "m": tensor(one, m) + tensor(m, one) - tensor(Einv * ap, am),
-        }
-        antipode = {
-            "theta": -th,
-            "E": Einv,
-            "Einv": E,
-            "a_plus": -(Einv * ap),
-            "a_minus": -(E * am),
-            "m": -m - (Einv * ap * E) * am,
-        }
-        super().__init__(key, alg, images, antipode, None, r)
-        self.counit["E"] = self.counit["Einv"] = alg.field.one
+    one = alg.one()
+    th, E, Einv, ap, am, m = alg.gens()
+    images = {
+        "theta": spread(th, 2),
+        "E": tensor(E, E),
+        "Einv": tensor(Einv, Einv),
+        "a_plus": tensor(E, ap) + tensor(ap, one),
+        "a_minus": tensor(Einv, am) + tensor(am, one),
+        "m": tensor(one, m) + tensor(m, one) - tensor(Einv * ap, am),
+    }
+    antipode = {
+        "theta": -th,
+        "E": Einv,
+        "Einv": E,
+        "a_plus": -(Einv * ap),
+        "a_minus": -(E * am),
+        "m": -m - (Einv * ap * E) * am,
+    }
+    p = HopfPresentation(key, alg, images, antipode, None, r)
+    p.counit["E"] = p.counit["Einv"] = alg.field.one
+    return p
 
 
 _cache: dict = {}
 
 
-def fun_presentation(key: str) -> FunPresentation:
+def fun_presentation(key: str) -> HopfPresentation:
     """The exact quantized coordinate ring of deformation ``key``."""
     got = _cache.get(key)
     if got is None:
         d = deformation(key)
         field = d.field()
         alg = FunAlgebra(field, _SWAPS[key](field), label=f"Fun-{key}")
-        got = _cache[key] = FunPresentation(key, alg, d.r(marked=False))
+        got = _cache[key] = _group_coalgebra(key, alg, d.r(marked=False))
     return got
 
 
 # -- axiom checks --------------------------------------------------------
 
 
-def group_law_check(f: FunPresentation):
+def group_law_check(f: HopfPresentation):
     """The classical limit of the coproduct is the group-law pullback."""
     ring = GroupRing(f.field, 2)
     law = group_compose(site_coords(ring, 0), site_coords(ring, 1))
     return held((name, rebase(f.images[name].h_part(0), ring) - law[name]) for name in LETTER_NAMES)
 
 
-def semiclassical_check(f: FunPresentation):
+def semiclassical_check(f: HopfPresentation):
     """Order-h part of every coordinate commutator equals the Sklyanin
     bracket for the family's classical r-matrix."""
     ring = GroupRing(f.field)
@@ -175,7 +175,7 @@ def semiclassical_check(f: FunPresentation):
     for a, b in combinations(COORDS, 2):
         quantum = f.alg.coord(a).commutator(f.alg.coord(b)).h_part(1)
         classical = sklyanin_bracket(f.r, ring.coord(a), ring.coord(b))
-        pairs.append((f"[{a},{b}]", rebase(tensor(quantum), ring) - classical))
+        pairs.append((f"[{a},{b}]", rebase(quantum, ring) - classical))
     return held(pairs)
 
 
@@ -189,6 +189,6 @@ FUN_CHECKS = {
 }
 
 
-def fun_hopf_check(f: FunPresentation) -> dict:
+def fun_hopf_check(f: HopfPresentation) -> dict:
     """Run every check; map name -> (ok, residuals)."""
     return {name: check(f) for name, check in FUN_CHECKS.items()}

@@ -34,7 +34,6 @@ from .algebra import (
     GEN_NAMES,
     M,
     Algebra,
-    Element,
     TensorElement,
     apply_slot_map,
     held,
@@ -51,12 +50,12 @@ from .coeffs import Coefficient
 # -- named series in one generator ---------------------------------------
 
 
-def exp_of(alg: Algebra, c: Coefficient, gen: int) -> Element:
+def exp_of(alg: Algebra, c: Coefficient, gen: int) -> TensorElement:
     """e^{c*X}, truncated at the algebra's order (c marker-graded)."""
     return _series(alg, c, gen, 0)
 
 
-def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> Element:
+def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> TensorElement:
     """sum c^{k-lag} X^k / k! over k = lag, lag+step, ..., term-explicit.
 
     Term k has marker degree k-lag, so the sum runs lag steps past the
@@ -68,16 +67,21 @@ def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> 
         # c**0/k! is the unit for k <= 1: use the field's one, which products skip
         coeff = c.field.one if k == lag <= 1 else (c ** (k - lag) / factorial(k)).truncate(order)
         if not coeff.is_zero:
-            terms[tuple(k if g == gen else 0 for g in range(4))] = coeff
+            terms[(tuple(k if g == gen else 0 for g in range(4)),)] = coeff
     return alg.element(terms)
 
 
-def expm1_over(alg: Algebra, c: Coefficient, gen: int) -> Element:
+def _tail(e: TensorElement) -> dict:
+    """An element's terms by monomial, as a rewrite rule's tail holds them."""
+    return {k[0]: c for k, c in e.terms.items()}
+
+
+def expm1_over(alg: Algebra, c: Coefficient, gen: int) -> TensorElement:
     """(e^{c*X} - 1)/c = sum_{k>=1} c^{k-1} X^k / k!."""
     return _series(alg, c, gen, 1)
 
 
-def v_series(alg: Algebra, c: Coefficient) -> Element:
+def v_series(alg: Algebra, c: Coefficient) -> TensorElement:
     """v(c) = (e^{c*M} - 1 - c*M)/c^2 = sum_{k>=2} c^{k-2} M^k / k!.
 
     The c -> 0 limit is M^2/2 (the k = 2 term).
@@ -85,7 +89,7 @@ def v_series(alg: Algebra, c: Coefficient) -> Element:
     return _series(alg, c, M, 2)
 
 
-def sinh_over(alg: Algebra, c: Coefficient) -> Element:
+def sinh_over(alg: Algebra, c: Coefficient) -> TensorElement:
     """sinh(c*M)/c = sum_{j>=0} c^{2j} M^{2j+1} / (2j+1)!; limit M at c=0."""
     return _series(alg, c, M, 1, step=2)
 
@@ -133,13 +137,13 @@ class HopfPresentation:
     def delta_mono(self, mono) -> TensorElement:
         return self._delta(mono)
 
-    def delta(self, e: Element) -> TensorElement:
+    def delta(self, e: TensorElement) -> TensorElement:
         """The coproduct, extended multiplicatively over normal monomials."""
-        return linear(e, self.delta_mono, self.alg.tensor_zero(2))
+        return apply_slot_map(e, 0, self.delta_mono)
 
-    def antipode_of(self, e: Element) -> Element:
+    def antipode_of(self, e: TensorElement) -> TensorElement:
         """The antipode, extended anti-multiplicatively over normal monomials."""
-        return linear(e, self.antipode_mono, self.alg.zero())
+        return linear(e, lambda k: self.antipode_mono(k[0]), self.alg.zero())
 
 
 def uz_presentation(order: int) -> HopfPresentation:
@@ -150,9 +154,9 @@ def uz_presentation(order: int) -> HopfPresentation:
     base = Algebra.classical(field, order)
     # Ap*A = A*Ap - (e^{z*Ap}-1)/z ; Am*A = A*Am + Am ; Am*Ap = Ap*Am + M e^{z*Ap}
     tails = {
-        (AP, A): (-expm1_over(base, z, AP)).terms,
+        (AP, A): _tail(-expm1_over(base, z, AP)),
         (AM, A): {(0, 0, 1, 0): field.one},
-        (AM, AP): (exp_of(base, z, AP) * base.gen(M)).terms,
+        (AM, AP): _tail(exp_of(base, z, AP) * base.gen(M)),
     }
     alg = Algebra(field, tails, order, "Uz")
     gA, gAp, gAm, gM = alg.gens()
@@ -187,8 +191,8 @@ def ii_nonstandard_presentation(order: int) -> HopfPresentation:
     base = Algebra.classical(field, order)
     # Ap*A = A*Ap - Ap + yp*v(-x) ; Am*A = A*Am + Am + bp*v(x) ; Am*Ap = Ap*Am + M
     tails = {
-        (AP, A): (-base.gen(AP) + v_series(base, -x).scale(yp)).terms,
-        (AM, A): (base.gen(AM) + v_series(base, x).scale(bp)).terms,
+        (AP, A): _tail(-base.gen(AP) + v_series(base, -x).scale(yp)),
+        (AM, A): _tail(base.gen(AM) + v_series(base, x).scale(bp)),
         (AM, AP): {(0, 0, 0, 1): field.one},
     }
     alg = Algebra(field, tails, order, "IIn")
@@ -236,7 +240,7 @@ def ii_standard_presentation(order: int) -> HopfPresentation:
     tails = {
         (AP, A): {(0, 1, 0, 0): -field.one},
         (AM, A): {(0, 0, 1, 0): field.one},
-        (AM, AP): sinh_over(Algebra.classical(field, order), z).terms,
+        (AM, AP): _tail(sinh_over(Algebra.classical(field, order), z)),
     }
     alg = Algebra(field, tails, order, "IIs")
     gA, gAp, gAm, gM = alg.gens()
@@ -336,7 +340,7 @@ def center_check(p: HopfPresentation):
     """The central element commutes with every generator; its order-0 part
     is the classical invariant 2AM - Ap*Am - Am*Ap (normal ordered)."""
     classical = {(1, 0, 0, 1): 2, (0, 1, 1, 0): -2, (0, 0, 0, 1): -1}
-    expected = p.alg.element({m: p.field.rational(v) for m, v in classical.items()})
+    expected = p.alg.element({(m,): p.field.rational(v) for m, v in classical.items()})
     return held(
         [(name, p.casimir.commutator(p.alg.gen(i))) for i, name in enumerate(GEN_NAMES)]
         + [("classical-limit", p.casimir.h_part(0) - expected)]

@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 from .algebra import GEN_NAMES, Algebra, ScalarMatrix, TensorElement, _acc, held, linear, multiplicative, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
-from .coeffs import Coefficient, CoefficientField
-from .expr import evaluate as expr_evaluate
+from .coeffs import CoefficientField
+from .expr import evaluate as expr_evaluate, parse_element
 
 COORDS = ("theta", "E", "a_plus", "a_minus", "m")
 # Word letters; E and its inverse are distinct letters sharing the E slot.
@@ -78,34 +78,16 @@ class GroupRing(FunAlgebra):
     """Commutative coordinate ring of ``sites`` copies of the group: the
     six-letter table with no swap rule.  Its functions are arity-``sites``
     tensors, one monomial per site, so ``zero``, ``one``, ``coord`` and
-    ``element`` return :class:`.algebra.TensorElement`."""
+    ``element`` return arity-``sites`` :class:`.algebra.TensorElement`."""
 
     def __init__(self, field: CoefficientField, sites: int = 1):
         super().__init__(field, {}, label=f"C[G^{sites}]")
         self.sites = sites
 
-    def zero(self) -> TensorElement:
-        return self.tensor_zero(self.sites)
-
-    def one(self) -> TensorElement:
-        return self.tensor_unit(self.sites)
-
     def coord(self, name: str, site: int = 0) -> TensorElement:
         key = [FUN_UNIT] * self.sites
         key[site] = self.shift(FUN_UNIT, LETTER_NAMES.index(name))
         return TensorElement(self, self.sites, {tuple(key): self.field.one})
-
-    def element(self, terms) -> TensorElement:
-        return TensorElement(self, self.sites, {k: c for k, c in terms.items() if not c.is_zero})
-
-    def from_expr(self, text: str) -> TensorElement:
-        """Parse an expression over site 0's coordinates and the field parameters."""
-        env = site_coords(self, 0)
-        env.update({p: self.field.param(p) for p in self.field.params})
-        val = expr_evaluate(text, env, self.field.rational)
-        if isinstance(val, Coefficient):
-            return self.one().scale(val)
-        return val
 
 
 def derive(f: TensorElement, var: str, site: int) -> TensorElement:
@@ -238,7 +220,7 @@ class VectorField:
         return all(c.is_zero for c in self.comps)
 
 
-def left_fields(ring: GroupRing, site: int = 0) -> dict:
+def left_fields(ring: GroupRing, site: int) -> dict:
     """Left-invariant vector fields, indexed by generator label."""
     E = ring.coord("E", site)
     Einv = ring.coord("Einv", site)
@@ -252,7 +234,7 @@ def left_fields(ring: GroupRing, site: int = 0) -> dict:
     }
 
 
-def right_fields(ring: GroupRing, site: int = 0) -> dict:
+def right_fields(ring: GroupRing, site: int) -> dict:
     """Right-invariant vector fields, indexed by generator label."""
     ap = ring.coord("a_plus", site)
     am = ring.coord("a_minus", site)
@@ -366,7 +348,7 @@ def table_II() -> tuple:
             fa, fb = ring.coord(pair[0]), ring.coord(pair[1])
             computed[pair] = sklyanin_bracket(rr, fa, fb)
         table = {
-            tuple(pair.split(",")): ring.from_expr(cell)
+            tuple(pair.split(",")): parse_element(ring, cell)
             for pair, cell in data[key].items()
         }
         match = all(computed[pair] == table[pair] for pair in table)

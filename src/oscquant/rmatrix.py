@@ -46,7 +46,6 @@ from .algebra import (
     GEN_NAMES,
     M,
     Algebra,
-    Element,
     ScalarMatrix,
     TensorElement,
     _exp_sum,
@@ -75,10 +74,10 @@ class UniversalR:
     """An ordered product of exponential factors in the tensor square.
 
     ``factors`` are the exponents (marked arity-2 tensors); ``alt_factors``,
-    when present, is a second factorization whose expansion must agree.
+    when not None, is a second factorization whose expansion must agree.
     """
 
-    def __init__(self, key, p: HopfPresentation, factors, alt_factors=None):
+    def __init__(self, key, p: HopfPresentation, factors, alt_factors):
         self.key = key
         self.presentation = p
         self.alg = p.alg
@@ -296,7 +295,7 @@ def rep3(t: TensorElement, gens=None) -> ScalarMatrix:
     """D on each slot, the slots' matrices placed with ``kron``: the
     multiplicative, then linear, extension of the generator matrices ``gens``
     (by default :func:`_gen_matrices`) to tensors of normal monomials, of
-    any arity; an element goes in as its arity-1 tensor."""
+    any arity, an element of the algebra being arity 1."""
     field = t.alg.field
     gens = gens or _gen_matrices(field)
     d_mono = multiplicative(t.alg, gens.__getitem__, ScalarMatrix.identity(field, 3), t.alg.first_letter)
@@ -310,7 +309,7 @@ def rep3_check():
     alg = Algebra.classical(field)
     gens = _gen_matrices(field)
     return held(
-        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(tensor(alg.gen(i) * alg.gen(j))) - gens[i] * gens[j])
+        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(alg.gen(i) * alg.gen(j)) - gens[i] * gens[j])
         for i in range(4)
         for j in range(4)
     )
@@ -405,7 +404,7 @@ class FreeElement(_Terms):
         words = sorted(self.terms, key=lambda w: (len(w), w))
         return signed_sum(((self.terms[w], "*".join(w) or "1") for w in words), lambda c: f"({c!r})*")
 
-    def into(self, alg: FunAlgebra) -> Element:
+    def into(self, alg: FunAlgebra) -> TensorElement:
         """Evaluate the free words in a coordinate ring."""
         return linear(self, lambda w: math.prod(map(alg.coord, w), start=alg.one()), alg.zero())
 

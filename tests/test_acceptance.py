@@ -191,7 +191,7 @@ def test_05_invariant_fields():
             "Am": (zero, zero, one, zero),
             "M": (zero, zero, zero, one),
         }
-        L, R = left_fields(ring), right_fields(ring)
+        L, R = left_fields(ring, 0), right_fields(ring, 0)
         for label in stated_left:
             assert tuple(L[label].comps) == stated_left[label], ("left", label)
             assert tuple(R[label].comps) == stated_right[label], ("right", label)

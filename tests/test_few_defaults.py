@@ -15,7 +15,7 @@ import oscquant
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-LIMIT = 35
+LIMIT = 30
 
 
 def defaulted(source: str, module: str) -> list[str]:

@@ -80,7 +80,7 @@ def test_word_of_fun_mono_roundtrip():
     word = FunAlgebra.word_of(mono)
     assert word == (L_THETA, L_THETA, L_EINV, L_AP, L_M, L_M, L_M)
     e = alg.normalize_word(word)
-    assert set(e.terms) == {mono} or mono in e.terms  # leading term survives
+    assert set(e.terms) == {(mono,)} or (mono,) in e.terms  # leading term survives
 
 
 def test_uz_relations_match_stated_forms():

@@ -58,7 +58,7 @@ def test_series_lag_term_is_the_field_unit():
     p = presentation("IIn", 4)
     x = p.field.marked_param("x")
     for series in (expm1_over(p.alg, x, M), sinh_over(p.alg, x)):
-        assert series.terms[(0, 0, 0, 1)] is p.field.one
+        assert series.terms[((0, 0, 0, 1),)] is p.field.one
 
 
 def test_v_series_identity_and_limit():
@@ -129,9 +129,9 @@ def test_order_zero_is_classical(key):
     alg = p.alg
     one = p.field.one
     expected = {
-        (AP, A): {(1, 1, 0, 0): one, (0, 1, 0, 0): -one},
-        (AM, A): {(1, 0, 1, 0): one, (0, 0, 1, 0): one},
-        (AM, AP): {(0, 1, 1, 0): one, (0, 0, 0, 1): one},
+        (AP, A): {((1, 1, 0, 0),): one, ((0, 1, 0, 0),): -one},
+        (AM, A): {((1, 0, 1, 0),): one, ((0, 0, 1, 0),): one},
+        (AM, AP): {((0, 1, 1, 0),): one, ((0, 0, 0, 1),): one},
     }
     for (hi, lo), want in expected.items():
         got = alg.gen(hi) * alg.gen(lo)
@@ -274,7 +274,7 @@ def test_uz_keeps_a_creation_subalgebra():
     for name in ("A", "Ap"):
         for key in p.images[name].terms:
             assert all(m[AM] == 0 and m[M] == 0 for m in key), (name, key)
-        for mono in p.antipode[name].terms:
+        for (mono,) in p.antipode[name].terms:
             assert mono[AM] == 0 and mono[M] == 0, (name, mono)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import oscquant
 from oscquant.algebra import AP, M, tensor
 from oscquant.coeffs import CoefficientField
+from oscquant.expr import parse_element
 from oscquant.funalg import fun_presentation
 from oscquant.hopf import presentation
 from oscquant.poisson import GroupRing, group_str
@@ -68,7 +69,7 @@ def test_two_site_group_function():
     # commutative ring, and prints like every tensor
     ring = GroupRing(CoefficientField.get("x", "y"), 2)
     second = ring.coord("m", 1) - ring.coord("theta", 1)
-    f = ring.from_expr("x*Einv*a_plus^2") * second + ring.from_expr("x^2 - y + 1")
+    f = parse_element(ring, "x*Einv*a_plus^2") * second + parse_element(ring, "x^2 - y + 1")
     assert repr(f) == "x**2 - y + 1 + x*E^-1*a_plus^2 o m - x*E^-1*a_plus^2 o theta"
 
 
@@ -76,7 +77,7 @@ def test_group_function_latex():
     # one walk for text and LaTeX: the power of E first, then theta, a_+,
     # a_-, m
     ring = GroupRing(CoefficientField.get("x"))
-    f = ring.from_expr("x*Einv^2*a_plus^2*m - theta*E + a_minus*m^3*E")
+    f = parse_element(ring, "x*Einv^2*a_plus^2*m - theta*E + a_minus*m^3*E")
     assert group_str(f) == "-E*theta + x*Einv^2*a_plus^2*m + E*a_minus*m^3"
     assert latex_group(f) == (
         r"-e^{\theta} \, \theta + x \, e^{-2\theta} \, a_+^{2} \, m + e^{\theta} \, a_- \, m^{3}"

@@ -86,7 +86,7 @@ def test_reversed_factors_fail_qybe_both_ways():
     conjugated check and the dense product both fail, and the check's
     residual is the dense difference times R₁₂⁻¹."""
     good = universal_R("Uz", 3)
-    R = UniversalR("Uz", good.presentation, reversed(good.factors))
+    R = UniversalR("Uz", good.presentation, reversed(good.factors), None)
     ok, residuals = qybe_check(R)
     dense = _dense_qybe(R)
     assert not ok
@@ -173,7 +173,7 @@ def test_embedded_R_is_the_arity3_exponential_product(key, order):
 
 def test_qybe_trivial_r():
     p = presentation("Uz", 3)
-    unit_r = UniversalR("unit", p, [])
+    unit_r = UniversalR("unit", p, [], None)
     assert qybe_check(unit_r)[0]
     assert inverse_check(unit_r)[0]
 
