@@ -592,7 +592,10 @@ class TensorElement(_Terms):
     __mul__ = _Terms.__mul__
 
     def __init__(self, alg, arity, terms):
-        super().__init__(alg, terms)
+        # Every algebra operation builds one, so the slots are set here
+        # rather than through a call of ``_Terms.__init__``.
+        self.parent = alg
+        self.terms = terms
         self.arity = arity
 
     @property
@@ -615,14 +618,26 @@ class TensorElement(_Terms):
 
     def _product(self, other, out=None, skip=None):
         """self·other, its terms accumulated into ``out`` (a new dict by
-        default), leaving out the pairs of keys that ``skip`` names: each
-        pair of keys multiplies slot by slot, and every combination of the
-        slots' terms is one term of the product."""
+        default), leaving out the pairs of keys that ``skip`` names."""
         alg, order = self.alg, self.alg.order
-        mul = alg.mul_mono
+        mul, one = alg.mul_mono, alg.field.one
         out = {} if out is None else out
         for k1, k2, c in _pair_walk(self.terms, other.terms, order, skip):
-            for combo in _cartesian(*map(dict.items, map(mul, k1, k2))):
+            slot_terms = [mul(a, b).items() for a, b in zip(k1, k2)]
+            # Mostly every slot's product is one monomial with the unit
+            # coefficient: then the product is ``c`` at one key.
+            key = []
+            for items in slot_terms:
+                if len(items) != 1:
+                    break
+                ((m, cm),) = items
+                if cm is not one:
+                    break
+                key.append(m)
+            else:
+                _acc(out, tuple(key), c)
+                continue
+            for combo in _cartesian(*slot_terms):
                 monos, consts = zip(*combo)
                 v = _times(c, consts, order)
                 if not v.is_zero:

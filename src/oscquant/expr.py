@@ -160,11 +160,7 @@ def parse_element(alg, text: str):
     parameters: an enveloping-algebra element, or a group function."""
     from .algebra import TensorElement
 
-    field = alg.field
     env = {name: alg.coord(name) for name in alg.letter_names}
-    for p in field.params:
-        env[p] = field.param(p)
-    val = evaluate(text, env, field.rational)
-    if not isinstance(val, TensorElement):
-        val = alg.one().scale(val)
-    return val
+    env.update((p, alg.field.param(p)) for p in alg.field.params)
+    val = evaluate(text, env, alg.field.rational)
+    return val if isinstance(val, TensorElement) else alg.one().scale(val)
