@@ -589,6 +589,8 @@ class TensorElement(_Terms):
     __slots__ = ("arity",)
 
     alg = _Terms.parent
+    # Bound on each container class of its own so that per-class tracing
+    # (perfbench/spans.py patches through the class's __dict__) sees it.
     __mul__ = _Terms.__mul__
 
     def __init__(self, alg, arity, terms):
