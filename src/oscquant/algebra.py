@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product as _cartesian
 
-from .coeffs import Coefficient, CoefficientField
+from .coeffs import Coefficient, CoefficientField, Sums
 
 A, AP, AM, M = range(4)
 GEN_NAMES = ("A", "Ap", "Am", "M")
@@ -72,70 +73,55 @@ def _acc(terms, key, c):
         terms[key] = c
 
 
-def _grade(c):
-    """(valuation, polynomial top) of a term about to be multiplied under truncation."""
+def _grade(c, order):
+    """(valuation, polynomial top) of a term to multiply under truncation."""
+    if c is c.field.one:
+        return 0, 0
     top = c.poly_top
     if top is None and c.den_has_marker:
         raise ValueError(f"cannot truncate {c!r}: denominator carries the marker")
-    return c.marker_degree, top
+    return c.marker_degree, order + 1 if top is None else top  # a non-polynomial tops the order
 
 
 def _pair_walk(lhs, rhs, order, skip=None):
-    """The one bilinear pair loop: every product of a term of ``lhs`` by a
-    term of ``rhs`` that can survive truncation at ``order``, in the order
-    lhs × rhs, as ``(k1, k2, c)`` with ``c = c1*c2`` truncated and nonzero.
-    Every product of term dicts runs through it: the container products,
-    :func:`tensor`, :func:`linear`, :func:`apply_slot_map`, :func:`spread`
-    and ``kron``.
+    """The one bilinear pair loop: every pair of terms of ``lhs`` and ``rhs``
+    whose product can survive truncation at ``order``, in the order lhs ×
+    rhs, as ``(k1, k2, c1, c2, cut)``, ``cut`` the order if ``c1*c2`` may have
+    terms above it and else None.  Every product of term dicts runs through
+    it: the tensor product kernel, and through :func:`_mul` the others.
 
     ``rhs`` is a term dict, or a function of the left key giving one.
     Valuations add exactly, so the right-hand terms that cannot survive are
     filtered out once per distinct left valuation.  Polynomial tops add
     exactly too, so a product of two polynomials whose tops sum to at most
-    the order is not truncated.  A term whose denominator carries the marker
+    the order needs no cut.  A term whose denominator carries the marker
     raises ``ValueError``, as ``truncate`` does.  A pair for which
-    ``skip(k1, k2)`` is true is left out before its coefficient is formed;
-    whether ``skip`` is given is asked once per left term, so a walk without
-    it pays nothing per pair.
+    ``skip(k1, k2)`` is true is left out; whether ``skip`` is given is asked
+    once per left term, so a walk without it pays nothing per pair.
     """
-    rhs_of = rhs if callable(rhs) else lambda _: rhs
-    exact = order is None
+    exact, fixed = order is None, not callable(rhs)
     # (id(right dict), left valuation) -> (the dict, its terms that can survive)
     rows_at: dict = {}
     for k1, c1 in lhs.items():
-        r = rhs_of(k1)
-        d1, t1 = (0, None) if exact else _grade(c1)
+        r = rhs if fixed else rhs(k1)
+        d1, t1 = (0, 0) if exact else _grade(c1, order)
         got = rows_at.get((id(r), d1))
         if got is None:
             rows = []
             for k2, c2 in r.items():
-                d2, t2 = (0, None) if exact else _grade(c2)
+                d2, t2 = (0, 0) if exact else _grade(c2, order)
                 if exact or d1 + d2 <= order:
                     rows.append((k2, c2, t2))
             got = rows_at[(id(r), d1)] = (r, rows)
-        one = c1.field.one
         rows = got[1] if skip is None else [row for row in got[1] if not skip(k1, row[0])]
         for k2, c2, t2 in rows:
-            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
-            if not exact and (t1 is None or t2 is None or t1 + t2 > order):
-                c = c.truncate(order)
-            if not c.is_zero:
-                yield k1, k2, c
+            yield k1, k2, c1, c2, None if exact or t1 + t2 <= order else order
 
 
-def _times(c, consts, order):
-    """``c``, already truncated, times each constant.  A constant that is the
-    field's unit costs nothing, and valuations add exactly, so a product
-    above ``order`` is zero without being formed."""
-    one = c.field.one
-    ks = [k for k in consts if k is not one]
-    if not ks:
-        return c
-    if order is not None and c.marker_degree + sum(k.marker_degree for k in ks) > order:
-        return c.field.zero
-    for k in ks:
-        c = c * k
-    return c if order is None else c.truncate(order)
+def _mul(c1, c2, cut):
+    """``c1*c2`` at the pair walk's ``cut``; a unit factor costs nothing."""
+    c = c2 if c1 is c1.field.one else c1 if c2 is c2.field.one else c1 * c2
+    return c if cut is None else c.truncate(cut)
 
 
 def oscillator_tails(field: CoefficientField):
@@ -281,7 +267,8 @@ class Algebra:
     # -- element constructors -------------------------------------------
 
     # An element of the algebra is its arity-1 tensor; a ring of functions on
-    # several copies of the group (:class:`.poisson.GroupRing`) raises this.
+    # several copies of the group (:class:`.poisson.GroupRing`) raises this,
+    # and then ``monomial``, which every arity-1 builder calls, refuses.
     sites = 1
 
     def zero(self) -> "TensorElement":
@@ -302,6 +289,8 @@ class Algebra:
         return tuple(self.letter(g) for g in range(len(self.letters)))
 
     def monomial(self, mono) -> "TensorElement":
+        if self.sites != 1:
+            raise ValueError(f"{self!r} has {self.sites} sites: build its functions with coord(name, site)")
         return TensorElement(self, 1, {(tuple(mono),): self.field.one})
 
     def element(self, terms) -> "TensorElement":
@@ -373,8 +362,8 @@ class Algebra:
         always resolves the rightmost misordered pair first; comparing the
         two on the same words is a confluence check of the rule set.
         """
+        e = self.monomial(self.unit_mono)
         if not rightmost:
-            e = self.one()
             for g in word:
                 e = e * self.letter(g)
             return e
@@ -397,7 +386,7 @@ class Algebra:
                 cc = (c * tc).truncate(self.order)
                 if not cc.is_zero:
                     stack.append((cc, pre + self.word_of(tm) + post))
-        return TensorElement(self, 1, self._clean(out))
+        return e._like(self._clean(out))
 
 
 def _coerce_scalar(field: CoefficientField, x):
@@ -538,8 +527,8 @@ class _Terms:
         """The bilinear extension of ``_key_product`` (key times key is one key)."""
         key_product = self._key_product
         out: dict = {}
-        for k1, k2, c in _pair_walk(self.terms, other.terms, self.order):
-            _acc(out, key_product(k1, k2), c)
+        for k1, k2, c1, c2, cut in _pair_walk(self.terms, other.terms, self.order):
+            _acc(out, key_product(k1, k2), _mul(c1, c2, cut))
         return self._like(out)
 
     def __pow__(self, n: int):
@@ -618,53 +607,54 @@ class TensorElement(_Terms):
             pairs.append((self.terms[k], " o ".join(s or "1" for s in slots) if any(slots) else ""))
         return signed_sum(pairs)
 
-    def _product(self, other, out=None, skip=None):
-        """self·other, its terms accumulated into ``out`` (a new dict by
-        default), leaving out the pairs of keys that ``skip`` names."""
-        alg, order = self.alg, self.alg.order
-        mul, one = alg.mul_mono, alg.field.one
-        out = {} if out is None else out
-        for k1, k2, c in _pair_walk(self.terms, other.terms, order, skip):
-            slot_terms = [mul(a, b).items() for a, b in zip(k1, k2)]
-            # Mostly every slot's product is one monomial with the unit
-            # coefficient: then the product is ``c`` at one key.
-            key = []
-            for items in slot_terms:
-                if len(items) != 1:
-                    break
-                ((m, cm),) = items
-                if cm is not one:
-                    break
-                key.append(m)
-            else:
-                _acc(out, tuple(key), c)
-                continue
-            for combo in _cartesian(*slot_terms):
-                monos, consts = zip(*combo)
-                v = _times(c, consts, order)
-                if not v.is_zero:
-                    _acc(out, monos, v)
-        return TensorElement(alg, self.arity, out)
+    def _product(self, other, skip=None, minus=()):
+        """self·other − Σ z·w over (z, w) in ``minus``, without the pairs of
+        keys that ``skip`` names.  A pair of terms and its slot constants go
+        into the sums as one product; each key is canonicalized once."""
+        alg, sums = self.alg, Sums(self.alg.field)
+        order, mul, one, add = alg.order, alg.mul_mono, alg.field.one, sums.add
+        for x, y in ((self, other), *minus):
+            for k1, k2, c1, c2, cut in _pair_walk(x.terms, y.terms, order, skip):
+                slot_terms = [mul(a, b).items() for a, b in zip(k1, k2)]
+                # Mostly every slot's product is one monomial with the unit
+                # coefficient: then the product is ``c1*c2`` at one key.
+                key = []
+                for items in slot_terms:
+                    if len(items) != 1:
+                        break
+                    ((m, cm),) = items
+                    if cm is not one:
+                        break
+                    key.append(m)
+                else:
+                    add(tuple(key), (c1, c2), cut)
+                    continue
+                if order is not None:
+                    # valuations add: drop the slot constants above the room
+                    room = order - c1.marker_degree - c2.marker_degree
+                    slot_terms = [[t for t in items if t[1].marker_degree <= room] for items in slot_terms]
+                for combo in _cartesian(*slot_terms):
+                    monos, consts = zip(*combo)
+                    add(monos, (c1, c2, *consts), order)
+        return TensorElement(alg, self.arity, sums.close())
 
     def product_difference(self, y, z, w) -> "TensorElement":
-        """self·y − z·w, the two products accumulated into one dict: the
-        terms of z·w cancel into those of self·y as they arrive, so the two
-        products are never held at once.
-
-        When (z, w) is (y, self) the difference is the commutator
-        [self, y].  A pair of keys whose slots multiply the same way in
-        either order then adds the same term to both products, so the
-        kernel never forms it."""
+        """self·y − z·w in one set of sums, so the two products are never
+        held at once.  When (z, w) is (y, self), the commutator [self, y],
+        a pair of keys whose slots multiply the same way in either order
+        adds the same term to both products, so it is never formed; whether
+        two monomials commute is asked once per call."""
         for t in (y, z, w):
             self._check(t)
-        skip = self._slots_commute if z is y and w is self else None
-        out: dict = {}
-        self._product(y, out, skip)
-        return z._product(-w, out, skip)
+        skip = None
+        if z is y and w is self:
+            mul, unit = self.alg.mul_mono, self.alg.unit_mono
+            commute = cache(lambda a, b: a == b or unit in (a, b) or mul(a, b) == mul(b, a))
 
-    def _slots_commute(self, k1, k2) -> bool:
-        mul, unit = self.alg.mul_mono, self.alg.unit_mono
-        return all(a == b or unit in (a, b) or mul(a, b) == mul(b, a) for a, b in zip(k1, k2))
+            def skip(k1, k2):
+                return all(map(commute, k1, k2))
+
+        return self._product(y, skip, ((z, -w),))
 
     def permute(self, perm) -> "TensorElement":
         """Reorder slots: new slot s holds old slot perm[s]."""
@@ -765,15 +755,15 @@ class ScalarMatrix(_Terms):
         for (k, j), c in other.entries.items():
             rows[k][j] = c
         out: dict = {}
-        for (i, _), j, c in _pair_walk(self.entries, lambda ik: rows[ik[1]], None):
-            _acc(out, (i, j), c)
+        for (i, _), j, c1, c2, _ in _pair_walk(self.entries, lambda ik: rows[ik[1]], None):
+            _acc(out, (i, j), _mul(c1, c2, None))
         return ScalarMatrix(self.field, self.dim, out)
 
     def kron(self, other):
         """The Kronecker product: entry ((i,k),(j,l)) is self[i,j]·other[k,l]."""
         d = other.dim
         pairs = _pair_walk(self.entries, other.entries, None)
-        return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): c for (i, j), (k, l), c in pairs})
+        return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): _mul(c1, c2, None) for (i, j), (k, l), c1, c2, _ in pairs})
 
 
 def tensor(*factors: TensorElement) -> TensorElement:
@@ -785,7 +775,7 @@ def tensor(*factors: TensorElement) -> TensorElement:
     alg = factors[0].alg
     terms = {(): alg.field.one}
     for f in factors:
-        terms = {k + k2: c for k, k2, c in _pair_walk(terms, f.terms, alg.order)}
+        terms = {k + k2: _mul(c1, c2, cut) for k, k2, c1, c2, cut in _pair_walk(terms, f.terms, alg.order)}
     return TensorElement(alg, sum(f.arity for f in factors), terms)
 
 
@@ -806,8 +796,8 @@ def linear(x, image, zero):
     ``zero``): sum of c*image(k) over the terms of ``x``, truncated at
     ``zero.order``, as a container like ``zero``."""
     out: dict = {}
-    for _, k2, c in _pair_walk(x.terms, lambda k: image(k).terms, zero.order):
-        _acc(out, k2, c)
+    for _, k2, c1, c2, cut in _pair_walk(x.terms, lambda k: image(k).terms, zero.order):
+        _acc(out, k2, _mul(c1, c2, cut))
     return zero._like(out)
 
 
@@ -840,8 +830,8 @@ def multiplicative(alg: Algebra, image, one, peel):
 def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
     """Replace slot ``pos`` by its arity-2 image under f (mono -> tensor)."""
     out: dict = {}
-    for key, k2, c in _pair_walk(t.terms, lambda key: f(key[pos]).terms, t.alg.order):
-        _acc(out, key[:pos] + k2 + key[pos + 1 :], c)
+    for key, k2, c1, c2, cut in _pair_walk(t.terms, lambda key: f(key[pos]).terms, t.alg.order):
+        _acc(out, key[:pos] + k2 + key[pos + 1 :], _mul(c1, c2, cut))
     return TensorElement(t.alg, t.arity + 1, out)
 
 
@@ -850,8 +840,8 @@ def spread(x: TensorElement, arity: int) -> TensorElement:
     pair walk of the slots by x's terms, the placements merged in one dict."""
     units = (x.alg.unit_mono,) * arity
     out: dict = {}
-    for s, k, c in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
-        _acc(out, units[:s] + k + units[s + 1 :], c)
+    for s, k, c1, c2, cut in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
+        _acc(out, units[:s] + k + units[s + 1 :], _mul(c1, c2, cut))
     return TensorElement(x.alg, arity, out)
 
 

@@ -26,6 +26,11 @@ rebuilt from a pickle) is recognized by equality and replaced by the shared
 one.  Denominators stay h-free for everything this package constructs;
 ``truncate`` enforces that invariant at the point where it matters.
 
+The tensor product kernel sums its products in :class:`Sums`, where a key
+with several polynomial contributions holds their running sum ``[num, q]``
+over a common ``q``: not canonical, not a ``Coefficient``, and never out of
+``Sums``, which canonicalizes it once, when the product returns.
+
 Printing is native too: ``repr`` writes the lex-ordered form sympy's
 ``PolyElement`` prints, over a monic denominator.  The LaTeX output
 (``report.latex_coeff``) reads that text back with sympy; nothing here loads
@@ -35,7 +40,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, lt, sub
 
 MARKER = "h"
@@ -419,6 +424,83 @@ def _canon(field: CoefficientField, num, den) -> "Coefficient":
             n = {m: v // g for m, v in n.items()}
             q //= g
     return Coefficient(field, n, q, den)
+
+
+class Sums:
+    """Sums of products of coefficients by key, each canonicalized once: the
+    tensor product kernel's multiply-accumulate.  An entry is a Coefficient
+    while its key has one contribution, or one with a real denominator, and
+    else a running ``[num, q]`` (see the module doc).  A key whose sum
+    empties is popped, so the terms keep the order of sequential addition."""
+
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field: CoefficientField):
+        self.field, self.terms = field, {}
+
+    def add(self, key, factors, cut):
+        """Add the product of ``factors`` at ``key``, truncated at marker
+        degree ``cut`` (None: no term of it is above the order)."""
+        unit, one, terms = self.field.one, self.field._one, self.terms
+        fs = [f for f in factors if f is not unit]
+        c = fs[0] if len(fs) == 1 else unit if not fs else None
+        if c is None:
+            # a product of one-term polynomials is one term k*x**m / q
+            m = None
+            for f in fs:
+                if f.den is not one or len(f.num) > 1:
+                    c = prod(fs[1:], start=fs[0])
+                    break
+                ((e, v),) = f.num.items()
+                m, k, q = (e, v, f.q) if m is None else (tuple(map(add, m, e)), k * v, q * f.q)
+            else:
+                if cut is not None and m[0] > cut:
+                    return
+                prev = terms.get(key)
+                if prev is not None and (type(prev) is list or prev.den is one):
+                    return self._put(key, prev, ((m, k),), q)
+                g, cut = gcd(k, q), None
+                c = Coefficient(self.field, {m: k // g}, q // g, one)
+        c = c if cut is None else c.truncate(cut)
+        prev = terms.get(key)
+        if prev is None:
+            if c.num:
+                terms[key] = c
+        elif c.den is one and (type(prev) is list or prev.den is one):
+            self._put(key, prev, c.num.items(), c.q)
+        else:
+            c = (_canon(self.field, prev, one) if type(prev) is list else prev) + c
+            if c.num:
+                terms[key] = c
+            else:
+                del terms[key]
+
+    def _put(self, key, prev, items, q):
+        """Add the ``(exponents, int)`` items over ``q`` to ``prev``, the sum at ``key``."""
+        if type(prev) is not list:
+            prev = self.terms[key] = [dict(prev.num), prev.q]
+        total, s = prev
+        if s % q:
+            # rescale the sum to a common multiple of the two q's
+            lcm = s // gcd(s, q) * q
+            for m in total:
+                total[m] *= lcm // s
+            prev[1] = s = lcm
+        for m, v in items:
+            v = total.get(m, 0) + s // q * v
+            if v:
+                total[m] = v
+            else:
+                del total[m]
+        if not total:
+            del self.terms[key]
+
+    def close(self) -> dict:
+        """The terms, every running sum canonicalized: none leaves here."""
+        for key, v in self.terms.items():
+            if type(v) is list:
+                self.terms[key] = _canon(self.field, v, self.field._one)
+        return self.terms
 
 
 class Coefficient:

@@ -600,3 +600,81 @@ class TestPairWalk:
         t = TensorElement(UZ, 2, {(GEN_MONOS[A], UNIT_MONO): high})
         with pytest.raises(ValueError, match="denominator carries the marker"):
             apply_slot_map(t, 0, _slot_image)
+
+
+# -- the accumulator of the tensor product kernel --------------------------
+
+# Monomials whose products often meet at one key (A and M commute), and
+# coefficients that cancel there: units, rationals over several q, so a
+# running sum rescales, marked monomials, and real denominators.
+SUM_MONOS = [UNIT_MONO, GEN_MONOS[A], GEN_MONOS[AP], GEN_MONOS[AM], GEN_MONOS[M], (1, 0, 0, 1)]
+SUM_COEFFS = [
+    F.one,
+    -F.one,
+    F.rational(1, 3),
+    F.rational(-2, 5),
+    _HZ,
+    -_HZ,
+    _HZ * Fraction(1, 6),
+    _HZ**2 + _Z,
+    _HZ / (_Z + 1),
+    -_HZ / (_Z + 1),
+]
+
+
+def sum_terms(arity):
+    key = st.tuples(*([st.sampled_from(SUM_MONOS)] * arity))
+    return st.dictionaries(key, st.sampled_from(SUM_COEFFS), min_size=1, max_size=5)
+
+
+def naive_commutator(alg, arity, x, y):
+    """x·y − y·x over the pairs whose slots do not all commute, each pair's
+    products accumulated in pair order."""
+    out = {}
+    for lhs, rhs in ((x, y), (y, {k: -c for k, c in x.items()})):
+        for k1, c1 in lhs.items():
+            for k2, c2 in rhs.items():
+                if any(alg.mul_mono(a, b) != alg.mul_mono(b, a) for a, b in zip(k1, k2)):
+                    for key, c in naive_product(alg, arity, {k1: c1}, {k2: c2}).items():
+                        _naive_acc(out, key, c)
+    return out
+
+
+class TestSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([UZ, CL]), st.sampled_from([1, 2, 3]), st.data())
+    def test_kernel_matches_naive_in_term_order(self, alg, arity, data):
+        a, b = data.draw(sum_terms(arity)), data.draw(sum_terms(arity))
+        got = TensorElement(alg, arity, a) * TensorElement(alg, arity, b)
+        assert list(got.terms.items()) == list(naive_product(alg, arity, a, b).items())
+        assert all(type(c) is Coefficient for c in got.terms.values())
+
+    def test_a_key_that_cancels_and_comes_back_moves_to_the_end(self):
+        """A·M cancels at the fifth pair, and the last pair adds it again over
+        another q, so it follows every key made in between."""
+        am = (1, 0, 0, 1)
+        a = {(GEN_MONOS[A],): F.one, (GEN_MONOS[M],): F.one, (UNIT_MONO,): F.one}
+        b = {(GEN_MONOS[M],): _HZ / 3, (GEN_MONOS[A],): -_HZ / 3, (am,): F.rational(1, 5)}
+        got = TensorElement(UZ, 1, a) * TensorElement(UZ, 1, b)
+        assert list(got.terms.items()) == list(naive_product(UZ, 1, a, b).items())
+        assert list(got.terms)[-1] == (am,)
+        assert got.terms[(am,)] == F.rational(1, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([UZ, CL]), st.sampled_from([1, 2, 3]), st.data())
+    def test_commutator_mode_matches_naive_in_term_order(self, alg, arity, data):
+        """The memo of commuting monomials leaves out exactly the pairs a
+        fresh test would; leaving them out can reorder the terms against
+        x*y - y*x, so the order is checked against the naive commutator."""
+        a, b = data.draw(sum_terms(arity)), data.draw(sum_terms(arity))
+        x, y = TensorElement(alg, arity, a), TensorElement(alg, arity, b)
+        got = x.product_difference(y, y, x)
+        assert list(got.terms.items()) == list(naive_commutator(alg, arity, a, b).items())
+        assert got == x * y - y * x
+
+    @pytest.mark.parametrize("key", ["Uz", "IIn", "IIs"])
+    def test_every_product_value_is_a_coefficient(self, key):
+        R = universal_R(key, 3)
+        r13, r23 = R.embedded((0, 2)), R.embedded((1, 2))
+        for got in (R.expansion * R.inverse, r13 * r23, r13.product_difference(r23, r23, r13), r13.commutator(r23)):
+            assert all(type(c) is Coefficient for c in got.terms.values())

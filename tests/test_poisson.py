@@ -130,14 +130,34 @@ class TestGroupRing:
     def test_a_scalar_lifts_to_the_letter_unit(self):
         """A letter is an arity-1 tensor, so on one site it mixes with the
         ring's unit, and a scalar lifts to that unit; on two sites the unit
-        is an arity-2 tensor, which a letter never mixes with."""
+        is an arity-2 tensor, which a letter would never mix with, so the
+        letter is refused where it is built."""
         ring = GroupRing(ZF)
         e = ring.letter(0) + 1
         assert e == ring.letter(0) + ring.one() == ring.letter(0) + ring.monomial(FUN_UNIT) == 1 + ring.letter(0)
         assert e.terms.keys() == {(FUN_UNIT,), (ring.shift(FUN_UNIT, 0),)}
         double = GroupRing(ZF, 2)
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match=r"coord\(name, site\)"):
             double.letter(0) + double.one()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ring: ring.letter(0),
+            lambda ring: ring.gen(0),
+            lambda ring: ring.gens(),
+            lambda ring: ring.monomial(FUN_UNIT),
+            lambda ring: ring.normalize_word((0, 1)),
+            lambda ring: ring.normalize_word((), rightmost=True),
+        ],
+        ids=["letter", "gen", "gens", "monomial", "normalize_word", "normalize_word-rightmost"],
+    )
+    def test_arity_one_builders_refuse_several_sites(self, build):
+        """On one site they work; on two they raise at the call and name the
+        builder that works, so no arity-1 tensor meets an arity-2 unit."""
+        build(GroupRing(ZF))
+        with pytest.raises(ValueError, match=r"2 sites: build its functions with coord\(name, site\)"):
+            build(GroupRing(ZF, 2))
 
 
 class TestInvariantFields:
