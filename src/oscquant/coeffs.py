@@ -433,36 +433,36 @@ class Sums:
     else a running ``[num, q]`` (see the module doc).  A key whose sum
     empties is popped, so the terms keep the order of sequential addition."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "raw")
 
     def __init__(self, field: CoefficientField):
-        self.field, self.terms = field, {}
+        self.field, self.terms, self.raw = field, {}, []
 
     def add(self, key, factors, cut):
         """Add the product of ``factors`` at ``key``, truncated at marker
         degree ``cut`` (None: no term of it is above the order)."""
         unit, one, terms = self.field.one, self.field._one, self.terms
         fs = [f for f in factors if f is not unit]
-        c = fs[0] if len(fs) == 1 else unit if not fs else None
-        if c is None:
+        prev = terms.get(key)
+        if len(fs) > 1:
             # a product of one-term polynomials is one term k*x**m / q
             m = None
             for f in fs:
                 if f.den is not one or len(f.num) > 1:
-                    c = prod(fs[1:], start=fs[0])
                     break
                 ((e, v),) = f.num.items()
                 m, k, q = (e, v, f.q) if m is None else (tuple(map(add, m, e)), k * v, q * f.q)
             else:
                 if cut is not None and m[0] > cut:
                     return
-                prev = terms.get(key)
-                if prev is not None and (type(prev) is list or prev.den is one):
+                if prev is None:
+                    g = gcd(k, q)
+                    terms[key] = Coefficient(self.field, {m: k // g}, q // g, one)
+                    return
+                if type(prev) is list or prev.den is one:
                     return self._put(key, prev, ((m, k),), q)
-                g, cut = gcd(k, q), None
-                c = Coefficient(self.field, {m: k // g}, q // g, one)
+        c = prod(fs[1:], start=fs[0]) if fs else unit
         c = c if cut is None else c.truncate(cut)
-        prev = terms.get(key)
         if prev is None:
             if c.num:
                 terms[key] = c
@@ -479,6 +479,7 @@ class Sums:
         """Add the ``(exponents, int)`` items over ``q`` to ``prev``, the sum at ``key``."""
         if type(prev) is not list:
             prev = self.terms[key] = [dict(prev.num), prev.q]
+            self.raw.append(key)
         total, s = prev
         if s % q:
             # rescale the sum to a common multiple of the two q's
@@ -497,9 +498,9 @@ class Sums:
 
     def close(self) -> dict:
         """The terms, every running sum canonicalized: none leaves here."""
-        for key, v in self.terms.items():
-            if type(v) is list:
-                self.terms[key] = _canon(self.field, v, self.field._one)
+        for key in self.raw:
+            if type(self.terms.get(key)) is list:
+                self.terms[key] = _canon(self.field, self.terms[key], self.field._one)
         return self.terms
 
 
