@@ -611,6 +611,8 @@ class TensorElement(_Terms):
         """self·other − Σ z·w over (z, w) in ``minus``, without the pairs of
         keys that ``skip`` names.  A pair of terms and its slot constants go
         into the sums as one product; each key is canonicalized once."""
+        if not (self.terms and other.terms or minus):
+            return TensorElement(self.alg, self.arity, {})  # a factor is zero
         alg, sums = self.alg, Sums(self.alg.field)
         order, mul, one, add = alg.order, alg.mul_mono, alg.field.one, sums.add
         for x, y in ((self, other), *minus):
