@@ -75,8 +75,6 @@ def _acc(terms, key, c):
 
 def _grade(c, order):
     """(valuation, polynomial top) of a term to multiply under truncation."""
-    if c is c.field.one:
-        return 0, 0
     top = c.poly_top
     if top is None and c.den_has_marker:
         raise ValueError(f"cannot truncate {c!r}: denominator carries the marker")
