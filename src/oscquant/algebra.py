@@ -40,6 +40,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import product as _cartesian
+from operator import add
 
 from .coeffs import Coefficient, CoefficientField, Sums
 
@@ -86,7 +87,10 @@ def _pair_walk(lhs, rhs, order, skip=None):
     whose product can survive truncation at ``order``, in the order lhs ×
     rhs, as ``(k1, k2, c1, c2, cut)``, ``cut`` the order if ``c1*c2`` may have
     terms above it and else None.  Every product of term dicts runs through
-    it: the tensor product kernel, and through :func:`_mul` the others.
+    it.  The coefficient products it yields sum in a ``coeffs.Sums``, in the
+    tensor product kernel and, through :func:`_bilinear`, everywhere else;
+    only the matrix products, whose entries may be ring elements, add
+    through ``_acc``.
 
     ``rhs`` is a term dict, or a function of the left key giving one.
     Valuations add exactly, so the right-hand terms that cannot survive are
@@ -116,10 +120,13 @@ def _pair_walk(lhs, rhs, order, skip=None):
             yield k1, k2, c1, c2, None if exact or t1 + t2 <= order else order
 
 
-def _mul(c1, c2, cut):
-    """``c1*c2`` at the pair walk's ``cut``; a unit factor costs nothing."""
-    c = c2 if c1 is c1.field.one else c1 if c2 is c2.field.one else c1 * c2
-    return c if cut is None else c.truncate(cut)
+def _bilinear(field, lhs, rhs, order, key_of):
+    """The terms of the pair walk of ``lhs`` and ``rhs`` at ``order``, each
+    pair's product added at ``key_of(k1, k2)``."""
+    sums = Sums(field)
+    for k1, k2, c1, c2, cut in _pair_walk(lhs, rhs, order):
+        sums.add(key_of(k1, k2), (c1, c2), cut)
+    return sums.close()
 
 
 def oscillator_tails(field: CoefficientField):
@@ -387,16 +394,6 @@ class Algebra:
         return e._like(self._clean(out))
 
 
-def _coerce_scalar(field: CoefficientField, x):
-    if isinstance(x, Coefficient):
-        if x.field is not field:
-            raise ValueError("scalar from a different coefficient field")
-        return x
-    if isinstance(x, (int, Fraction)):
-        return field.rational(x)
-    return None
-
-
 class _Terms:
     """The one sparse linear-combination core: keys mapped to nonzero coefficients.
 
@@ -413,10 +410,11 @@ class _Terms:
     raises ``ValueError``.  An ``int``, ``Fraction`` or ``Coefficient`` of
     the field stands for that multiple of the unit, in ``==`` as in ``+``.
 
-    A subclass supplies its unit (``_unit``) and its product: either
-    ``_product`` itself or, for the shared bilinear loop, the product of two
-    keys (``_key_product``).  It may expose ``parent`` under its usual name
-    by aliasing the slot (``alg = _Terms.parent``).
+    A subclass supplies its unit (``_unit``) and its product (``_product``),
+    which walks the pairs of terms with :func:`_pair_walk` and sums their
+    products in a ``coeffs.Sums`` (a matrix product, whose entries may be
+    ring elements, adds through ``_acc``).  It may expose ``parent`` under
+    its usual name by aliasing the slot (``alg = _Terms.parent``).
     """
 
     __slots__ = ("parent", "terms")
@@ -453,7 +451,7 @@ class _Terms:
         if isinstance(other, _Terms):
             self._check(other)
             return other
-        c = _coerce_scalar(self.field, other)
+        c = self.field.coerce(other)
         return None if c is None else self._unit().scale(c)
 
     @property
@@ -496,7 +494,7 @@ class _Terms:
         return other - self
 
     def scale(self, s):
-        c = _coerce_scalar(self.field, s)
+        c = self.field.coerce(s)
         if c is None:
             raise TypeError(f"cannot scale by {type(s).__name__}")
         if c.is_zero:
@@ -510,7 +508,7 @@ class _Terms:
         return self.scale(other)
 
     def __truediv__(self, other):
-        c = _coerce_scalar(self.field, other)
+        c = self.field.coerce(other)
         if c is None:
             return NotImplemented
         return self.scale(self.field.one / c)
@@ -520,14 +518,6 @@ class _Terms:
             return self.scale(other)
         self._check(other)
         return self._product(other)
-
-    def _product(self, other):
-        """The bilinear extension of ``_key_product`` (key times key is one key)."""
-        key_product = self._key_product
-        out: dict = {}
-        for k1, k2, c1, c2, cut in _pair_walk(self.terms, other.terms, self.order):
-            _acc(out, key_product(k1, k2), _mul(c1, c2, cut))
-        return self._like(out)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -754,28 +744,30 @@ class ScalarMatrix(_Terms):
         rows: list = [{} for _ in range(self.dim)]
         for (k, j), c in other.entries.items():
             rows[k][j] = c
-        out: dict = {}
+        one, out = self.field.one, {}
         for (i, _), j, c1, c2, _ in _pair_walk(self.entries, lambda ik: rows[ik[1]], None):
-            _acc(out, (i, j), _mul(c1, c2, None))
+            # a unit factor costs nothing, and a ring element is not rescaled by 1
+            _acc(out, (i, j), c2 if c1 is one else c1 if c2 is one else c1 * c2)
         return ScalarMatrix(self.field, self.dim, out)
 
     def kron(self, other):
         """The Kronecker product: entry ((i,k),(j,l)) is self[i,j]·other[k,l]."""
-        d = other.dim
+        d, one = other.dim, self.field.one
         pairs = _pair_walk(self.entries, other.entries, None)
-        return ScalarMatrix(self.field, self.dim * d, {(i * d + k, j * d + l): _mul(c1, c2, None) for (i, j), (k, l), c1, c2, _ in pairs})
+        return ScalarMatrix(self.field, self.dim * d, {
+            (i * d + k, j * d + l): c2 if c1 is one else c1 if c2 is one else c1 * c2
+            for (i, j), (k, l), c1, c2, _ in pairs})
 
 
 def tensor(*factors: TensorElement) -> TensorElement:
     """The tensor product of tensors (algebra elements being arity 1),
     truncated at their order: each key is the concatenation of its factors'.
 
-    The pair walk folds the factors in from the left, starting from the
-    unit; every key it makes is distinct, so nothing accumulates."""
+    The factors are folded in from the left, starting from the unit."""
     alg = factors[0].alg
     terms = {(): alg.field.one}
     for f in factors:
-        terms = {k + k2: _mul(c1, c2, cut) for k, k2, c1, c2, cut in _pair_walk(terms, f.terms, alg.order)}
+        terms = _bilinear(alg.field, terms, f.terms, alg.order, add)
     return TensorElement(alg, sum(f.arity for f in factors), terms)
 
 
@@ -795,10 +787,8 @@ def linear(x, image, zero):
     """The linear extension of ``image`` (a key of ``x`` -> a container like
     ``zero``): sum of c*image(k) over the terms of ``x``, truncated at
     ``zero.order``, as a container like ``zero``."""
-    out: dict = {}
-    for _, k2, c1, c2, cut in _pair_walk(x.terms, lambda k: image(k).terms, zero.order):
-        _acc(out, k2, _mul(c1, c2, cut))
-    return zero._like(out)
+    terms = _bilinear(zero.field, x.terms, lambda k: image(k).terms, zero.order, lambda _, k: k)
+    return zero._like(terms)
 
 
 def multiplicative(alg: Algebra, image, one, peel):
@@ -829,20 +819,18 @@ def multiplicative(alg: Algebra, image, one, peel):
 
 def apply_slot_map(t: TensorElement, pos: int, f) -> TensorElement:
     """Replace slot ``pos`` by its arity-2 image under f (mono -> tensor)."""
-    out: dict = {}
-    for key, k2, c1, c2, cut in _pair_walk(t.terms, lambda key: f(key[pos]).terms, t.alg.order):
-        _acc(out, key[:pos] + k2 + key[pos + 1 :], _mul(c1, c2, cut))
-    return TensorElement(t.alg, t.arity + 1, out)
+    terms = _bilinear(t.field, t.terms, lambda key: f(key[pos]).terms, t.order,
+                      lambda key, k2: key[:pos] + k2 + key[pos + 1 :])
+    return TensorElement(t.alg, t.arity + 1, terms)
 
 
 def spread(x: TensorElement, arity: int) -> TensorElement:
     """x⊗1⊗...⊗1 + 1⊗x⊗...⊗1 + ... — the primitive embedding of x: one
-    pair walk of the slots by x's terms, the placements merged in one dict."""
+    pair walk of the slots by x's terms, the placements merged in one set of sums."""
     units = (x.alg.unit_mono,) * arity
-    out: dict = {}
-    for s, k, c1, c2, cut in _pair_walk(dict.fromkeys(range(arity), x.field.one), x.terms, x.order):
-        _acc(out, units[:s] + k + units[s + 1 :], _mul(c1, c2, cut))
-    return TensorElement(x.alg, arity, out)
+    terms = _bilinear(x.field, dict.fromkeys(range(arity), x.field.one), x.terms, x.order,
+                      lambda s, k: units[:s] + k + units[s + 1 :])
+    return TensorElement(x.alg, arity, terms)
 
 
 def tensor_adjoint(x: TensorElement, t: TensorElement) -> TensorElement:

@@ -26,10 +26,11 @@ rebuilt from a pickle) is recognized by equality and replaced by the shared
 one.  Denominators stay h-free for everything this package constructs;
 ``truncate`` enforces that invariant at the point where it matters.
 
-The tensor product kernel sums its products in :class:`Sums`, where a key
-with several polynomial contributions holds their running sum ``[num, q]``
-over a common ``q``: not canonical, not a ``Coefficient``, and never out of
-``Sums``, which canonicalizes it once, when the product returns.
+Every product over ``algebra``'s pair walk, the tensor product kernel's and
+every other, sums in :class:`Sums`, where a key with several polynomial
+contributions holds their running sum ``[num, q]`` over a common ``q``: not
+canonical, not a ``Coefficient``, and never out of ``Sums``, which
+canonicalizes it once, when the product returns.
 
 Printing is native too: ``repr`` writes the lex-ordered form sympy's
 ``PolyElement`` prints, over a monic denominator.  The LaTeX output
@@ -383,6 +384,18 @@ class CoefficientField:
         """Canonicalize ``num / (q * den)`` for integer polynomials ``num``, ``den``."""
         return _canon(self, (num, q), self._one if den is None else den)
 
+    def coerce(self, x) -> "Coefficient | None":
+        """``x`` as a coefficient of this field: an ``int`` or ``Fraction`` is
+        lifted, a coefficient of another field raises ``ValueError``, and
+        anything else gives None ("not a scalar")."""
+        if isinstance(x, Coefficient):
+            if x.field is not self:
+                raise ValueError("coefficients from different fields; convert explicitly")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self.rational(x)
+        return None
+
 
 def _canon(field: CoefficientField, num, den) -> "Coefficient":
     """The canonical coefficient ``n / (q * den)`` for ``num = (n, q)``."""
@@ -428,7 +441,7 @@ def _canon(field: CoefficientField, num, den) -> "Coefficient":
 
 class Sums:
     """Sums of products of coefficients by key, each canonicalized once: the
-    tensor product kernel's multiply-accumulate.  An entry is a Coefficient
+    one multiply-accumulate of every pair-walk product.  An entry is a Coefficient
     while its key has one contribution, or one with a real denominator, and
     else a running ``[num, q]`` (see the module doc).  A key whose sum
     empties is popped, so the terms keep the order of sequential addition."""
@@ -546,21 +559,11 @@ class Coefficient:
     def is_zero(self) -> bool:
         return not self.num
 
-    def _check(self, other) -> "Coefficient | None":
-        """Coerce to a coefficient of this field; None means "not my type"."""
-        if isinstance(other, Coefficient):
-            if other.field is not self.field:
-                raise ValueError("coefficients from different fields; convert explicitly")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
-        return None
-
     # -- field arithmetic -----------------------------------------------
 
     def __add__(self, other):
         if other.__class__ is not Coefficient or other.field is not self.field:
-            other = self._check(other)
+            other = self.field.coerce(other)
             if other is None:
                 return NotImplemented
         n1, q1, d1 = self.num, self.q, self.den
@@ -579,7 +582,7 @@ class Coefficient:
         return Coefficient(self.field, _pscale(self.num, -1), self.q, self.den)
 
     def __sub__(self, other):
-        other = self._check(other)
+        other = self.field.coerce(other)
         if other is None:
             return NotImplemented
         return self.__add__(-other)
@@ -589,7 +592,7 @@ class Coefficient:
 
     def __mul__(self, other):
         if other.__class__ is not Coefficient or other.field is not self.field:
-            other = self._check(other)
+            other = self.field.coerce(other)
             if other is None:
                 return NotImplemented
         # Structure constants are mostly the field's own unit: a product with
@@ -607,7 +610,7 @@ class Coefficient:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._check(other)
+        other = self.field.coerce(other)
         if other is None:
             return NotImplemented
         if not other.num:
@@ -616,7 +619,7 @@ class Coefficient:
         return _canon(self.field, (num, self.q), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        other = self._check(other)
+        other = self.field.coerce(other)
         if other is None:
             return NotImplemented
         return other.__truediv__(self)
@@ -709,9 +712,7 @@ class Coefficient:
         for name, val in mapping.items():
             if name not in field._index:
                 raise KeyError(f"unknown parameter {name!r}")
-            if isinstance(val, (int, Fraction)):
-                val = field.rational(val)
-            targets[name] = self._check(val)
+            targets[name] = field.coerce(val)
         if not targets:
             return self
 

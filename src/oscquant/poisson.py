@@ -196,7 +196,9 @@ class VectorField:
         total = self.ring.zero()
         for comp, var in zip(self.comps, DERIV_VARS):
             if not comp.is_zero:
-                total = total + comp * derive(f, var, self.site)
+                d = derive(f, var, self.site)
+                if not d.is_zero:
+                    total = total + comp * d
         return total
 
     def commutator(self, other: "VectorField") -> "VectorField":

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 from .algebra import (
     A,
@@ -48,6 +49,7 @@ from .algebra import (
     Algebra,
     ScalarMatrix,
     TensorElement,
+    _bilinear,
     _exp_sum,
     _Terms,
     embed,
@@ -383,9 +385,8 @@ class FreeElement(_Terms):
     def _unit(self):
         return FreeElement.unit(self.field)
 
-    @staticmethod
-    def _key_product(w1, w2):
-        return w1 + w2
+    def _product(self, other):
+        return self._like(_bilinear(self.field, self.terms, other.terms, None, add))
 
     def canonical(self):
         """Scale the commutator part to coefficient 1.

@@ -78,6 +78,18 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             F.param("x") + G.param("t")
 
+    def test_one_coercion_rule_for_scalars_and_containers(self):
+        from oscquant.algebra import Algebra
+
+        G = CoefficientField.get("t")
+        assert F.coerce(2) == F.rational(2) and F.coerce(Fraction(1, 3)) == F.rational(1, 3)
+        assert F.coerce(F.hbar) is F.hbar
+        assert F.coerce(0.5) is None and F.coerce("x") is None
+        one = Algebra.classical(F).one()
+        for mix in (lambda: F.coerce(G.one), lambda: F.one * G.one, lambda: one.scale(G.one), lambda: one == G.one):
+            with pytest.raises(ValueError, match="different fields"):
+                mix()
+
     def test_marker_name_reserved(self):
         with pytest.raises(ValueError):
             CoefficientField.get("h", "x")
