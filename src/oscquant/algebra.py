@@ -139,21 +139,6 @@ def oscillator_tails(field: CoefficientField):
     }
 
 
-def lie_brackets(field: CoefficientField):
-    """Full antisymmetric bracket table [X_i, X_j] as term dicts."""
-    table = {}
-    tails = oscillator_tails(field)
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                table[(i, j)] = {}
-            elif i > j:
-                table[(i, j)] = dict(tails.get((i, j), {}))
-            else:
-                table[(i, j)] = {m: -c for m, c in tails.get((j, i), {}).items()}
-    return table
-
-
 class Algebra:
     """Associative algebra presented by adjacent-swap rules on a letter table.
 

@@ -67,18 +67,6 @@ def wedge(x: TensorElement, y: TensorElement) -> TensorElement:
     return tensor(x, y) - tensor(y, x)
 
 
-def wedge3(x: TensorElement, y: TensorElement, z: TensorElement) -> TensorElement:
-    """Full six-term antisymmetrization of x(x)y(x)z."""
-    return (
-        tensor(x, y, z)
-        + tensor(y, z, x)
-        + tensor(z, x, y)
-        - tensor(x, z, y)
-        - tensor(y, x, z)
-        - tensor(z, y, x)
-    )
-
-
 def wedge_name(slots) -> str:
     return "^".join(GEN_NAMES[i] for i in slots)
 
@@ -133,9 +121,6 @@ class RMatrixSkew:
                     t = t + wedge(alg.gen(i), alg.gen(j)).scale(c)
             self._tensor = t
         return self._tensor
-
-    def map_coeffs(self, fn) -> "RMatrixSkew":
-        return RMatrixSkew(self.field, tuple(fn(c) for c in self.c))
 
 
 def generic_r() -> RMatrixSkew:
@@ -377,9 +362,6 @@ class Family:
 
     def cocommutators(self) -> dict:
         return cocommutator_map(self.r(marked=False))
-
-    def classification(self) -> Classification:
-        return classify(self.r(marked=False), nonzero=self.nonzero)
 
 
 FAMILIES = {

@@ -38,7 +38,7 @@ from .bialgebra import (
     wedge_name,
 )
 from .coeffs import CoefficientField
-from .expr import ExprError, parse_coefficient
+from .expr import MAX_BITS, ExprError, parse_coefficient
 from .funalg import FUN_CHECKS, fun_presentation
 from .hopf import CHECKS as HOPF_CHECKS
 from .hopf import presentation
@@ -53,6 +53,7 @@ from .report import (
     r_matrix_cells,
 )
 from .rmatrix import (
+    CONJUGATION_CASES,
     conjugation_identities,
     expansion_base_check,
     frt_relations,
@@ -83,13 +84,10 @@ class UsageError(Exception):
 
 
 # -- individual jobs -------------------------------------------------------
-
-
-def _timed(check, family, order, fn, finding=False):
-    t0 = time.perf_counter()
-    ok, residuals = fn()
-    dt = time.perf_counter() - t0
-    return make_report(check, family, order, ok, residuals, dt, finding=finding)
+#
+# A job returns its lines as (check, order, thunk) rows, each thunk giving
+# (ok, residuals), for _run to time; set-up that lines share is memoized in
+# the job, and charged to the first line that needs it.
 
 
 def _job_lm(key, order):
@@ -97,9 +95,9 @@ def _job_lm(key, order):
     spec = family_spec(fam)
     p = lm_coproduct(spec, order)
     return [
-        _timed("lm-coassociativity", key, order, lambda: HOPF_CHECKS["coassociativity"](p)),
-        _timed("lm-counit", key, order, lambda: HOPF_CHECKS["counit"](p)),
-        _timed("lm-first-order", key, 1, lambda: first_order_check(spec, fam.r(marked=True))),
+        ("lm-coassociativity", order, lambda: HOPF_CHECKS["coassociativity"](p)),
+        ("lm-counit", order, lambda: HOPF_CHECKS["counit"](p)),
+        ("lm-first-order", 1, lambda: first_order_check(spec, fam.r(marked=True))),
     ]
 
 
@@ -108,16 +106,13 @@ def _job_hopf(key, name, order):
         # The order-h part of the coproduct needs a presentation of order >= 1.
         order = max(order, 1)
     p = presentation(key, order)
-    return [_timed(f"hopf-{name}", key, order, lambda: HOPF_CHECKS[name](p))]
+    return [(f"hopf-{name}", order, lambda: HOPF_CHECKS[name](p))]
 
 
 def _job_fun(key, order):
     del order  # the coordinate-ring relations close exactly; no truncation
     f = fun_presentation(key)
-    return [
-        _timed(f"fun-{name}", key, None, functools.partial(FUN_CHECKS[name], f))
-        for name in FUN_CHECKS
-    ]
+    return [(f"fun-{name}", None, functools.partial(FUN_CHECKS[name], f)) for name in FUN_CHECKS]
 
 
 # Rules whose removal must break some FRT-extracted relation.  Rules about
@@ -142,29 +137,25 @@ _EXPECTED_NECESSARY = {
 
 def _job_frt(key, order):
     del order  # exact; see _job_fun
-    t0 = time.perf_counter()
-    rep = frt_relations(key)
-    dt = time.perf_counter() - t0
-    reports = [
-        make_report("frt-relations", key, None, rep["ok"], rep["residuals"], dt)
+    rep = functools.cache(functools.partial(frt_relations, key))
+
+    def necessity():
+        expected, necessary = _EXPECTED_NECESSARY[key], rep()["necessary"]
+        diffs = [
+            f"rule {pair}: necessary={necessary.get(pair)}, expected={want}"
+            for pair, want in sorted(expected.items())
+            if necessary.get(pair) != want
+        ] + [
+            f"unexpected rule {pair}: necessary={got}"
+            for pair, got in sorted(necessary.items())
+            if pair not in expected
+        ]
+        return necessary == expected, diffs
+
+    return [
+        ("frt-relations", None, lambda: (rep()["ok"], rep()["residuals"])),
+        ("frt-necessity", None, necessity),
     ]
-    t0 = time.perf_counter()
-    expected = _EXPECTED_NECESSARY[key]
-    diffs = [
-        f"rule {pair}: necessary={rep['necessary'].get(pair)}, expected={want}"
-        for pair, want in sorted(expected.items())
-        if rep["necessary"].get(pair) != want
-    ] + [
-        f"unexpected rule {pair}: necessary={got}"
-        for pair, got in sorted(rep["necessary"].items())
-        if pair not in expected
-    ]
-    reports.append(
-        make_report(
-            "frt-necessity", key, None, not diffs, diffs, time.perf_counter() - t0
-        )
-    )
-    return reports
 
 
 # R lines that one deformation alone reports, and the probes: lines whose
@@ -181,7 +172,7 @@ def _job_universal_r(key, order):
     # carries the build at the requested order, R-inverse the capped one.
     R = functools.cache(functools.partial(universal_R, key))
     heavy = min(order, HEAVY_ORDER_CAP)
-    lines = [
+    return [
         ("R-expansion-base", order, lambda: expansion_base_check(R(order))),
         ("R-refactorization", order, lambda: refactorization_check(R(order))),
         ("R-inverse", heavy, lambda: inverse_check(R(heavy))),
@@ -191,25 +182,16 @@ def _job_universal_r(key, order):
         ("R-exact-qybe", None, lambda: qybe_exact_rep(key)),
         ("R-exact-qybe-literal-A-reading", None, lambda: qybe_exact_rep(key, primed_reading="literal-A")),
     ]
-    probes = _R_PROBES.get(key, ())
-    return [
-        _timed(check, key, n, fn, finding=check in probes)
-        for check, n, fn in lines
-        if _R_ONLY.get(check, key) == key
-    ]
 
 
 def _job_appendix(key, order):
-    # Each line reports its own conjugation and comparison; the shared set-up
-    # is charged to the first.
-    reports = []
-    t0 = time.perf_counter()
-    for tag, diff in conjugation_identities(order):
-        ok, residuals = held([(tag, diff())])
-        dt = time.perf_counter() - t0
-        reports.append(make_report(f"conjugation [{tag}]", key, order, ok, residuals, dt))
-        t0 = time.perf_counter()
-    return reports
+    # Each line reports its own conjugation and comparison.
+    identities = functools.cache(lambda: dict(conjugation_identities(order)))
+
+    def line(tag):
+        return f"conjugation [{tag}]", order, lambda: held([(tag, identities()[tag]())])
+
+    return [line(tag) for tag in CONJUGATION_CASES]
 
 
 # -- job table ---------------------------------------------------------------
@@ -230,9 +212,19 @@ TARGET_JOBS = {
 TARGETS = tuple(TARGET_JOBS)
 
 
+def _timed(check, family, order, fn, finding):
+    t0 = time.perf_counter()
+    ok, residuals = fn()
+    return make_report(check, family, order, ok, residuals, time.perf_counter() - t0, finding)
+
+
 def _run(job, order: int):
+    """One job row's report lines, each timed, those of another deformation
+    left out and the probes marked as findings."""
     fn, key, *args = job
-    return fn(key, *args, order)
+    probes = _R_PROBES.get(key, ())
+    rows = [row for row in fn(key, *args, order) if _R_ONLY.get(row[0], key) == key]
+    return [_timed(check, key, n, thunk, check in probes) for check, n, thunk in rows]
 
 
 def run_jobs(rows, order: int, jobs: int):
@@ -343,6 +335,9 @@ def cmd_classify(args) -> int:
         coeffs = [parse_coefficient(field, tok) for tok in tokens]
     except ExprError as exc:
         raise UsageError(f"cannot parse coefficient: {exc}") from exc
+    # The budget's estimate can be low by a factor of two: check before printing.
+    if any(n.bit_length() > MAX_BITS for c in coeffs for n in (c.q, *c.num.values(), *c.den.values())):
+        raise UsageError(f"a coefficient has an integer over the budget of {MAX_BITS} bits")
     r = RMatrixSkew(field, coeffs)
     try:
         # Symbols are declared nonzero by use; set a coefficient to 0 instead

@@ -380,10 +380,6 @@ class CoefficientField:
             return self.zero
         return Coefficient(self, {self._zero_mono: val.numerator}, val.denominator, self._one)
 
-    def new(self, num: dict, q: int = 1, den: dict | None = None) -> "Coefficient":
-        """Canonicalize ``num / (q * den)`` for integer polynomials ``num``, ``den``."""
-        return _canon(self, (num, q), self._one if den is None else den)
-
     def coerce(self, x) -> "Coefficient | None":
         """``x`` as a coefficient of this field: an ``int`` or ``Fraction`` is
         lifted, a coefficient of another field raises ``ValueError``, and
@@ -521,8 +517,8 @@ class Coefficient:
     """One exact scalar ``num / (q * den)`` in canonical form (see the module doc).
 
     Construct through a :class:`CoefficientField` (``field.param``,
-    ``field.rational``, ``field.new``); the constructor itself trusts its
-    arguments to be canonical.
+    ``field.rational``) or :func:`_canon`; the constructor itself trusts
+    its arguments to be canonical.
     """
 
     __slots__ = ("field", "num", "q", "den", "_hash", "_mdeg", "_htop")
@@ -704,32 +700,3 @@ class Coefficient:
     def strip_marker(self) -> "Coefficient":
         """Substitute h -> 1 (used when rendering internally-scaled results)."""
         return self._map(lambda m: (0,) + m[1:])
-
-    def subs(self, mapping: dict[str, "Coefficient | int | Fraction"]) -> "Coefficient":
-        """Substitute parameters by coefficients (rational functions allowed)."""
-        field = self.field
-        targets = {}
-        for name, val in mapping.items():
-            if name not in field._index:
-                raise KeyError(f"unknown parameter {name!r}")
-            targets[name] = field.coerce(val)
-        if not targets:
-            return self
-
-        gen_vals = [field.hbar] + [
-            targets.get(name, field.param(name)) for name in field.params
-        ]
-
-        def lift(poly, q):
-            total = field.zero
-            for mono, c in poly.items():
-                term = field.rational(c, q)
-                for gen_val, e in zip(gen_vals, mono):
-                    if e:
-                        term = term * gen_val**e
-                total = total + term
-            return total
-
-        # Both over the denominator's leading coefficient: monic, as printed.
-        lc = _lc(self.den)
-        return lift(self.num, self.q * lc) / lift(self.den, lc)

@@ -8,6 +8,12 @@ exact coefficients and the elements of any algebra, group functions included
 
 Flat sums and products of any length evaluate; nesting (parentheses, unary
 minus, powers) deeper than ``MAX_DEPTH`` levels raises :class:`ExprError`.
+
+The input budget: the integers a text builds stay below ``2**MAX_BITS`` and
+its polynomials below degree ``MAX_BITS``.  :func:`parse` refuses a text
+over it before anything is computed, however short (``2^100000000000``); the
+estimate can be low by a factor of two, so a caller that prints the integers
+checks them too.  It bounds sizes, not the terms or gcd cost of polynomials.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import operator
 import re
 
 MAX_DEPTH = 200
+MAX_BITS = 1024
 
 
 class ExprError(ValueError):
@@ -31,6 +38,8 @@ def _tokenize(text: str):
         if m.group(4):
             raise ExprError(f"bad character {m.group(4)!r} in {text!r}")
         if m.group(1):
+            if len(m.group(1)) > MAX_BITS // 3 + 1:  # so at least 10**(MAX_BITS // 3 + 1) > 2**MAX_BITS
+                raise ExprError(f"an integer of {len(m.group(1))} digits is over the budget of {MAX_BITS} bits")
             out.append(("int", int(m.group(1))))
         elif m.group(2):
             out.append(("name", m.group(2)))
@@ -102,6 +111,8 @@ def parse(text: str):
     tree = p.parse(0)
     if p.peek()[0] != "end":
         raise ExprError(f"trailing input in {text!r}")
+    if _bits(tree, text) >= MAX_BITS:
+        raise ExprError(f"{text!r} is over the budget of {MAX_BITS} bits")
     return tree
 
 
@@ -114,6 +125,33 @@ def _eval_int(node, text) -> int:
 
 
 _LEFT_ASSOC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _bits(node, text) -> int:
+    """The budget's estimate of log2 of the integers and of the degree of the
+    polynomials ``node`` builds: a literal's bits less one, a name one, a sum
+    of k terms its largest plus the bits of k - 1, a product or quotient both
+    operands, a power its base times the exponent.  Chains walk as in _eval."""
+    rights = []
+    while node[0] in _LEFT_ASSOC:
+        rights.append((node[0], node[2]))
+        node = node[1]
+    if node[0] == "int":
+        size = max(node[1].bit_length() - 1, 0)
+    elif node[0] == "name":
+        size = 1
+    elif node[0] == "neg":
+        size = _bits(node[1], text)
+    else:
+        size = _bits(node[1], text) * abs(_eval_int(node[2], text))
+    terms = 0  # the summands past the first of the current run of + and -
+    for op, right in reversed(rights):
+        other = _bits(right, text)
+        if op in "+-":
+            size, terms = max(size, other), terms + 1
+        else:
+            size, terms = size + terms.bit_length() + other, 0
+    return size + terms.bit_length()
 
 
 def _eval(node, env, number, text):

@@ -37,7 +37,6 @@ from .algebra import (
     TensorElement,
     apply_slot_map,
     held,
-    linear,
     multiplicative,
     rebase,
     spread,
@@ -106,7 +105,7 @@ class HopfPresentation:
     reproduce.  Each map is fixed on letters and extended to normal
     monomials by :func:`.algebra.multiplicative` (``delta_mono`` and
     ``counit_scalar`` as morphisms, ``antipode_mono`` as an anti-morphism),
-    then to elements by ``delta``/``antipode_of``.  They read the dicts
+    then to tensors by ``delta``, the others slot by slot.  They read the dicts
     given here, so a letter's value is changed in place before the first
     call (as ``funalg`` sets its counit), never by rebinding the attribute.
     The axiom checks run over the letters ``images`` names.  A coproduct
@@ -140,10 +139,6 @@ class HopfPresentation:
     def delta(self, e: TensorElement) -> TensorElement:
         """The coproduct, extended multiplicatively over normal monomials."""
         return apply_slot_map(e, 0, self.delta_mono)
-
-    def antipode_of(self, e: TensorElement) -> TensorElement:
-        """The antipode, extended anti-multiplicatively over normal monomials."""
-        return linear(e, lambda k: self.antipode_mono(k[0]), self.alg.zero())
 
 
 def uz_presentation(order: int) -> HopfPresentation:

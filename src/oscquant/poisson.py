@@ -21,16 +21,14 @@ A generic group element, as a 3x3 matrix:
     T = [ 0   E           a_plus             ]
         [ 0   0           1                  ]
 
-and the matrix product T(left)*T(right) is the group law (``group_matrix``
-and ``NumericElement.matrix`` return :class:`.algebra.ScalarMatrix`).
+and the matrix product T(left)*T(right) is the group law: :func:`t_matrix`
+reads T into a :class:`.algebra.ScalarMatrix` over any ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .algebra import GEN_NAMES, Algebra, ScalarMatrix, TensorElement, _acc, held, linear, multiplicative, signed_sum
 from .bialgebra import WEDGE_SLOTS, NotCoboundary, RMatrixSkew, mcybe_check
@@ -149,38 +147,6 @@ def t_matrix(env: dict, number) -> ScalarMatrix:
     return ScalarMatrix(number(1).field, 3, entries)
 
 
-def group_matrix(coords: dict) -> ScalarMatrix:
-    """The 3x3 matrix of a group element with the given coordinates."""
-    one = coords["E"] * coords["Einv"]  # the ring unit, whatever the ring
-    return t_matrix(coords, one.scale)
-
-
-class NumericElement(NamedTuple):
-    """A group element with rational coordinates (E held directly)."""
-
-    E: Fraction
-    a_plus: Fraction
-    a_minus: Fraction
-    m: Fraction
-
-    @classmethod
-    def identity(cls):
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-
-    def compose(self, right: "NumericElement") -> "NumericElement":
-        return NumericElement(
-            E=self.E * right.E,
-            a_plus=self.a_plus + self.E * right.a_plus,
-            a_minus=self.a_minus + right.a_minus / self.E,
-            m=self.m + right.m - self.a_plus * right.a_minus / self.E,
-        )
-
-    def matrix(self) -> ScalarMatrix:
-        """T over the rationals (the parameter-free coefficient field)."""
-        field = CoefficientField.get()
-        return t_matrix({k: field.rational(v) for k, v in self._asdict().items()}, field.rational)
-
-
 # -- invariant vector fields ----------------------------------------------
 
 
@@ -200,26 +166,6 @@ class VectorField:
                 if not d.is_zero:
                     total = total + comp * d
         return total
-
-    def commutator(self, other: "VectorField") -> "VectorField":
-        comps = tuple(
-            self(yc) - other(xc) for xc, yc in zip(self.comps, other.comps)
-        )
-        return VectorField(self.ring, self.site, comps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VectorField)
-            and self.site == other.site
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __neg__(self):
-        return VectorField(self.ring, self.site, tuple(-c for c in self.comps))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.comps)
 
 
 def left_fields(ring: GroupRing, site: int) -> dict:
@@ -258,19 +204,23 @@ def sklyanin_bracket(r: RMatrixSkew, f: TensorElement, g: TensorElement) -> Tens
     if g.alg is not ring:
         raise ValueError("bracket arguments from different rings")
     total = ring.zero()
+    used = {GEN_NAMES[k] for c, slots in zip(r.c, WEDGE_SLOTS) if not c.is_zero for k in slots}
     for site in range(ring.sites):
-        L = left_fields(ring, site)
-        R = right_fields(ring, site)
+        # Each field r uses, on f and on g once per site, with the sign of its
+        # side; a product with an empty factor is skipped.
+        sides = [
+            (sign, {a: fields[a](f) for a in used}, {a: fields[a](g) for a in used})
+            for sign, fields in ((1, left_fields(ring, site)), (-1, right_fields(ring, site)))
+        ]
         for c, (i, j) in zip(r.c, WEDGE_SLOTS):
             if c.is_zero:
                 continue
             a, b = GEN_NAMES[i], GEN_NAMES[j]
-            piece = (
-                L[a](f) * L[b](g)
-                - L[b](f) * L[a](g)
-                - R[a](f) * R[b](g)
-                + R[b](f) * R[a](g)
-            )
+            piece = ring.zero()
+            for sign, on_f, on_g in sides:
+                for x, y, s in ((on_f[a], on_g[b], sign), (on_f[b], on_g[a], -sign)):
+                    if not (x.is_zero or y.is_zero):
+                        piece = piece + x * y if s > 0 else piece - x * y
             total = total + piece.scale(c)
     return total
 

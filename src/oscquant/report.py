@@ -72,7 +72,7 @@ class Report:
         }
 
 
-def make_report(check, family, order, ok, residuals, seconds, finding=False) -> Report:
+def make_report(check, family, order, ok, residuals, seconds, finding) -> Report:
     """Build a Report from a check's (ok, residuals) return.
 
     ``finding=True`` downgrades a failure to a reported finding (used for

@@ -63,7 +63,6 @@ from .algebra import (
     spread,
 )
 from .bialgebra import deformation
-from .coeffs import CoefficientField
 from .funalg import fun_presentation
 from .hopf import HopfPresentation, expm1_over, presentation
 from .poisson import COORDS, LETTER_NAMES, FunAlgebra, t_matrix
@@ -302,19 +301,6 @@ def rep3(t: TensorElement, gens=None) -> ScalarMatrix:
     gens = gens or _gen_matrices(field)
     d_mono = multiplicative(t.alg, gens.__getitem__, ScalarMatrix.identity(field, 3), t.alg.first_letter)
     return linear(t, lambda key: reduce(ScalarMatrix.kron, map(d_mono, key)), ScalarMatrix.zero(field, 3**t.arity))
-
-
-def rep3_check():
-    """D is a homomorphism: D of each normal-ordered product equals the
-    matrix product, for all 16 generator pairs (exact)."""
-    field = CoefficientField.get("z")
-    alg = Algebra.classical(field)
-    gens = _gen_matrices(field)
-    return held(
-        (f"{GEN_NAMES[i]}*{GEN_NAMES[j]}", rep3(alg.gen(i) * alg.gen(j)) - gens[i] * gens[j])
-        for i in range(4)
-        for j in range(4)
-    )
 
 
 def d_matrix(key: str, primed_reading: str = "definition") -> ScalarMatrix:

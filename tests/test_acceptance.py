@@ -16,7 +16,8 @@ import random
 import time
 from fractions import Fraction
 
-from oscquant.algebra import A, AM, AP, GEN_MONOS, M, Algebra, held, lie_brackets, tensor
+from helpers import NumericElement, group_matrix, lie_brackets, wedge3
+from oscquant.algebra import A, AM, AP, GEN_MONOS, M, Algebra, held, tensor
 from oscquant.bialgebra import (
     FAMILIES,
     ad_invariant_check,
@@ -24,7 +25,6 @@ from oscquant.bialgebra import (
     generic_r,
     schouten,
     table_I,
-    wedge3,
 )
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import FUN_CHECKS, fun_presentation
@@ -33,10 +33,8 @@ from oscquant.hopf import presentation
 from oscquant.lm import family_spec, first_order_check, table_III
 from oscquant.poisson import (
     GroupRing,
-    NumericElement,
     TABLE_II_PAIRS,
     group_compose,
-    group_matrix,
     jacobi_check,
     left_fields,
     multiplicativity_check,

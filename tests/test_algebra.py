@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lie_brackets
 from oscquant.algebra import (
     A,
     AM,
@@ -24,7 +25,6 @@ from oscquant.algebra import (
     apply_slot_map,
     embed,
     exp_series,
-    lie_brackets,
     tensor,
 )
 from oscquant.coeffs import Coefficient, CoefficientField

@@ -19,9 +19,9 @@ import pytest
 from oscquant import bialgebra, cli
 from oscquant.algebra import AP, Algebra, tensor
 from oscquant.cli import main
-from oscquant.expr import MAX_DEPTH
+from oscquant.expr import MAX_BITS, MAX_DEPTH
 from oscquant.hopf import HopfPresentation
-from oscquant.coeffs import CoefficientField
+from oscquant.coeffs import Coefficient, CoefficientField
 from oscquant.rmatrix import CONJUGATION_CASES
 
 
@@ -309,6 +309,36 @@ def test_classify_nesting_up_to_the_bound_reads(capsys):
     assert out.splitlines()[0] == "input r: A^Ap"
 
 
+@pytest.mark.parametrize(
+    "r, problem",
+    [
+        ("2**20000", f"'2**20000' is over the budget of {MAX_BITS} bits"),
+        ("2^100000000000", f"'2^100000000000' is over the budget of {MAX_BITS} bits"),
+        ("1" * 5000, f"an integer of 5000 digits is over the budget of {MAX_BITS} bits"),
+    ],
+    ids=["found", "huge-power", "long-literal"],
+)
+def test_classify_over_the_input_budget_is_refused_unevaluated(capsys, monkeypatch, r, problem):
+    def no_power(c, n):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(Coefficient, "__pow__", no_power)
+    for fmt in ("text", "json"):
+        rc, out, err = run(capsys, ["classify", "--r", f"{r},0,0,0,0,0", "--format", fmt])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: cannot parse coefficient: {problem}"]
+
+
+def test_classify_integer_over_the_budget_is_refused_before_printing(capsys):
+    # Estimated at 1000 bits, 3^1000 has 1585: the integers are held to the
+    # budget themselves.
+    rc, out, err = run(capsys, ["classify", "--r", "3^1000,0,0,0,0,0"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: a coefficient has an integer over the budget of {MAX_BITS} bits"]
+    rc, out, _ = run(capsys, ["classify", "--r", f"2^{MAX_BITS - 1},0,0,0,0,0"])
+    assert rc == 0 and out.startswith(f"input r: {2 ** (MAX_BITS - 1)}*A^Ap")
+
+
 @pytest.mark.parametrize("bad", ["1/0", "x/(x-x)"])
 def test_classify_division_by_zero_is_usage_error(capsys, bad):
     rc, out, err = run(capsys, ["classify", "--r", f"{bad},0,0,0,0,0"])
@@ -517,7 +547,7 @@ def test_appendix_lines_report_their_own_intervals(monkeypatch):
         return [(tag, identity(c, d)) for tag, c, d in zip(CONJUGATION_CASES, costs, diffs)]
 
     monkeypatch.setattr(cli, "conjugation_identities", identities)
-    reports = cli._job_appendix("IIn", 3)
+    reports = cli._run((cli._job_appendix, "IIn"), 3)
     assert [r.check for r in reports] == [f"conjugation [{tag}]" for tag in CONJUGATION_CASES]
     assert [r.wall_time_s for r in reports] == [11.0, 2.0, 4.0, 8.0]
     assert [r.status for r in reports] == ["pass", "pass", "fail", "pass"]

@@ -11,7 +11,8 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
-from oscquant.coeffs import Coefficient, CoefficientField, _pmul
+from helpers import subs
+from oscquant.coeffs import Coefficient, CoefficientField, _canon, _pmul
 
 F = CoefficientField.get("x", "y")
 
@@ -243,7 +244,7 @@ def check(got, num, den):
 
 def both_kinds(a):
     """``a`` and its numerator alone: a real denominator and denominator 1."""
-    return [a, F.new(a.num, a.q)]
+    return [a, _canon(F, (a.num, a.q), F._one)]
 
 
 def fresh_unit(a):
@@ -274,7 +275,7 @@ def int_polys(min_size, max_size):
 
 def wide_fractions():
     """``num / (q * den)`` for integer polynomials of up to seven terms."""
-    return st.builds(F.new, int_polys(0, 7), st.integers(1, 12), int_polys(1, 7))
+    return st.builds(lambda num, q, den: _canon(F, (num, q), den), int_polys(0, 7), st.integers(1, 12), int_polys(1, 7))
 
 
 class TestDenominatorOne:
@@ -324,10 +325,10 @@ class TestDenominatorOne:
         num, den = an.as_expr().subs(x, value), ad.as_expr().subs(x, value)
         if sympy.cancel(den) == 0:
             with pytest.raises(ZeroDivisionError):
-                a.subs({"x": b})
+                subs(a, {"x": b})
             return
         num, den = sympy.fraction(sympy.cancel(num / den))
-        check(a.subs({"x": b}), R.from_expr(num), R.from_expr(den))
+        check(subs(a, {"x": b}), R.from_expr(num), R.from_expr(den))
 
     @settings(max_examples=60, deadline=None)
     @given(fractions_of_every_kind() | wide_fractions())
@@ -338,7 +339,7 @@ class TestDenominatorOne:
     def test_polynomials_share_the_unit(self):
         x = F.param("x")
         for c in (F.zero, F.one, F.hbar, x, F.rational(3, 2), F.marked_param("y"), x * x - F.one,
-                  (x**2 - F.one) / (x - F.one), F.new(x.num), F.one * x, x * F.one, x**3,
+                  (x**2 - F.one) / (x - F.one), _canon(F, (x.num, 1), F._one), F.one * x, x * F.one, x**3,
                   F.hbar**2 * x**2 / 2, (x * F.rational(3)) / (x * F.rational(6)), x / F.rational(1, 2),
                   (x**2 + x) / x, (x + F.param("y")) ** 2 / (x + F.param("y")), fresh_unit(F.zero).h_part(1),
                   fresh_unit(x).h_part(0)):
@@ -355,7 +356,7 @@ class TestDenominatorOne:
     @settings(max_examples=60, deadline=None)
     @given(coeffs(), fractions_of_every_kind())
     def test_an_equal_unit_that_is_another_object(self, a0, b):
-        a = F.new(a0.num, a0.q)
+        a = _canon(F, (a0.num, a0.q), F._one)
         c = fresh_unit(a)
         assert c.den is not F._one
         assert c == a and hash(c) == hash(a)
@@ -428,21 +429,21 @@ class TestSubs:
     def test_polynomial_substitution(self):
         x, y = F.param("x"), F.param("y")
         a = x**2 + y
-        assert a.subs({"x": F.rational(2)}) == F.rational(4) + y
-        assert a.subs({"x": y}) == y**2 + y
+        assert subs(a, {"x": F.rational(2)}) == F.rational(4) + y
+        assert subs(a, {"x": y}) == y**2 + y
 
     def test_rational_function_substitution(self):
         # Substituting y -> x**2 into a denominator must stay exact.
         x, y = F.param("x"), F.param("y")
         a = F.one / (x - y)
-        got = a.subs({"y": x**2})
+        got = subs(a, {"y": x**2})
         assert got == F.one / (x - x**2)
         assert got * (x - x**2) == F.one
 
     def test_substitute_fraction_value(self):
         x = F.param("x")
-        assert (x**2).subs({"x": Fraction(1, 2)}) == F.rational(1, 4)
+        assert subs(x**2, {"x": Fraction(1, 2)}) == F.rational(1, 4)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(KeyError):
-            F.one.subs({"nope": 1})
+            subs(F.one, {"nope": 1})

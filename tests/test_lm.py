@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import iplus_nonstandard_closed, map_coeffs, trivial_spec
 from oscquant import fixtures
 from oscquant.algebra import (
     A,
@@ -23,12 +24,10 @@ from oscquant.lm import (
     NoncommutingEntries,
     family_spec,
     first_order_check,
-    iplus_nonstandard_closed,
     lm_coproduct,
     matrix_exp,
     spec_matrix,
     table_III,
-    trivial_spec,
 )
 
 ZF = CoefficientField.get("z")
@@ -190,7 +189,7 @@ def test_first_order_trivial():
 
 def test_first_order_detects_mismatch():
     fam = FAMILIES["Iplus-nonstandard"]
-    wrong = fam.r(marked=True).map_coeffs(lambda c: -c)
+    wrong = map_coeffs(fam.r(marked=True), lambda c: -c)
     assert not first_order_check(family_spec(fam), wrong)[0]
 
 

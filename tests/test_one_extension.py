@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import oscquant
+from helpers import antipode_of
 from oscquant import hopf
 from oscquant.algebra import (
     A,
@@ -388,7 +389,7 @@ def test_a_presentation_and_its_memos_die_without_the_cyclic_collector():
     # built past the cache of presentation(), which holds its last results
     p = hopf._BUILDERS["IIs"](2)
     p.delta(p.alg.gen(AM) * p.alg.gen(AP))
-    p.antipode_of(p.alg.gen(AM) * p.alg.gen(AP))
+    antipode_of(p, p.alg.gen(AM) * p.alg.gen(AP))
     p.counit_scalar((1, 1, 0, 0))
     gc.disable()
     try:

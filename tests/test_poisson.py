@@ -6,6 +6,7 @@ from operator import add
 
 import pytest
 
+from helpers import NumericElement, group_matrix
 from oscquant.algebra import held
 from oscquant.bialgebra import FAMILIES, NotCoboundary, RMatrixSkew
 from oscquant.coeffs import CoefficientField
@@ -14,9 +15,7 @@ from oscquant import poisson
 from oscquant.poisson import (
     FUN_UNIT,
     GroupRing,
-    NumericElement,
     group_compose,
-    group_matrix,
     jacobi_check,
     left_fields,
     multiplicativity_check,
