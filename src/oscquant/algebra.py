@@ -82,7 +82,7 @@ def _grade(c, order):
     return c.marker_degree, order + 1 if top is None else top  # a non-polynomial tops the order
 
 
-def _pair_walk(lhs, rhs, order, skip=None):
+def _pair_walk(lhs, rhs, order):
     """The one bilinear pair loop: every pair of terms of ``lhs`` and ``rhs``
     whose product can survive truncation at ``order``, in the order lhs ×
     rhs, as ``(k1, k2, c1, c2, cut)``, ``cut`` the order if ``c1*c2`` may have
@@ -97,9 +97,7 @@ def _pair_walk(lhs, rhs, order, skip=None):
     filtered out once per distinct left valuation.  Polynomial tops add
     exactly too, so a product of two polynomials whose tops sum to at most
     the order needs no cut.  A term whose denominator carries the marker
-    raises ``ValueError``, as ``truncate`` does.  A pair for which
-    ``skip(k1, k2)`` is true is left out; whether ``skip`` is given is asked
-    once per left term, so a walk without it pays nothing per pair.
+    raises ``ValueError``, as ``truncate`` does.
     """
     exact, fixed = order is None, not callable(rhs)
     # (id(right dict), left valuation) -> (the dict, its terms that can survive)
@@ -115,8 +113,7 @@ def _pair_walk(lhs, rhs, order, skip=None):
                 if exact or d1 + d2 <= order:
                     rows.append((k2, c2, t2))
             got = rows_at[(id(r), d1)] = (r, rows)
-        rows = got[1] if skip is None else [row for row in got[1] if not skip(k1, row[0])]
-        for k2, c2, t2 in rows:
+        for k2, c2, t2 in got[1]:
             yield k1, k2, c1, c2, None if exact or t1 + t2 <= order else order
 
 
@@ -479,9 +476,7 @@ class _Terms:
         return other - self
 
     def scale(self, s):
-        c = self.field.coerce(s)
-        if c is None:
-            raise TypeError(f"cannot scale by {type(s).__name__}")
+        c = self.field.lift(s)
         if c.is_zero:
             return self._like({})
         order = self.order
@@ -580,16 +575,16 @@ class TensorElement(_Terms):
             pairs.append((self.terms[k], " o ".join(s or "1" for s in slots) if any(slots) else ""))
         return signed_sum(pairs)
 
-    def _product(self, other, skip=None, minus=()):
-        """self·other − Σ z·w over (z, w) in ``minus``, without the pairs of
-        keys that ``skip`` names.  A pair of terms and its slot constants go
-        into the sums as one product; each key is canonicalized once."""
+    def _product(self, other, minus=(), pairs_of=iter):
+        """self·other − Σ z·w over (z, w) in ``minus``, each walk's pairs taken
+        through ``pairs_of``.  A pair of terms and its slot constants go into
+        the sums as one product; each key is canonicalized once."""
         if not (self.terms and other.terms or minus):
             return TensorElement(self.alg, self.arity, {})  # a factor is zero
         alg, sums = self.alg, Sums(self.alg.field)
         order, mul, one, add = alg.order, alg.mul_mono, alg.field.one, sums.add
         for x, y in ((self, other), *minus):
-            for k1, k2, c1, c2, cut in _pair_walk(x.terms, y.terms, order, skip):
+            for k1, k2, c1, c2, cut in pairs_of(_pair_walk(x.terms, y.terms, order)):
                 slot_terms = [mul(a, b).items() for a, b in zip(k1, k2)]
                 # Mostly every slot's product is one monomial with the unit
                 # coefficient: then the product is ``c1*c2`` at one key.
@@ -615,21 +610,25 @@ class TensorElement(_Terms):
 
     def product_difference(self, y, z, w) -> "TensorElement":
         """self·y − z·w in one set of sums, so the two products are never
-        held at once.  When (z, w) is (y, self), the commutator [self, y],
-        a pair of keys whose slots multiply the same way in either order
-        adds the same term to both products, so it is never formed; whether
-        two monomials commute is asked once per call."""
+        held at once.  When (z, w) is (y, self), the commutator [self, y] is
+        one walk of self·y's pairs: each pair of keys whose slots do not all
+        commute adds k₁·k₂ and then −k₂·k₁, and the rest, whose products
+        cancel, are never formed; whether two monomials commute is asked once per call."""
         for t in (y, z, w):
             self._check(t)
-        skip = None
-        if z is y and w is self:
-            mul, unit = self.alg.mul_mono, self.alg.unit_mono
-            commute = cache(lambda a, b: a == b or unit in (a, b) or mul(a, b) == mul(b, a))
+        if z is not y or w is not self:
+            return self._product(y, ((z, -w),))
+        mul, unit = self.alg.mul_mono, self.alg.unit_mono
+        commute = cache(lambda a, b: a == b or unit in (a, b) or mul(a, b) == mul(b, a))
+        neg = {k: -c for k, c in self.terms.items()}
 
-            def skip(k1, k2):
-                return all(map(commute, k1, k2))
+        def both(pairs):
+            for k1, k2, c1, c2, cut in pairs:
+                if not all(map(commute, k1, k2)):
+                    yield k1, k2, c1, c2, cut
+                    yield k2, k1, neg[k1], c2, cut
 
-        return self._product(y, skip, ((z, -w),))
+        return self._product(y, pairs_of=both)
 
     def permute(self, perm) -> "TensorElement":
         """Reorder slots: new slot s holds old slot perm[s]."""

@@ -88,13 +88,10 @@ class RMatrixSkew:
     """The six-coefficient skew r-matrix, with its tensor form on demand."""
 
     def __init__(self, field: CoefficientField, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 6:
+        self.c = tuple(map(field.lift, coeffs))
+        if len(self.c) != 6:
             raise ValueError("need exactly six coefficients c1..c6")
         self.field = field
-        self.c = tuple(
-            c if isinstance(c, Coefficient) else field.rational(c) for c in coeffs
-        )
         self._tensor = None
 
     def __repr__(self):

@@ -392,6 +392,13 @@ class CoefficientField:
             return self.rational(x)
         return None
 
+    def lift(self, x) -> "Coefficient":
+        """:meth:`coerce`, with ``TypeError`` for anything not a scalar."""
+        c = self.coerce(x)
+        if c is None:
+            raise TypeError(f"not a scalar: {type(x).__name__}")
+        return c
+
 
 def _canon(field: CoefficientField, num, den) -> "Coefficient":
     """The canonical coefficient ``n / (q * den)`` for ``num = (n, q)``."""

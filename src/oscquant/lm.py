@@ -54,9 +54,7 @@ def _coeff_matrix(field: CoefficientField, rows) -> ScalarMatrix:
     """Nested rows of coefficients (or rationals) as a matrix."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("parameter matrices must be square")
-    return ScalarMatrix.from_rows(
-        field, [[c if isinstance(c, Coefficient) else field.rational(c) for c in row] for row in rows]
-    )
+    return ScalarMatrix.from_rows(field, [list(map(field.lift, row)) for row in rows])
 
 
 @dataclass(frozen=True)

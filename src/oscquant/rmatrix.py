@@ -17,7 +17,7 @@ supposed to do:
   invertible and conjugation by it is an algebra automorphism, so each
   factor is conjugated on its own through the factored form;
 * the intertwining property σ∘Δ(X) = R Δ(X) R⁻¹ for all four generators,
-  through the same factored conjugation;
+  through the same factored conjugation, whose ad_F steps walk each pair once;
 * the two-step conjugation that proves intertwining for the one-parameter
   creation-type family, and the four auxiliary conjugation identities
   that prove it for the three-parameter family;
@@ -131,18 +131,18 @@ class UniversalR:
 
 
 def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
-    """exp(F) t exp(−F) = Σ_k ad_F^k(t)/k!, summed by :func:`.algebra._exp_sum`.
+    """exp(F) t exp(−F) = Σ_k ad_F^k(t)/k!, summed by :func:`.algebra._exp_sum`:
+    conjugation by a dense series as a short chain of sparse commutators,
+    each ad_F the kernel's commutator, one walk of the pairs of terms.
 
     Every factor used here carries positive marker degree, so each ad_F
     raises the order by at least one and the sum terminates at the
     algebra's truncation order; an unmarked factor, whose chain would not
-    terminate, raises ``ValueError``, as does an untruncated algebra.  This
-    turns conjugation by a dense exponential series into a short chain of
-    sparse commutators.
+    terminate, raises ``ValueError``, as does an untruncated algebra.
     """
     if t.alg.order is None:
         raise ValueError("exp_ad needs a truncation order")
-    return _exp_sum(t, factor.commutator, t.alg.order)
+    return _exp_sum(t, lambda s: factor.product_difference(s, s, factor), t.alg.order)
 
 
 def _exponents(key: str, alg: Algebra):
@@ -206,11 +206,10 @@ def qybe_check(R: UniversalR):
     """R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂ in the deformed 3-fold tensor algebra, checked
     as (R₁₂R₁₃R₁₂⁻¹)(R₁₂R₂₃R₁₂⁻¹) = R₂₃R₁₃: R₁₂ is invertible, so the two
     hold together, and conjugating each factor alone is conjugating their
-    product, since conjugation is an algebra automorphism.  The residual is
-    the conjugated difference R₁₂R₁₃R₂₃R₁₂⁻¹ − R₂₃R₁₃, accumulated in one
-    dict.  Where R₁₂ commutes with R₁₃ and R₂₃ (``IIn``), conjugation
-    returns them unchanged, so the residual is the commutator [R₁₃, R₂₃]
-    and its pairs of commuting terms are never formed."""
+    product, since conjugation is an algebra automorphism.  The residual
+    R₁₂R₁₃R₂₃R₁₂⁻¹ − R₂₃R₁₃ is one set of sums.  For ``IIn``, R₁₂ commutes
+    with R₁₃ and R₂₃, so it is [R₁₃, R₂₃], one walk of its pairs of terms,
+    as each ad_F step of the conjugations is."""
     r13 = R.embedded((0, 2))
     r23 = R.embedded((1, 2))
     return held([("qybe", R.conjugate(r13).product_difference(R.conjugate(r23), r23, r13))])

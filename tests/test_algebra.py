@@ -628,14 +628,14 @@ def sum_terms(arity):
 
 
 def naive_commutator(alg, arity, x, y):
-    """x·y − y·x over the pairs whose slots do not all commute, each pair's
-    products accumulated in pair order."""
+    """x·y − y·x over the pairs (k₁ of x, k₂ of y) whose slots do not all
+    commute, in pair order, each pair adding k₁·k₂ and then −k₂·k₁."""
     out = {}
-    for lhs, rhs in ((x, y), (y, {k: -c for k, c in x.items()})):
-        for k1, c1 in lhs.items():
-            for k2, c2 in rhs.items():
-                if any(alg.mul_mono(a, b) != alg.mul_mono(b, a) for a, b in zip(k1, k2)):
-                    for key, c in naive_product(alg, arity, {k1: c1}, {k2: c2}).items():
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            if any(alg.mul_mono(a, b) != alg.mul_mono(b, a) for a, b in zip(k1, k2)):
+                for lhs, rhs in (({k1: c1}, {k2: c2}), ({k2: c2}, {k1: -c1})):
+                    for key, c in naive_product(alg, arity, lhs, rhs).items():
                         _naive_acc(out, key, c)
     return out
 
@@ -664,8 +664,9 @@ class TestSums:
     @given(st.sampled_from([UZ, CL]), st.sampled_from([1, 2, 3]), st.data())
     def test_commutator_mode_matches_naive_in_term_order(self, alg, arity, data):
         """The memo of commuting monomials leaves out exactly the pairs a
-        fresh test would; leaving them out can reorder the terms against
-        x*y - y*x, so the order is checked against the naive commutator."""
+        fresh test would, and each pair left in adds its two products in
+        turn; both can reorder the terms against x*y - y*x, so the order is
+        checked against the naive commutator."""
         a, b = data.draw(sum_terms(arity)), data.draw(sum_terms(arity))
         x, y = TensorElement(alg, arity, a), TensorElement(alg, arity, b)
         got = x.product_difference(y, y, x)

@@ -15,7 +15,7 @@ import oscquant
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-LIMIT = 26
+LIMIT = 25
 
 
 def defaulted(source: str, module: str) -> list[str]:

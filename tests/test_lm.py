@@ -1,5 +1,7 @@
 """Coproduct construction: matrix exponentials, the shift, table recovery."""
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import iplus_nonstandard_closed, map_coeffs, trivial_spec
@@ -125,6 +127,28 @@ def test_vector_and_primitives_disjoint():
     z = ZF.zero
     with pytest.raises(ValueError, match="both"):
         LMSpec(ZF, (M,), (A, M), (((z, z), (z, z)),))
+
+
+SCALAR_BUILDERS = {
+    "RMatrixSkew": lambda c: RMatrixSkew(ZF, [c, 0, 0, 0, 0, 0]).c[0],
+    "LMSpec": lambda c: LMSpec(ZF, (M,), (A,), [[[c]]]).nu[0].entries[(0, 0)],
+}
+
+
+@pytest.mark.parametrize("build", SCALAR_BUILDERS.values(), ids=SCALAR_BUILDERS)
+@pytest.mark.parametrize(
+    "entry, error",
+    [(CoefficientField.get("x").param("x"), ValueError), ("1", TypeError), (1.5, TypeError), (None, TypeError)],
+    ids=["other-field", "str", "float", "None"],
+)
+def test_entries_lift_by_the_one_coercion_rule(build, entry, error):
+    """An entry is lifted as ``CoefficientField.coerce`` lifts it: a
+    coefficient of another field raises ``ValueError`` and anything not a
+    scalar ``TypeError``, at construction."""
+    with pytest.raises(error):
+        build(entry)
+    assert build(Fraction(1, 2)) == ZF.rational(1, 2)
+    assert build(ZF.param("z")).field is ZF
 
 
 # -- coproducts ----------------------------------------------------------
