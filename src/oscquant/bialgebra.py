@@ -150,7 +150,8 @@ def three_wedge_coefficients(t: TensorElement) -> dict:
 
 
 def mcybe_check(r: RMatrixSkew, br: TensorElement | None = None):
-    """(ok, residuals): ad-invariance of [[r,r]] under all four generators.
+    """Ad-invariance of [[r,r]] under all four generators, folded by
+    :func:`.algebra.held`.
 
     Residuals are the non-invariant wedge components of [[r,r]] (everything
     except the Ap^Am^M direction), named by their wedge slot.  ``br`` is
@@ -159,15 +160,15 @@ def mcybe_check(r: RMatrixSkew, br: TensorElement | None = None):
     br = schouten(r) if br is None else br
     alg = r.algebra()
     invariant = all(tensor_adjoint(alg.gen(i), br).is_zero for i in range(4))
-    residuals = [
+    pairs = [
         (wedge_name(slots), c)
         for slots, c in three_wedge_coefficients(br).items()
         if slots != (AP, AM, M)
     ]
     # Cross-validation: the component test and the adjoint test must agree.
-    if invariant != (not residuals):
+    if invariant != (not pairs):
         raise AssertionError("ad-invariance test disagrees with wedge-component test")
-    return invariant, residuals
+    return held(pairs)
 
 
 def _zeroness(c: Coefficient, nonzero: frozenset) -> str:

@@ -86,8 +86,10 @@ class UsageError(Exception):
 # -- individual jobs -------------------------------------------------------
 #
 # A job returns its lines as (check, order, thunk) rows, each thunk giving
-# (ok, residuals), for _run to time; set-up that lines share is memoized in
-# the job, and charged to the first line that needs it.
+# (ok, residuals), for _run to time.  The R, FRT and appendix jobs memoize
+# the set-up their lines share and charge it to the first line that needs
+# it; the LM coproduct, the Hopf presentation and the coordinate ring are
+# built when the job is made, so no line's time includes them.
 
 
 def _job_lm(key, order):

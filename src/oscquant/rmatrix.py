@@ -24,10 +24,11 @@ supposed to do:
 * the exact 3×3 matrix image: representation property, collapse of the
   series R to the 9×9 matrix, and the 27×27 braid identity with no
   truncation, its three factors placed with ``kron`` and the flip P₂₃;
-* the FRT construction R T₁T₂ = T₂T₁ R over the quantized coordinate
-  rings, with T₁T₂ = T⊗T and T₂T₁ = P(T⊗T)P: all 81 entries vanish, the
-  relations extracted from the free (unreduced) entries are reported, and
-  dropping any single commutation rule is shown to break some entry.
+* the FRT construction R T₁T₂ = T₂T₁ R, with T₁T₂ = T⊗T and
+  T₂T₁ = P(T⊗T)P: its defect is formed once over the free (unreduced)
+  words, whose nonzero entries are the extracted relations; all 81 entries
+  vanish in the quantized coordinate ring, and dropping any single
+  commutation rule is shown to break some entry.
 
 Every matrix here is an :class:`.algebra.ScalarMatrix`, over coefficients
 or over the coordinate rings' elements.
@@ -191,9 +192,7 @@ def expansion_base_check(R: UniversalR):
 def refactorization_check(R: UniversalR):
     """Both stated factorizations must expand identically."""
     alt = R.alt_expansion
-    if alt is None:
-        return True, []
-    return held([("refactorization", R.expansion - alt)])
+    return held([] if alt is None else [("refactorization", R.expansion - alt)])
 
 
 def inverse_check(R: UniversalR):
@@ -336,13 +335,11 @@ def qybe_exact_matrix(mat9: ScalarMatrix):
     r12 = mat9.kron(eye)
     r13 = p23 * r12 * p23
     r23 = eye.kron(mat9)
-    diff = r12 * r13 * r23 - r23 * r13 * r12
-    return diff.is_zero, diff
+    return held([("qybe-exact", r12 * r13 * r23 - r23 * r13 * r12)])
 
 
 def qybe_exact_rep(key: str, primed_reading: str = "definition"):
-    ok, diff = qybe_exact_matrix(d_matrix(key, primed_reading).strip_marker())
-    return ok, ([] if ok else [("qybe-exact", diff)])
+    return qybe_exact_matrix(d_matrix(key, primed_reading).strip_marker())
 
 
 # -- FRT: quantum-group relations out of R T₁T₂ = T₂T₁ R ----------------
@@ -395,11 +392,6 @@ class FreeElement(_Terms):
         return linear(self, lambda w: math.prod(map(alg.coord, w), start=alg.one()), alg.zero())
 
 
-def fun_t_matrix(alg: FunAlgebra) -> ScalarMatrix:
-    """T over a quantized coordinate ring."""
-    return t_matrix({n: alg.coord(n) for n in COORDS}, alg.one().scale)
-
-
 def free_t_matrix(field) -> ScalarMatrix:
     """T over the free (unreduced) words."""
     return t_matrix({n: FreeElement.letter(field, n) for n in COORDS}, FreeElement.unit(field).scale)
@@ -417,12 +409,12 @@ def frt_relations(key: str):
     """Check R T₁T₂ = T₂T₁ R over the exact quantized coordinate ring and
     extract the relations it forces.
 
-    Returns a dict with:
+    The defect is formed once, over the free (unreduced) words; each ring
+    is then asked whether its entries vanish there.  Returns a dict with:
       ``ok``          all 81 entries vanish under the ring's relations;
-      ``residuals``   the nonzero entries, if any;
-      ``extracted``   canonical nonzero entries of the same defect computed
-                      over the free (unreduced) words — the relations the
-                      FRT equation imposes;
+      ``residuals``   the entries that do not, evaluated in the ring;
+      ``extracted``   canonical nonzero entries of the free defect — the
+                      relations the FRT equation imposes;
       ``necessary``   for each commutation rule of the ring, whether
                       dropping it makes some extracted relation fail
                       (rules about letters absent from T cannot appear).
@@ -433,9 +425,10 @@ def frt_relations(key: str):
     r9 = d_matrix(key)
     if r9.field is not field:
         raise AssertionError("coordinate ring and R-matrix field mismatch")
-    ok, residuals = held(sorted(_frt_defect(r9, fun_t_matrix(alg)).entries.items()))
+    defect = sorted(_frt_defect(r9, free_t_matrix(field)).entries.items())
+    ok, residuals = held((pos, e.into(alg)) for pos, e in defect)
     extracted = {}
-    for _, e in sorted(_frt_defect(r9, free_t_matrix(field)).entries.items()):
+    for _, e in defect:
         c = e.canonical()
         extracted[c.render()] = c
     necessary = {}

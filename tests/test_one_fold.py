@@ -5,10 +5,12 @@ one function that turns ``(label, difference)`` pairs into ``(ok,
 residuals)``.  This test parses the package's modules with ``ast`` and fails
 on any other function that builds the pair by hand: one that returns
 ``not residuals, residuals``, or one that writes the one-liner
-``[] if d.is_zero else [...]``.
+``[] if d.is_zero else [...]``.  A check function, one named ``*_check`` or
+``qybe_exact_*``, returns no tuple display at all: its result is ``held``'s.
 """
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import oscquant
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ALLOWED = {"algebra.held"}
+CHECK_NAMES = ("*_check", "qybe_exact_*")
 
 
 def _is_not_of(node, name) -> bool:
@@ -87,6 +90,46 @@ def test_checker_flags_a_hand_fold():
     ]
 
 
+def tuple_returns(source: str, module: str) -> list[str]:
+    """``"module.function"`` for each check function that returns a tuple
+    display, such as ``return ok, residuals``."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(fnmatch(fn.name, pattern) for pattern in CHECK_NAMES) and any(
+            isinstance(n, ast.Return) and isinstance(n.value, ast.Tuple) for n in ast.walk(fn)
+        ):
+            found.append(f"{module}.{fn.name}")
+    return found
+
+
+def test_checker_flags_a_check_that_returns_a_tuple():
+    src = (
+        "def mcybe_check(r):\n"
+        "    return invariant, residuals\n"
+        "def refactorization_check(R):\n"
+        "    if R is None:\n"
+        "        return True, []\n"
+        "    return held([('refactorization', R)])\n"
+        "def qybe_exact_matrix(m):\n"
+        "    return (m.is_zero, m)\n"
+        "def qybe_exact_rep(key):\n"
+        "    return qybe_exact_matrix(key)\n"
+        "def inverse_check(R):\n"
+        "    return held([('R*Rinv', R)])\n"
+        "def necessity():\n"
+        "    return True, []\n"
+    )
+    assert tuple_returns(src, "rmatrix") == [
+        "rmatrix.mcybe_check",
+        "rmatrix.refactorization_check",
+        "rmatrix.qybe_exact_matrix",
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_checks_fold_through_held(path):
-    assert hand_folds(path.read_text(encoding="utf-8"), path.stem) == []
+    source = path.read_text(encoding="utf-8")
+    assert hand_folds(source, path.stem) == []
+    assert tuple_returns(source, path.stem) == []

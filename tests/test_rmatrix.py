@@ -11,6 +11,7 @@ from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import FunAlgebra, fun_presentation
 from oscquant.hopf import presentation
+from oscquant.poisson import COORDS, t_matrix
 from oscquant.rmatrix import (
     FreeElement,
     ScalarMatrix,
@@ -22,7 +23,6 @@ from oscquant.rmatrix import (
     expansion_base_check,
     free_t_matrix,
     frt_relations,
-    fun_t_matrix,
     intertwining_check,
     inverse_check,
     qybe_check,
@@ -368,6 +368,18 @@ def test_exact_qybe_identity_matrix():
     assert ok
 
 
+def test_exact_qybe_of_a_non_solution_reports_its_difference():
+    """A 9×9 matrix with 81 distinct entries breaks the braid identity; the
+    check reports it as one labelled, nonzero 27×27 difference."""
+    field = CoefficientField.get("z")
+    r = ScalarMatrix(field, 9, {(i, j): field.rational(9 * i + j + 1) for i in range(9) for j in range(9)})
+    ok, residuals = qybe_exact_matrix(r)
+    assert not ok
+    [(label, diff)] = residuals
+    assert label == "qybe-exact"
+    assert diff.dim == 27 and not diff.is_zero
+
+
 def test_scalar_matrices_of_other_sizes_or_fields_do_not_mix():
     """A 3×3 and a 9×9 matrix, or matrices over two fields, neither combine
     nor compare; a "size 3" sum holding entries out to (8, 8) is refused."""
@@ -388,6 +400,42 @@ def test_scalar_matrix_repr_lists_sorted_entries():
 
 
 # -- FRT ----------------------------------------------------------------
+
+
+def _frt_rings(key):
+    """The quantized coordinate ring of ``key`` and each ring with one of
+    its commutation rules dropped."""
+    alg = fun_presentation(key).alg
+    yield alg
+    for pair in alg.tails:
+        yield FunAlgebra(alg.field, {p: t for p, t in alg.tails.items() if p != pair}, label="minus one rule")
+
+
+@pytest.mark.parametrize("key", R_KEYS)
+def test_frt_free_defect_evaluates_to_the_ring_defect(key):
+    """The defect formed over T in a ring equals the free defect with each
+    entry evaluated in that ring, in the quantized ring, where it vanishes,
+    and in every ring with one rule dropped, some of which it does not."""
+    r9 = d_matrix(key)
+    free = _frt_defect(r9, free_t_matrix(r9.field))
+    vanishes = []
+    for ring in _frt_rings(key):
+        direct = _frt_defect(r9, t_matrix({n: ring.coord(n) for n in COORDS}, ring.one().scale))
+        assert direct == ScalarMatrix(r9.field, 9, {pos: e.into(ring) for pos, e in free.entries.items()})
+        vanishes.append(direct.is_zero)
+    assert vanishes[0] and not all(vanishes)
+
+
+def test_frt_forms_its_defect_once(monkeypatch):
+    calls = []
+
+    def counted(r9, t):
+        calls.append(t)
+        return _frt_defect(r9, t)
+
+    monkeypatch.setattr("oscquant.rmatrix._frt_defect", counted)
+    assert frt_relations("IIn")["ok"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key", R_KEYS)
@@ -446,7 +494,6 @@ def test_frt_identity_r_needs_commutativity():
     field = CoefficientField.get("z")
     eye = ScalarMatrix.identity(field, 9)
     commutative = FunAlgebra(field, {}, label="commutative")
-    assert _frt_defect(eye, fun_t_matrix(commutative)).is_zero
     nonzero = list(_frt_defect(eye, free_t_matrix(field)).entries.values())
     assert nonzero  # the free defect is not trivially zero...
     assert all(e.into(commutative).is_zero for e in nonzero)  # ...only commutativity kills it
