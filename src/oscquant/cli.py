@@ -117,40 +117,20 @@ def _job_fun(key, order):
     return [(f"fun-{name}", None, functools.partial(FUN_CHECKS[name], f)) for name in FUN_CHECKS]
 
 
-# Rules whose removal must break some FRT-extracted relation.  Rules about
-# letters absent from the representing group element (theta itself, the
-# E-inverse) cannot appear in the 81 entries and stay unexercised.
-_EXPECTED_NECESSARY = {
-    "Uz": {
-        ("a_plus", "theta"): False,
-        ("m", "theta"): False,
-        ("a_plus", "E"): True,
-        ("a_plus", "Einv"): False,
-        ("m", "E"): True,
-        ("m", "Einv"): False,
-        ("a_minus", "a_plus"): True,
-        ("m", "a_plus"): True,
-        ("m", "a_minus"): True,
-    },
-    "IIn": {("m", "a_plus"): True, ("m", "a_minus"): True},
-    "IIs": {("m", "a_plus"): True, ("m", "a_minus"): True},
-}
-
-
 def _job_frt(key, order):
     del order  # exact; see _job_fun
     rep = functools.cache(functools.partial(frt_relations, key))
 
     def necessity():
-        expected, necessary = _EXPECTED_NECESSARY[key], rep()["necessary"]
+        # A rule is necessary iff both its letters occur in T: a rule about
+        # a letter absent from T (theta, the E-inverse) cannot appear in the
+        # 81 entries and stays unexercised.
+        necessary, letters = rep()["necessary"], rep()["letters"]
+        expected = {pair: set(pair) <= letters for pair in necessary}
         diffs = [
-            f"rule {pair}: necessary={necessary.get(pair)}, expected={want}"
-            for pair, want in sorted(expected.items())
-            if necessary.get(pair) != want
-        ] + [
-            f"unexpected rule {pair}: necessary={got}"
+            f"rule {pair}: necessary={got}, expected={expected[pair]}"
             for pair, got in sorted(necessary.items())
-            if pair not in expected
+            if got != expected[pair]
         ]
         return necessary == expected, diffs
 

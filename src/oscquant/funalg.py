@@ -8,7 +8,9 @@ the z -> 0 limit is the commutative ring and the order-h part of a
 commutator is a Poisson bracket candidate.
 
 Three deformations are built here, sharing one coalgebra (the pullback of
-the group law) and one antipode (the pullback of group inversion):
+the group law) and one antipode (the pullback of group inversion).  Their
+swap rules are stated once, as text in ``_SWAPS`` read by
+:func:`.expr.parse_element`; as commutators they are:
 
 ``Uz``   the dual of the one-parameter creation-type deformation:
          [theta, a+] = z(E - 1), [a-, a+] = z a-, [theta, m] = z a-,
@@ -36,8 +38,10 @@ from itertools import combinations
 
 from .algebra import held, rebase, spread, tensor
 from .bialgebra import deformation
+from .expr import parse_element
 from .hopf import (
     HopfPresentation,
+    _tail,
     antipode_check,
     coassociativity_check,
     counit_check,
@@ -45,7 +49,6 @@ from .hopf import (
 )
 from .poisson import (
     COORDS,
-    FUN_UNIT,
     LETTER_NAMES,
     FunAlgebra,
     GroupRing,
@@ -54,59 +57,34 @@ from .poisson import (
     sklyanin_bracket,
 )
 
-# Word letters, as indices into LETTER_NAMES.
-L_THETA, L_E, L_EINV, L_AP, L_AM, L_M = range(6)
-
-
 # -- the three families --------------------------------------------------
 
-
-def _uz_swaps(field):
-    z = field.marked_param("z")
-    return {
-        # a+ theta = theta a+ - z(E - 1)
-        (L_AP, L_THETA): {(0, 1, 0, 0, 0): -z, FUN_UNIT: z},
-        # m theta = theta m - z a-
-        (L_M, L_THETA): {(0, 0, 0, 1, 0): -z},
-        # a+ E = E a+ - z(E^2 - E)   (= exponentiated [theta, a+])
-        (L_AP, L_E): {(0, 2, 0, 0, 0): -z, (0, 1, 0, 0, 0): z},
-        # a+ E^-1 = E^-1 a+ + z(1 - E^-1)
-        (L_AP, L_EINV): {FUN_UNIT: z, (0, -1, 0, 0, 0): -z},
-        # m E = E m - z E a-
-        (L_M, L_E): {(0, 1, 0, 1, 0): -z},
-        # m E^-1 = E^-1 m + z E^-1 a-
-        (L_M, L_EINV): {(0, -1, 0, 1, 0): z},
-        # a- a+ = a+ a- + z a-
-        (L_AM, L_AP): {(0, 0, 0, 1, 0): z},
-        # m a+ = a+ m - z a- a+  (normal-ordered: -z a+ a- - z^2 a-)
-        (L_M, L_AP): {(0, 0, 1, 1, 0): -z, (0, 0, 0, 1, 0): -z * z},
-        # m a- = a- m + z a-^2
-        (L_M, L_AM): {(0, 0, 0, 2, 0): z},
-    }
-
-
-def _iin_swaps(field):
-    x = field.marked_param("x")
-    bp = field.marked_param("bp")
-    yp = field.marked_param("yp")
-    return {
-        # m a+ = a+ m + x a+ - bp(E - 1)
-        (L_M, L_AP): {(0, 0, 1, 0, 0): x, (0, 1, 0, 0, 0): -bp, FUN_UNIT: bp},
-        # m a- = a- m - x a- - yp(E^-1 - 1)
-        (L_M, L_AM): {(0, 0, 0, 1, 0): -x, (0, -1, 0, 0, 0): -yp, FUN_UNIT: yp},
-    }
-
-
-def _iis_swaps(field):
-    z = field.marked_param("z")
-    return {
-        # m a± = a± m - z a±
-        (L_M, L_AP): {(0, 0, 1, 0, 0): -z},
-        (L_M, L_AM): {(0, 0, 0, 1, 0): -z},
-    }
-
-
-_SWAPS = {"Uz": _uz_swaps, "IIn": _iin_swaps, "IIs": _iis_swaps}
+# Each family's adjacent-swap rules, (hi, lo) -> tail for
+# X_hi X_lo = X_lo X_hi + tail.  A tail is read as a group function, and each
+# parameter in it then carries one power of the series marker.
+_SWAPS = {
+    "Uz": {
+        ("a_plus", "theta"): "-z*(E - 1)",
+        ("m", "theta"): "-z*a_minus",
+        # the exponentiated [theta, a+]
+        ("a_plus", "E"): "-z*(E^2 - E)",
+        ("a_plus", "Einv"): "z*(1 - Einv)",
+        ("m", "E"): "-z*E*a_minus",
+        ("m", "Einv"): "z*Einv*a_minus",
+        ("a_minus", "a_plus"): "z*a_minus",
+        # m a+ = a+ m - z a- a+, normal ordered
+        ("m", "a_plus"): "-z*a_plus*a_minus - z^2*a_minus",
+        ("m", "a_minus"): "z*a_minus^2",
+    },
+    "IIn": {
+        ("m", "a_plus"): "x*a_plus - bp*(E - 1)",
+        ("m", "a_minus"): "-x*a_minus - yp*(Einv - 1)",
+    },
+    "IIs": {
+        ("m", "a_plus"): "-z*a_plus",
+        ("m", "a_minus"): "-z*a_minus",
+    },
+}
 
 
 def _group_coalgebra(key, alg, r) -> HopfPresentation:
@@ -152,7 +130,12 @@ def fun_presentation(key: str) -> HopfPresentation:
     if got is None:
         d = deformation(key)
         field = d.field()
-        alg = FunAlgebra(field, _SWAPS[key](field), label=f"Fun-{key}")
+        ring = GroupRing(field)
+        rules = {
+            (LETTER_NAMES.index(hi), LETTER_NAMES.index(lo)): _tail(parse_element(ring, text).scale_params())
+            for (hi, lo), text in _SWAPS[key].items()
+        }
+        alg = FunAlgebra(field, rules, label=f"Fun-{key}")
         got = _cache[key] = _group_coalgebra(key, alg, d.r(marked=False))
     return got
 

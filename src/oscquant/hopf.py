@@ -44,6 +44,7 @@ from .algebra import (
 )
 from .bialgebra import cocommutator_map, deformation
 from .coeffs import Coefficient
+from .expr import parse_element
 
 
 # -- named series in one generator ---------------------------------------
@@ -150,7 +151,7 @@ def uz_presentation(order: int) -> HopfPresentation:
     # Ap*A = A*Ap - (e^{z*Ap}-1)/z ; Am*A = A*Am + Am ; Am*Ap = Ap*Am + M e^{z*Ap}
     tails = {
         (AP, A): _tail(-expm1_over(base, z, AP)),
-        (AM, A): {(0, 0, 1, 0): field.one},
+        (AM, A): _tail(base.gen(AM)),
         (AM, AP): _tail(exp_of(base, z, AP) * base.gen(M)),
     }
     alg = Algebra(field, tails, order, "Uz")
@@ -188,7 +189,7 @@ def ii_nonstandard_presentation(order: int) -> HopfPresentation:
     tails = {
         (AP, A): _tail(-base.gen(AP) + v_series(base, -x).scale(yp)),
         (AM, A): _tail(base.gen(AM) + v_series(base, x).scale(bp)),
-        (AM, AP): {(0, 0, 0, 1): field.one},
+        (AM, AP): _tail(base.gen(M)),
     }
     alg = Algebra(field, tails, order, "IIn")
     gA, gAp, gAm, gM = alg.gens()
@@ -231,11 +232,12 @@ def ii_standard_presentation(order: int) -> HopfPresentation:
     d = deformation("IIs")
     field = d.field()
     z = field.marked_param("z")
+    base = Algebra.classical(field, order)
     # Ap'*A = A*Ap' - Ap' ; Am*A = A*Am + Am ; Am*Ap' = Ap'*Am + sinh(z*M)/z
     tails = {
-        (AP, A): {(0, 1, 0, 0): -field.one},
-        (AM, A): {(0, 0, 1, 0): field.one},
-        (AM, AP): _tail(sinh_over(Algebra.classical(field, order), z)),
+        (AP, A): _tail(-base.gen(AP)),
+        (AM, A): _tail(base.gen(AM)),
+        (AM, AP): _tail(sinh_over(base, z)),
     }
     alg = Algebra(field, tails, order, "IIs")
     gA, gAp, gAm, gM = alg.gens()
@@ -333,9 +335,8 @@ def antipode_check(p: HopfPresentation):
 
 def center_check(p: HopfPresentation):
     """The central element commutes with every generator; its order-0 part
-    is the classical invariant 2AM - Ap*Am - Am*Ap (normal ordered)."""
-    classical = {(1, 0, 0, 1): 2, (0, 1, 1, 0): -2, (0, 0, 0, 1): -1}
-    expected = p.alg.element({(m,): p.field.rational(v) for m, v in classical.items()})
+    is the classical invariant 2AM - Ap*Am - Am*Ap."""
+    expected = parse_element(p.alg, "2*A*M - Ap*Am - Am*Ap").h_part(0)
     return held(
         [(name, p.casimir.commutator(p.alg.gen(i))) for i, name in enumerate(GEN_NAMES)]
         + [("classical-limit", p.casimir.h_part(0) - expected)]

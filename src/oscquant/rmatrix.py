@@ -416,8 +416,9 @@ def frt_relations(key: str):
       ``extracted``   canonical nonzero entries of the free defect — the
                       relations the FRT equation imposes;
       ``necessary``   for each commutation rule of the ring, whether
-                      dropping it makes some extracted relation fail
-                      (rules about letters absent from T cannot appear).
+                      dropping it makes some extracted relation fail;
+      ``letters``     the coordinate letters that occur in T's entries (a
+                      rule about a letter absent from T cannot appear).
     """
     f = fun_presentation(key)
     alg = f.alg
@@ -425,7 +426,8 @@ def frt_relations(key: str):
     r9 = d_matrix(key)
     if r9.field is not field:
         raise AssertionError("coordinate ring and R-matrix field mismatch")
-    defect = sorted(_frt_defect(r9, free_t_matrix(field)).entries.items())
+    t = free_t_matrix(field)
+    defect = sorted(_frt_defect(r9, t).entries.items())
     ok, residuals = held((pos, e.into(alg)) for pos, e in defect)
     extracted = {}
     for _, e in defect:
@@ -445,4 +447,5 @@ def frt_relations(key: str):
         "residuals": residuals,
         "extracted": extracted,
         "necessary": necessary,
+        "letters": {name for e in t.entries.values() for word in e.terms for name in word},
     }

@@ -5,25 +5,21 @@ import random
 import pytest
 
 from helpers import antipode_of
+from oscquant import cli, funalg
 from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation
 from oscquant.coeffs import CoefficientField
 from oscquant.funalg import (
-    FUN_UNIT,
-    L_AM,
-    L_AP,
-    L_E,
-    L_EINV,
-    L_M,
-    L_THETA,
     LETTER_NAMES,
     FUN_CHECKS,
     FunAlgebra,
     fun_hopf_check,
     fun_presentation,
 )
-from oscquant.poisson import COORDS, GroupRing, sklyanin_bracket
+from oscquant.poisson import COORDS, FUN_UNIT, GroupRing, sklyanin_bracket
 
 KEYS = tuple(DEFORMATIONS)
+# Word letters, as indices into LETTER_NAMES.
+L_THETA, L_E, L_EINV, L_AP, L_AM, L_M = range(6)
 ALL_LETTERS = (L_THETA, L_E, L_EINV, L_AP, L_AM, L_M)
 
 
@@ -82,6 +78,53 @@ def test_word_of_fun_mono_roundtrip():
     assert word == (L_THETA, L_THETA, L_EINV, L_AP, L_M, L_M, L_M)
     e = alg.normalize_word(word)
     assert set(e.terms) == {(mono,)} or (mono,) in e.terms  # leading term survives
+
+
+# The swap rules as exponent tuples, (hi, lo) -> {monomial: coefficient},
+# each marked parameter carrying one power of the series marker: the oracle
+# for the text rules of funalg._SWAPS, in their order.
+def _uz_oracle(field):
+    z = field.marked_param("z")
+    return {
+        (L_AP, L_THETA): {(0, 1, 0, 0, 0): -z, FUN_UNIT: z},
+        (L_M, L_THETA): {(0, 0, 0, 1, 0): -z},
+        (L_AP, L_E): {(0, 2, 0, 0, 0): -z, (0, 1, 0, 0, 0): z},
+        (L_AP, L_EINV): {FUN_UNIT: z, (0, -1, 0, 0, 0): -z},
+        (L_M, L_E): {(0, 1, 0, 1, 0): -z},
+        (L_M, L_EINV): {(0, -1, 0, 1, 0): z},
+        (L_AM, L_AP): {(0, 0, 0, 1, 0): z},
+        (L_M, L_AP): {(0, 0, 1, 1, 0): -z, (0, 0, 0, 1, 0): -z * z},
+        (L_M, L_AM): {(0, 0, 0, 2, 0): z},
+    }
+
+
+def _iin_oracle(field):
+    x, bp, yp = (field.marked_param(n) for n in ("x", "bp", "yp"))
+    return {
+        (L_M, L_AP): {(0, 0, 1, 0, 0): x, (0, 1, 0, 0, 0): -bp, FUN_UNIT: bp},
+        (L_M, L_AM): {(0, 0, 0, 1, 0): -x, (0, -1, 0, 0, 0): -yp, FUN_UNIT: yp},
+    }
+
+
+def _iis_oracle(field):
+    z = field.marked_param("z")
+    return {
+        (L_M, L_AP): {(0, 0, 1, 0, 0): -z},
+        (L_M, L_AM): {(0, 0, 0, 1, 0): -z},
+    }
+
+
+ORACLE = {"Uz": _uz_oracle, "IIn": _iin_oracle, "IIs": _iis_oracle}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_text_rules_read_as_the_exponent_oracle(key):
+    alg = fun_presentation(key).alg
+    want = ORACLE[key](alg.field)
+    # in order: frt_relations walks the rules, and prints them, as stored
+    assert [(pair, list(tail.items())) for pair, tail in alg.tails.items()] == [
+        (pair, list(tail.items())) for pair, tail in want.items()
+    ]
 
 
 def test_uz_relations_match_stated_forms():
@@ -346,3 +389,50 @@ def test_semiclassical_uses_chain_rule_through_E():
     got = sklyanin_bracket(p.r, E, ap)
     want = E * (E - ring.one())
     assert (got - want.scale(p.field.param("z"))).is_zero
+
+
+# One sign-flipped tail per family: the FRT equation and the Sklyanin
+# brackets both see it.  The flipped IIn and IIs rings are still Hopf
+# algebras (the coproduct stays a homomorphism); the flipped Uz ring is not.
+FLIPS = {
+    "Uz": (("m", "a_minus"), "-z*a_minus^2", False),
+    "IIn": (("m", "a_plus"), "-x*a_plus - bp*(E - 1)", True),
+    "IIs": (("m", "a_plus"), "z*a_plus", True),
+}
+
+
+def _lines(job, key) -> dict:
+    return {r.check: r for r in cli._run((job, key), 0)}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_a_sign_flipped_rule_fails_frt_and_the_brackets(key, monkeypatch):
+    pair, text, still_hopf = FLIPS[key]
+    assert funalg._SWAPS[key][pair] != text
+    monkeypatch.setitem(funalg._SWAPS[key], pair, text)
+    monkeypatch.setattr(funalg, "_cache", {})
+    frt = _lines(cli._job_frt, key)["frt-relations"]
+    assert frt.status == "fail"
+    assert len(frt.residuals) == 2
+    fun = _lines(cli._job_fun, key)
+    assert fun["fun-semiclassical"].status == "fail"
+    assert fun["fun-semiclassical"].residuals
+    assert (fun["fun-homomorphism"].status == "pass") is still_hopf
+
+
+@pytest.mark.parametrize(
+    "pair, wrong",
+    [(("m", "a_plus"), False), (("m", "theta"), True)],
+    ids=["on-T-read-unnecessary", "theta-read-necessary"],
+)
+def test_frt_necessity_names_a_misread_rule(pair, wrong, monkeypatch):
+    built = cli.frt_relations
+
+    def misread(key):
+        rep = built(key)
+        return {**rep, "necessary": {**rep["necessary"], pair: wrong}}
+
+    monkeypatch.setattr(cli, "frt_relations", misread)
+    line = _lines(cli._job_frt, "Uz")["frt-necessity"]
+    assert line.status == "fail"
+    assert line.residuals == (f"rule {pair}: necessary={wrong}, expected={not wrong}",)
