@@ -36,7 +36,6 @@ exponent matrices of ``lm``, the group matrix of ``poisson``) is a
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 from itertools import product as _cartesian
@@ -655,14 +654,26 @@ class TensorElement(_Terms):
     def fold_slots(self, maps) -> "TensorElement":
         """Multiply the slots together in the base algebra, left to right,
         each slot first sent through its linear map in ``maps`` (monomial ->
-        element), or left as it is where the map is None."""
+        element), or left as it is where the map is None; one map per slot,
+        else ``ValueError``.
+
+        The terms are grouped by their slot-0 key k₀, and f₀(k₀) multiplies
+        the fold of its group's remaining slots once: one product per
+        distinct slot-0 key, not one per term.  At arity 1 the fold is
+        :func:`linear` over f₀, and every sum goes through :func:`linear`."""
+        if len(maps) != self.arity:
+            raise ValueError(f"fold_slots of an arity-{self.arity} tensor takes {self.arity} maps, not {len(maps)}")
         alg = self.alg
-
-        def image(k):
-            facs = (alg.monomial(m) if maps[s] is None else maps[s](m) for s, m in enumerate(k))
-            return math.prod(facs, start=alg.one())
-
-        return linear(self, image, alg.zero())
+        head = maps[0] or alg.monomial
+        if self.arity == 1:
+            return linear(self, lambda k: head(k[0]), alg.zero())
+        groups: dict = {}
+        for k, c in self.terms.items():
+            groups.setdefault((k[0],), {})[k[1:]] = c
+        rest = maps[1:]
+        return linear(TensorElement(alg, 1, dict.fromkeys(groups, alg.field.one)),
+                      lambda k: head(k[0]) * TensorElement(alg, self.arity - 1, groups[k]).fold_slots(rest),
+                      alg.zero())
 
 
 # The former name of an algebra element, kept only because the benchmark's

@@ -8,6 +8,7 @@ tests of the invariant fields call as methods.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -107,6 +108,31 @@ def subs(a: Coefficient, mapping: dict[str, "Coefficient | int | Fraction"]) -> 
 def antipode_of(p: HopfPresentation, e: TensorElement) -> TensorElement:
     """The antipode, extended anti-multiplicatively over normal monomials."""
     return linear(e, lambda k: p.antipode_mono(k[0]), p.alg.zero())
+
+
+def all_pairs_homomorphism_check(p: HopfPresentation):
+    """Delta(X_a X_b) - Delta(X_a) Delta(X_b) over all ordered pairs of
+    letters, the normal words a·b included: the oracle of
+    ``hopf.homomorphism_check``, which skips the pairs whose difference is
+    zero by construction."""
+    return held(
+        (f"{a}*{b}", p.delta(p.alg.coord(a) * p.alg.coord(b)) - ta * tb)
+        for a, ta in p.images.items()
+        for b, tb in p.images.items()
+    )
+
+
+def fold_per_term(t: TensorElement, maps) -> TensorElement:
+    """``TensorElement.fold_slots`` term by term: each key's slots sent
+    through their maps and multiplied from the unit, the oracle of the
+    grouped fold."""
+    alg = t.alg
+
+    def image(k):
+        facs = (alg.monomial(m) if maps[s] is None else maps[s](m) for s, m in enumerate(k))
+        return math.prod(facs, start=alg.one())
+
+    return linear(t, image, alg.zero())
 
 
 def trivial_spec() -> LMSpec:

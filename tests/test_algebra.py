@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lie_brackets
+from helpers import fold_per_term, lie_brackets
 from oscquant.algebra import (
     A,
     AM,
@@ -254,6 +254,11 @@ class TestTensors:
         assert tensor(a, ap).fold_slots([None, None]) == a * ap
         flipmap = lambda mono: CL.monomial(mono).scale(2)
         assert tensor(a, ap).fold_slots([flipmap, None]) == 2 * a * ap
+
+    @pytest.mark.parametrize("maps", [[None], [None, None, None], []])
+    def test_fold_slots_takes_one_map_per_slot(self, maps):
+        with pytest.raises(ValueError, match="2 maps"):
+            tensor(CL.gen(A), CL.gen(AP)).fold_slots(maps)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -679,3 +684,49 @@ class TestSums:
         r13, r23 = R.embedded((0, 2)), R.embedded((1, 2))
         for got in (R.expansion * R.inverse, r13 * r23, r13.product_difference(r23, r23, r13), r13.commutator(r23)):
             assert all(type(c) is Coefficient for c in got.terms.values())
+
+
+# -- fold_slots against the per-term fold ----------------------------------
+
+
+def _random_tensor(alg, arity, rng, terms=10):
+    """Seeded terms of degree at most one per letter; slot 0 takes one of
+    three monomials, so that terms share their slot-0 key."""
+    z = alg.field.marked_param("z")
+    heads = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(3)]
+    out = {}
+    for _ in range(terms):
+        key = (rng.choice(heads),) + tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(arity - 1))
+        out[key] = z ** rng.randrange(3) * rng.choice((-2, -1, 1, 3))
+    return TensorElement(alg, arity, out)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_fold_slots_equals_the_per_term_fold(arity):
+    p = presentation("Uz", 4)
+    alg = p.alg
+    scaled = alg.field.marked_param("z") + 2
+    choices = (None, p.antipode_mono, lambda m: alg.monomial(m).scale(scaled))
+    rng = random.Random(20261019 + arity)
+    for maps in _cartesian(choices, repeat=arity):
+        t = _random_tensor(alg, arity, rng)
+        assert t.fold_slots(list(maps)) == fold_per_term(t, maps)
+
+
+def test_fold_slots_makes_one_product_per_slot0_key(monkeypatch):
+    alg = presentation("Uz", 4).alg
+    t = _random_tensor(alg, 2, random.Random(7), terms=30)
+    heads = {k[0] for k in t.terms}
+    assert len(heads) < len(t.terms)
+    calls = []
+    product = TensorElement._product
+
+    def counted(self, other, *args, **kwargs):
+        calls.append(self)
+        return product(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(TensorElement, "_product", counted)
+    got = t.fold_slots([None, None])
+    assert len(calls) == len(heads)
+    monkeypatch.undo()
+    assert got == fold_per_term(t, [None, None])

@@ -6,10 +6,11 @@ import weakref
 
 import pytest
 
-from helpers import antipode_of, map_coeffs
+from helpers import all_pairs_homomorphism_check, antipode_of, map_coeffs
 from oscquant import hopf
 from oscquant.algebra import A, AM, AP, M, Algebra, exp_series, rebase, spread, tensor
 from oscquant.bialgebra import DEFORMATIONS, UnknownDeformation, cocommutator_map
+from oscquant.funalg import fun_presentation
 from oscquant.hopf import (
     CHECKS,
     HopfPresentation,
@@ -329,3 +330,96 @@ def test_cocommutator_targets_match_table():
     assert deltas["A"] == wedge_a_ap.scale(z)
     assert deltas["Am"] == (wedge_am_ap + wedge_a_m).scale(z)
     assert deltas["Ap"].is_zero and deltas["M"].is_zero
+
+
+# -- the homomorphism check skips only pairs that carry no evidence ------
+
+LETTERS = ("A", "Ap", "Am", "M")
+# residuals of the mutant images[letter] += c*(Ap (x) M), c the first
+# marked parameter, at order 3, for A, Ap, Am, M
+HOMOMORPHISM_MUTANT_RESIDUALS = {"Uz": (1, 2, 1, 3), "IIn": (1, 2, 1, 5), "IIs": (1, 1, 1, 3)}
+
+
+def _same_residuals(got, want):
+    """Equal labels in the same order, with equal differences."""
+    assert [label for label, _ in got[1]] == [label for label, _ in want[1]]
+    assert all(g == w for (_, g), (_, w) in zip(got[1], want[1]))
+    assert got[0] == want[0]
+
+
+def _delta_calls(p, check):
+    """How many times ``check(p)`` calls ``p.delta``, with its result."""
+    calls = []
+    delta = p.delta
+
+    def counted(e):
+        calls.append(e)
+        return delta(e)
+
+    p.delta = counted
+    try:
+        result = check(p)
+    finally:
+        del p.delta
+    return len(calls), result
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_homomorphism_mutants_match_the_all_pairs_oracle(key):
+    counts = []
+    for letter in LETTERS:
+        # a fresh presentation, changed in place before its coproduct's first call
+        p = hopf._BUILDERS[key](3)
+        ga, gap, gam, gm = p.alg.gens()
+        p.images[letter] = p.images[letter] + tensor(gap, gm).scale(p.field.marked_param(p.field.params[0]))
+        got = homomorphism_check(p)
+        _same_residuals(got, all_pairs_homomorphism_check(p))
+        counts.append(len(got[1]))
+    assert tuple(counts) == HOMOMORPHISM_MUTANT_RESIDUALS[key]
+
+
+def test_homomorphism_coordinate_ring_mutant_matches_the_oracle():
+    f = fun_presentation("Uz")
+    th, E, Einv, ap, am, m = f.alg.gens()
+    images = dict(f.images, E=f.images["E"] + tensor(th, E).scale(f.field.marked_param("z")))
+    q = HopfPresentation(f.key, f.alg, images, f.antipode, None, f.r)
+    got = homomorphism_check(q)
+    assert not got[0]
+    assert "E*Einv" in [label for label, _ in got[1]]
+    _same_residuals(got, all_pairs_homomorphism_check(q))
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_homomorphism_evaluates_only_the_misordered_pairs(key):
+    """6 of the 16 ordered pairs of an enveloping algebra's letters and 16
+    of the 36 of a coordinate ring's carry evidence; the others are normal
+    words on which the coproduct is defined as the product of images."""
+    n, (ok, _) = _delta_calls(hopf._BUILDERS[key](3), homomorphism_check)
+    assert (n, ok) == (6, True)
+    n, (ok, _) = _delta_calls(fun_presentation(key), homomorphism_check)
+    assert (n, ok) == (16, True)
+
+
+# -- the antipode check ----------------------------------------------------
+
+# residuals when one letter's antipode changes sign, at order 3, for A, Ap, Am, M
+ANTIPODE_MUTANT_RESIDUALS = {"Uz": (3, 4, 2, 3), "IIn": (2, 3, 3, 5), "IIs": (2, 2, 2, 4)}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_sign_flipped_antipode_fails(key):
+    counts = []
+    for letter in LETTERS:
+        p = hopf._BUILDERS[key](3)
+        p.antipode[letter] = -p.antipode[letter]
+        ok, res = antipode_check(p)
+        assert not ok and res, letter
+        counts.append(len(res))
+    assert tuple(counts) == ANTIPODE_MUTANT_RESIDUALS[key]
+
+
+def test_antipode_check_of_a_presentation_without_antipode_raises():
+    p = lm_coproduct(family_spec("II-standard"), 3)
+    assert p.antipode_mono is None
+    with pytest.raises(ValueError, match="II-standard"):
+        antipode_check(p)
