@@ -307,19 +307,17 @@ def _defines(alg: Algebra, a: int, b: int, ab: TensorElement) -> bool:
 
 
 def homomorphism_check(p: HopfPresentation):
-    """Delta(X_a X_b) == Delta(X_a) Delta(X_b) for every pair of letters
+    """Delta(X_a X_b) == Delta(X_a) Delta(X_b) for each pair of letters
     whose product a rewrite rule touches.
 
-    Delta is extended from the letters to the normal monomials by
-    :func:`.algebra.multiplicative`, peeling the first letter.  A pair whose
-    product is the normal word a·b itself (see ``_defines``) therefore has
-    Delta(X_a X_b) = Delta(X_a) Delta(X_b) by construction: its difference is
-    zero whatever the images are, and the pair is skipped.  The pairs left
-    are those a rewrite rule reorders or cancels (in the coordinate rings
-    also E·E⁻¹ = 1 = E⁻¹·E), and a map multiplicative on normal words is an
-    algebra map exactly when it respects each rule (Bergman, "The diamond
-    lemma for ring theory", Adv. Math. 29, 1978).  Residuals keep the order
-    of the pairs, row by row over ``images``.
+    Delta extends the letters' images by :func:`.algebra.multiplicative`,
+    peeling the first letter, so on a pair whose product is the normal word
+    a·b itself (``_defines``) it *is* Delta(X_a) Delta(X_b): the difference
+    is zero whatever the images are, and the pair is skipped.  The pairs
+    left are those a rule reorders or cancels (E·E⁻¹ = 1 in the coordinate
+    rings), and a map multiplicative on normal words is an algebra map
+    exactly when it respects each rule (Bergman, "The diamond lemma for ring
+    theory", Adv. Math. 29, 1978).  Residuals keep the pairs' order.
     """
     alg, index = p.alg, p.alg.letter_names.index
     products = (

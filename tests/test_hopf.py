@@ -370,8 +370,8 @@ def test_homomorphism_mutants_match_the_all_pairs_oracle(key):
     for letter in LETTERS:
         # a fresh presentation, changed in place before its coproduct's first call
         p = hopf._BUILDERS[key](3)
-        ga, gap, gam, gm = p.alg.gens()
-        p.images[letter] = p.images[letter] + tensor(gap, gm).scale(p.field.marked_param(p.field.params[0]))
+        c = p.field.marked_param(p.field.params[0])
+        p.images[letter] = p.images[letter] + tensor(p.alg.gen(AP), p.alg.gen(M)).scale(c)
         got = homomorphism_check(p)
         _same_residuals(got, all_pairs_homomorphism_check(p))
         counts.append(len(got[1]))
@@ -380,8 +380,8 @@ def test_homomorphism_mutants_match_the_all_pairs_oracle(key):
 
 def test_homomorphism_coordinate_ring_mutant_matches_the_oracle():
     f = fun_presentation("Uz")
-    th, E, Einv, ap, am, m = f.alg.gens()
-    images = dict(f.images, E=f.images["E"] + tensor(th, E).scale(f.field.marked_param("z")))
+    theta_e = tensor(f.alg.coord("theta"), f.alg.coord("E"))
+    images = dict(f.images, E=f.images["E"] + theta_e.scale(f.field.marked_param("z")))
     q = HopfPresentation(f.key, f.alg, images, f.antipode, None, f.r)
     got = homomorphism_check(q)
     assert not got[0]
