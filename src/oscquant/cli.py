@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 import time
@@ -83,140 +84,138 @@ class UsageError(Exception):
     pass
 
 
-# -- individual jobs -------------------------------------------------------
-#
-# A job returns its lines as (check, order, thunk) rows, each thunk giving
-# (ok, residuals), for _run to time.  The R, FRT and appendix jobs memoize
-# the set-up their lines share and charge it to the first line that needs
-# it; the LM coproduct, the Hopf presentation and the coordinate ring are
-# built when the job is made, so no line's time includes them.
+# -- check kinds -----------------------------------------------------------
 
 
-def _job_lm(key, order):
-    fam = FAMILIES[key]
-    spec = family_spec(fam)
-    p = lm_coproduct(spec, order)
-    return [
-        ("lm-coassociativity", order, lambda: HOPF_CHECKS["coassociativity"](p)),
-        ("lm-counit", order, lambda: HOPF_CHECKS["counit"](p)),
-        ("lm-first-order", 1, lambda: first_order_check(spec, fam.r(marked=True))),
-    ]
+class _Row(dict):
+    """What a row has built, by (build, n), beside the row's "key"; each is
+    built once, and the lines after the first that needs it share it."""
+
+    def __missing__(self, need):
+        build, n = need
+        self[need] = got = _BUILDS[build](self, n)
+        return got
 
 
-def _job_hopf(key, name, order):
-    if name == "cocommutator":
-        # The order-h part of the coproduct needs a presentation of order >= 1.
-        order = max(order, 1)
-    p = presentation(key, order)
-    return [(f"hopf-{name}", order, lambda: HOPF_CHECKS[name](p))]
+# What a kind's check reads, from its row and the line's order n (names read when a line runs).
+_BUILDS = {
+    "key": lambda row, n: row["key"],
+    "order": lambda row, n: n,
+    "family_spec": lambda row, n: family_spec(FAMILIES[row["key"]]),
+    "lm_coproduct": lambda row, n: lm_coproduct(row["family_spec", None], n),
+    "family_spec, r": lambda row, n: (row["family_spec", None], FAMILIES[row["key"]].r(marked=True)),
+    "presentation": lambda row, n: presentation(row["key"], n),
+    "universal_R": lambda row, n: universal_R(row["key"], n),
+    "fun_presentation": lambda row, n: fun_presentation(row["key"]),
+    "frt_relations": lambda row, n: frt_relations(row["key"]),
+    "conjugation_identities": lambda row, n: dict(conjugation_identities(n)),
+}
 
 
-def _job_fun(key, order):
-    del order  # the coordinate-ring relations close exactly; no truncation
-    f = fun_presentation(key)
-    return [(f"fun-{name}", None, functools.partial(FUN_CHECKS[name], f)) for name in FUN_CHECKS]
+def _necessity(rep):
+    # A rule is necessary iff both its letters occur in T: one about a letter absent
+    # from T (theta, the E-inverse) cannot appear in the 81 entries.
+    wrong = {pair: got for pair, got in rep["necessary"].items() if got != (set(pair) <= rep["letters"])}
+    return not wrong, [f"rule {pair}: necessary={got}, expected={not got}" for pair, got in sorted(wrong.items())]
 
 
-def _job_frt(key, order):
-    del order  # exact; see _job_fun
-    rep = functools.cache(functools.partial(frt_relations, key))
-
-    def necessity():
-        # A rule is necessary iff both its letters occur in T: a rule about
-        # a letter absent from T (theta, the E-inverse) cannot appear in the
-        # 81 entries and stays unexercised.
-        necessary, letters = rep()["necessary"], rep()["letters"]
-        expected = {pair: set(pair) <= letters for pair in necessary}
-        diffs = [
-            f"rule {pair}: necessary={got}, expected={expected[pair]}"
-            for pair, got in sorted(necessary.items())
-            if got != expected[pair]
-        ]
-        return necessary == expected, diffs
-
-    return [
-        ("frt-relations", None, lambda: (rep()["ok"], rep()["residuals"])),
-        ("frt-necessity", None, necessity),
-    ]
-
-
-# R lines that one deformation alone reports, and the probes: lines whose
-# failure is a reported finding, not a failed assertion.  The standard type-II
-# R-matrix's stated intertwining property is probed, and so is the literal-A
-# reading of the remark on its primed creation entry: that reading breaks the
-# exact braid identity, the machine evidence that the remark means D(A_+).
-_R_ONLY = {"R-two-step-intertwining": "Uz", "R-exact-qybe-literal-A-reading": "IIs"}
-_R_PROBES = {"IIs": ("R-intertwining", "R-exact-qybe-literal-A-reading")}
-
-
-def _job_universal_r(key, order):
-    # R by order, built by the first line that needs it: R-expansion-base
-    # carries the build at the requested order, R-inverse the capped one.
-    R = functools.cache(functools.partial(universal_R, key))
-    heavy = min(order, HEAVY_ORDER_CAP)
-    return [
-        ("R-expansion-base", order, lambda: expansion_base_check(R(order))),
-        ("R-refactorization", order, lambda: refactorization_check(R(order))),
-        ("R-inverse", heavy, lambda: inverse_check(R(heavy))),
-        ("R-intertwining", order, lambda: intertwining_check(R(order))),
-        ("R-two-step-intertwining", order, lambda: two_step_intertwining_check(order)),
-        ("R-qybe", heavy, lambda: qybe_check(R(heavy))),
-        ("R-exact-qybe", None, lambda: qybe_exact_rep(key)),
-        ("R-exact-qybe-literal-A-reading", None, lambda: qybe_exact_rep(key, primed_reading="literal-A")),
-    ]
-
-
-def _job_appendix(key, order):
+def _conjugation(tag, identities):
     # Each line reports its own conjugation and comparison.
-    identities = functools.cache(lambda: dict(conjugation_identities(order)))
-
-    def line(tag):
-        return f"conjugation [{tag}]", order, lambda: held([(tag, identities()[tag]())])
-
-    return [line(tag) for tag in CONJUGATION_CASES]
+    return held([(tag, identities[tag]())])
 
 
-# -- job table ---------------------------------------------------------------
+REQUESTED = (0, math.inf)
 
-# Each target's jobs in report order.  A row (job, key, *args) runs
-# job(key, *args, order); key is the family or deformation its lines concern,
-# which is what --family selects on.
+# Every line kind of verify, in report order within a row, as (build, check, orders, only,
+# probe): its line reports check(build at n), n the requested order clamped to orders =
+# (low, high) or None (exact); only is the one key it runs on (None: any); a failure on key
+# probe is a finding.  Probed are the standard type-II R's stated intertwining and the literal-A
+# reading of its primed A_+, which breaks the exact braid identity: evidence for D(A_+).
+KINDS = {
+    "lm-coassociativity": ("lm_coproduct", HOPF_CHECKS["coassociativity"], REQUESTED, None, None),
+    "lm-counit": ("lm_coproduct", HOPF_CHECKS["counit"], REQUESTED, None, None),
+    "lm-first-order": ("family_spec, r", lambda built: first_order_check(*built), (1, 1), None, None),
+    "hopf-homomorphism": ("presentation", HOPF_CHECKS["homomorphism"], REQUESTED, None, None),
+    "hopf-coassociativity": ("presentation", HOPF_CHECKS["coassociativity"], REQUESTED, None, None),
+    "hopf-counit": ("presentation", HOPF_CHECKS["counit"], REQUESTED, None, None),
+    "hopf-antipode": ("presentation", HOPF_CHECKS["antipode"], REQUESTED, None, None),
+    "hopf-center": ("presentation", HOPF_CHECKS["center"], REQUESTED, None, None),
+    # The order-h part of the coproduct needs a presentation of order >= 1.
+    "hopf-cocommutator": ("presentation", HOPF_CHECKS["cocommutator"], (1, math.inf), None, None),
+    **{f"fun-{name}": ("fun_presentation", check, None, None, None) for name, check in FUN_CHECKS.items()},
+    "frt-relations": ("frt_relations", lambda rep: (rep["ok"], rep["residuals"]), None, None, None),
+    "frt-necessity": ("frt_relations", _necessity, None, None, None),
+    "R-expansion-base": ("universal_R", expansion_base_check, REQUESTED, None, None),
+    "R-refactorization": ("universal_R", refactorization_check, REQUESTED, None, None),
+    "R-inverse": ("universal_R", inverse_check, (0, HEAVY_ORDER_CAP), None, None),
+    "R-intertwining": ("universal_R", intertwining_check, REQUESTED, None, "IIs"),
+    "R-two-step-intertwining": ("order", two_step_intertwining_check, REQUESTED, "Uz", None),
+    "R-qybe": ("universal_R", qybe_check, (0, HEAVY_ORDER_CAP), None, None),
+    "R-exact-qybe": ("key", qybe_exact_rep, None, None, None),
+    "R-exact-qybe-literal-A-reading": (
+        "key", lambda key: qybe_exact_rep(key, primed_reading="literal-A"), None, "IIs", "IIs"
+    ),
+    **{
+        f"conjugation [{tag}]": ("conjugation_identities", functools.partial(_conjugation, tag), REQUESTED, None, None)
+        for tag in CONJUGATION_CASES
+    },
+}
+
+
+def _kinds(prefix: str) -> tuple:
+    return tuple(name for name in KINDS if name.startswith(prefix))
+
+
+# -- targets -----------------------------------------------------------------
+
+# Each target's rows in report order.  A row (key, kinds) runs those kinds on
+# key, the family or deformation its lines concern, which is what --family
+# selects on.
 TARGET_JOBS = {
-    "prop1": [(_job_lm, key) for key in FAMILIES],
-    "prop2": [(_job_hopf, "Uz", name) for name in HOPF_CHECKS],
-    "prop3": [(_job_fun, "Uz"), (_job_frt, "Uz"), (_job_universal_r, "Uz")],
-    "prop4": [(_job_hopf, "IIn", name) for name in HOPF_CHECKS],
-    "prop5": [(_job_universal_r, "IIn"), (_job_fun, "IIn"), (_job_frt, "IIn")],
-    "prop6": [(_job_hopf, "IIs", name) for name in HOPF_CHECKS]
-    + [(_job_universal_r, "IIs"), (_job_fun, "IIs"), (_job_frt, "IIs")],
-    "appendixA": [(_job_appendix, "IIn")],
+    "prop1": [(key, _kinds("lm-")) for key in FAMILIES],
+    "prop2": [("Uz", _kinds("hopf-"))],
+    "prop3": [("Uz", _kinds("fun-") + _kinds("frt-") + _kinds("R-"))],
+    "prop4": [("IIn", _kinds("hopf-"))],
+    "prop5": [("IIn", _kinds("R-") + _kinds("fun-") + _kinds("frt-"))],
+    "prop6": [("IIs", _kinds("hopf-") + _kinds("R-") + _kinds("fun-") + _kinds("frt-"))],
+    "appendixA": [("IIn", _kinds("conjugation"))],
 }
 TARGETS = tuple(TARGET_JOBS)
 
 
-def _timed(check, family, order, fn, finding):
-    t0 = time.perf_counter()
-    ok, residuals = fn()
-    return make_report(check, family, order, ok, residuals, time.perf_counter() - t0, finding)
+# What a row is about, built before its lines are timed; what they compute from it
+# (a universal R, the FRT relations, the conjugations) is charged to the first.
+_GIVEN = {"lm_coproduct", "presentation", "fun_presentation"}
 
 
 def _run(job, order: int):
-    """One job row's report lines, each timed, those of another deformation
-    left out and the probes marked as findings."""
-    fn, key, *args = job
-    probes = _R_PROBES.get(key, ())
-    rows = [row for row in fn(key, *args, order) if _R_ONLY.get(row[0], key) == key]
-    return [_timed(check, key, n, thunk, check in probes) for check, n, thunk in rows]
+    """One row's report lines: each line at its kind's order, those of
+    another deformation left out and the probes marked as findings."""
+    key, kinds = job
+    row, lines = _Row(key=key), []
+    for name in kinds:
+        build, check, orders, only, probe = KINDS[name]
+        if only in (None, key):
+            n = None if orders is None else min(max(order, orders[0]), orders[1])
+            lines.append((name, build, check, n, probe == key))
+            if build in _GIVEN:
+                row[build, n]  # built now, outside every line's time
+    reports = []
+    for name, build, check, n, finding in lines:
+        t0 = time.perf_counter()
+        ok, residuals = check(row[build, n])
+        reports.append(make_report(name, key, n, ok, residuals, time.perf_counter() - t0, finding))
+    return reports
 
 
 def run_jobs(rows, order: int, jobs: int):
-    """Run job rows (in a worker pool when jobs > 1); canonical report order."""
+    """Run rows (at most one worker per row when jobs > 1); canonical report order."""
     if jobs <= 1 or len(rows) <= 1:
         chunks = [_run(row, order) for row in rows]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
             chunks = list(pool.map(_run, rows, [order] * len(rows)))
     return [r for chunk in chunks for r in chunk]
 
@@ -348,7 +347,7 @@ def _select_jobs(target: str, family: str | None) -> list:
             f"or {', '.join(FAMILY_ALIASES)}"
         )
     quea = QUEA_KEY.get(fam_key)
-    rows = [row for row in rows if row[1] in (fam_key, quea)]
+    rows = [row for row in rows if row[0] in (fam_key, quea)]
     # Every family has its prop1 row, so only a single other target comes
     # up empty.
     if not rows:
@@ -359,7 +358,7 @@ def _select_jobs(target: str, family: str | None) -> list:
                 f"only prop1 applies"
             )
         raise UsageError(
-            f"target {target} concerns the {TARGET_JOBS[target][0][1]} deformation, "
+            f"target {target} concerns the {TARGET_JOBS[target][0][0]} deformation, "
             f"not {fam_key}"
         )
     return rows
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; report order stays canonical",
+        help="worker processes, at most one per row; report order stays canonical",
     )
     return parser
 

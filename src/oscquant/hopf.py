@@ -24,7 +24,6 @@ of the presentation's r-matrix.  Residual terms are returned for failures.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from math import factorial
 
 from .algebra import (
@@ -270,16 +269,15 @@ _BUILDERS = {
 # (key, order) -> weak reference to its presentation; a key is added on the
 # first build only, so len(_cache) counts first builds
 _cache: dict = {}
-_recent: deque = deque(maxlen=2)
 
 
 def presentation(key: str, order: int) -> HopfPresentation:
     """The presentation of deformation ``key`` truncated at ``order``.
 
-    A presentation lives while something holds it, and the results of the
-    last two calls are held here, so an order sweep keeps two alive, not
-    one per order.  While one lives it is the one returned, so the elements
-    of two calls for the same ``(key, order)`` share one algebra.
+    A presentation lives while its caller holds it, so a sweep over orders
+    keeps alive only what the caller keeps.  While one lives it is the one
+    returned, so the elements of two calls for the same ``(key, order)``
+    share one algebra.
     """
     ref = _cache.get((key, order))
     got = ref and ref()
@@ -287,7 +285,6 @@ def presentation(key: str, order: int) -> HopfPresentation:
         deformation(key)  # UnknownDeformation on a key that names none
         got = _BUILDERS[key](order)
         _cache[(key, order)] = weakref.ref(got)
-    _recent.append(got)
     return got
 
 

@@ -7,6 +7,7 @@ fresh interpreter, to see what importing the package does to it.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from oscquant import bialgebra, cli
+from oscquant import bialgebra, cli, hopf
 from oscquant.algebra import AP, Algebra, tensor
 from oscquant.cli import main
 from oscquant.expr import MAX_BITS, MAX_DEPTH
@@ -547,11 +548,58 @@ def test_appendix_lines_report_their_own_intervals(monkeypatch):
         return [(tag, identity(c, d)) for tag, c, d in zip(CONJUGATION_CASES, costs, diffs)]
 
     monkeypatch.setattr(cli, "conjugation_identities", identities)
-    reports = cli._run((cli._job_appendix, "IIn"), 3)
+    reports = cli._run(cli.TARGET_JOBS["appendixA"][0], 3)
     assert [r.check for r in reports] == [f"conjugation [{tag}]" for tag in CONJUGATION_CASES]
     assert [r.wall_time_s for r in reports] == [11.0, 2.0, 4.0, 8.0]
     assert [r.status for r in reports] == ["pass", "pass", "fail", "pass"]
     assert reports[2].residuals and all(r.order == 3 for r in reports)
+
+
+def test_a_row_builds_what_it_is_about_and_charges_what_its_lines_compute(monkeypatch):
+    """The LM coproduct a prop1 row is about is built before its lines are
+    timed; the universal R that the R lines compute is charged to the first
+    of them, and the lines after it share that one build."""
+    now = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def slow(build):
+        def timed(*args):
+            now[0] += 10.0
+            return build(*args)
+
+        return timed
+
+    monkeypatch.setattr(cli, "lm_coproduct", slow(cli.lm_coproduct))
+    monkeypatch.setattr(cli, "universal_R", slow(cli.universal_R))
+    lm = cli._run(cli.TARGET_JOBS["prop1"][0], 2)
+    assert [(r.check, r.wall_time_s) for r in lm] == [
+        ("lm-coassociativity", 0.0),
+        ("lm-counit", 0.0),
+        ("lm-first-order", 0.0),
+    ]
+    R = {r.check: r.wall_time_s for r in cli._run(("IIn", cli._kinds("R-")), 2)}
+    assert R.pop("R-expansion-base") == 10.0
+    assert set(R.values()) == {0.0}
+    assert all(r.status == "pass" for r in lm)
+
+
+def test_verify_releases_what_it_builds(capsys, monkeypatch):
+    """Once verify returns, nothing holds the presentation its lines read,
+    and the Hopf and R lines of prop6 share one build of it."""
+    builds = []
+    build = hopf._BUILDERS["IIs"]
+
+    def counted(order):
+        builds.append(order)
+        return build(order)
+
+    monkeypatch.setattr(hopf, "_cache", {})
+    monkeypatch.setitem(hopf._BUILDERS, "IIs", counted)
+    rc, _, _ = run(capsys, ["verify", "--target", "prop6", "--order", "3"])
+    assert rc == 0
+    assert builds == [3]
+    gc.collect()
+    assert hopf._cache[("IIs", 3)]() is None
 
 
 def test_verify_prop6_probes_are_findings_not_failures(capsys):
@@ -694,6 +742,34 @@ def test_verify_jobs_pool_matches_inline(capsys):
         ]
 
     assert strip_times(inline) == strip_times(pooled)
+
+
+def test_verify_jobs_starts_at_most_one_worker_per_row(monkeypatch):
+    """The pool is sized to the rows, not to --jobs: a pool starts all its
+    workers at its first submit, so an unbounded --jobs would fork them all."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(cli, "_run", lambda row, order: [row[0]])
+    rows = cli.TARGET_JOBS["prop1"]
+    assert cli.run_jobs(rows, 0, 5000) == [key for key, _ in rows]
+    assert cli.run_jobs(rows, 0, 2) == [key for key, _ in rows]
+    assert sizes == [len(rows), 2]
 
 
 def test_verify_jobs_zero_rejected(capsys):

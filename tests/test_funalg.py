@@ -401,8 +401,8 @@ FLIPS = {
 }
 
 
-def _lines(job, key) -> dict:
-    return {r.check: r for r in cli._run((job, key), 0)}
+def _lines(prefix, key) -> dict:
+    return {r.check: r for r in cli._run((key, cli._kinds(prefix)), 0)}
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -411,10 +411,10 @@ def test_a_sign_flipped_rule_fails_frt_and_the_brackets(key, monkeypatch):
     assert funalg._SWAPS[key][pair] != text
     monkeypatch.setitem(funalg._SWAPS[key], pair, text)
     monkeypatch.setattr(funalg, "_cache", {})
-    frt = _lines(cli._job_frt, key)["frt-relations"]
+    frt = _lines("frt-", key)["frt-relations"]
     assert frt.status == "fail"
     assert len(frt.residuals) == 2
-    fun = _lines(cli._job_fun, key)
+    fun = _lines("fun-", key)
     assert fun["fun-semiclassical"].status == "fail"
     assert fun["fun-semiclassical"].residuals
     assert (fun["fun-homomorphism"].status == "pass") is still_hopf
@@ -433,6 +433,6 @@ def test_frt_necessity_names_a_misread_rule(pair, wrong, monkeypatch):
         return {**rep, "necessary": {**rep["necessary"], pair: wrong}}
 
     monkeypatch.setattr(cli, "frt_relations", misread)
-    line = _lines(cli._job_frt, "Uz")["frt-necessity"]
+    line = _lines("frt-", "Uz")["frt-necessity"]
     assert line.status == "fail"
     assert line.residuals == (f"rule {pair}: necessary={wrong}, expected={not wrong}",)
