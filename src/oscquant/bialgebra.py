@@ -27,8 +27,10 @@ refuses mixed strata instead of guessing.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .algebra import (
@@ -85,7 +87,8 @@ class AmbiguousStratum(ValueError):
 
 
 class RMatrixSkew:
-    """The six-coefficient skew r-matrix, with its tensor form on demand."""
+    """The six-coefficient skew r-matrix, with its tensor form and its
+    cocommutators formed on demand, once each per r."""
 
     def __init__(self, field: CoefficientField, coeffs):
         self.c = tuple(map(field.lift, coeffs))
@@ -93,6 +96,7 @@ class RMatrixSkew:
             raise ValueError("need exactly six coefficients c1..c6")
         self.field = field
         self._tensor = None
+        self._deltas = None  # cocommutator_map's memo
 
     def __repr__(self):
         return signed_sum(
@@ -235,20 +239,25 @@ def cocommutator(r: RMatrixSkew, gen: int) -> TensorElement:
     return tensor_adjoint(alg.gen(gen), r.as_tensor())
 
 
-def cocommutator_map(r: RMatrixSkew) -> dict:
-    return {GEN_NAMES[i]: cocommutator(r, i) for i in range(4)}
+def cocommutator_map(r: RMatrixSkew) -> MappingProxyType:
+    """delta by generator label, formed once per r and kept on it as its
+    tensor is: every caller reads the same elements, through a view it
+    cannot change."""
+    if r._deltas is None:
+        r._deltas = MappingProxyType({GEN_NAMES[i]: cocommutator(r, i) for i in range(4)})
+    return r._deltas
 
 
 def _delta_of_mono(r: RMatrixSkew):
     """The cocommutator as a map on degree-<=1 monomials (0 on the unit)."""
-    alg = r.algebra()
+    alg, deltas = r.algebra(), cocommutator_map(r)
 
     def delta(mono):
         if mono == UNIT_MONO:
             return alg.tensor_zero(2)
         if mono_degree(mono) != 1:
             raise ValueError(f"cocommutator of non-Lie monomial {mono}")
-        return cocommutator(r, mono.index(1))
+        return deltas[GEN_NAMES[mono.index(1)]]
 
     return delta
 
@@ -276,9 +285,9 @@ def cojacobi_check(r: RMatrixSkew):
     """co-Jacobi: (1 + cyclic + cyclic^2)(delta(x)id)delta(X) = 0 for all X."""
     delta = _delta_of_mono(r)
     pairs = []
-    for i in range(4):
-        d2 = apply_slot_map(cocommutator(r, i), 0, delta)
-        pairs.append((GEN_NAMES[i], d2 + d2.permute((1, 2, 0)) + d2.permute((2, 0, 1))))
+    for name, d in cocommutator_map(r).items():
+        d2 = apply_slot_map(d, 0, delta)
+        pairs.append((name, d2 + d2.permute((1, 2, 0)) + d2.permute((2, 0, 1))))
     return held(pairs)
 
 
@@ -336,7 +345,9 @@ class Family:
     ``coeff_exprs`` maps slot names c1..c6 to expressions in the family's
     parameters; unlisted slots are zero.  ``nonzero`` lists the parameters
     declared nonzero (those appearing in denominators or deciding the
-    family).
+    family).  ``r`` is built once per instance and ``marked`` flag (a
+    ``dataclasses.replace`` copy gets its own), so every caller shares one
+    r, its tensor and its cocommutators.
     """
 
     key: str
@@ -345,20 +356,24 @@ class Family:
     params: tuple
     nonzero: tuple
     coeff_exprs: dict
+    _r: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def field(self) -> CoefficientField:
         return CoefficientField.get(*self.params)
 
     def r(self, marked: bool = True) -> RMatrixSkew:
-        field = self.field()
-        coeffs = []
-        for name in SLOT_NAMES:
-            text = self.coeff_exprs.get(name)
-            c = field.zero if text is None else parse_coefficient(field, text)
-            coeffs.append(c.scale_params() if marked else c)
-        return RMatrixSkew(field, coeffs)
+        got = self._r.get(marked)
+        if got is None:
+            field = self.field()
+            coeffs = []
+            for name in SLOT_NAMES:
+                text = self.coeff_exprs.get(name)
+                c = field.zero if text is None else parse_coefficient(field, text)
+                coeffs.append(c.scale_params() if marked else c)
+            got = self._r[marked] = RMatrixSkew(field, coeffs)
+        return got
 
-    def cocommutators(self) -> dict:
+    def cocommutators(self) -> MappingProxyType:
         return cocommutator_map(self.r(marked=False))
 
 

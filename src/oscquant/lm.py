@@ -24,6 +24,7 @@ with B^2 = 0, so exp(N) = e^{ap*Ap + x*M} (1 + B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import fixtures
 from .algebra import (
@@ -141,12 +142,18 @@ def family_spec(family) -> LMSpec:
     rest; nu_i[k][l] is minus the coefficient of H_i (x) X_l in delta(X_k),
     marked (p -> h*p) so every exponential terminates at the working order.
     With c the coefficients of delta(A), the shift s = -c(H (x) M)/c(H (x) A)
-    absorbs the one H^M term that no matrix row can produce.
+    absorbs the one H^M term that no matrix row can produce.  Built once per
+    family key and parameters for the life of the process (``_spec``).
     """
     fam = FAMILIES[family] if isinstance(family, str) else family
-    field = fam.field()
+    return _spec(fam.key, fam.params)
+
+
+@cache
+def _spec(key: str, params: tuple) -> LMSpec:
+    field = CoefficientField.get(*params)
     alg = Algebra.classical(field)
-    cells = fixtures.load("table_I")[fam.key]["delta"]
+    cells = fixtures.load("table_I")[key]["delta"]
     delta = [fixtures.wedge_tensor(alg, cells[label]) for label in GEN_NAMES]
     primitives = tuple(g for g, d in enumerate(delta) if d.is_zero)
     vector = tuple(g for g, d in enumerate(delta) if not d.is_zero)
@@ -156,7 +163,7 @@ def family_spec(family) -> LMSpec:
 
     nu = [[[-c(k, h, l).scale_params() for l in vector] for k in vector] for h in primitives]
     shift = sum((-c(A, h, M) / c(A, h, A) for h in primitives if not c(A, h, M).is_zero), field.zero)
-    return LMSpec(field, primitives, vector, nu, shift=shift, key=fam.key)
+    return LMSpec(field, primitives, vector, nu, shift=shift, key=key)
 
 
 # -- the coproduct -------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import iplus_nonstandard_closed, map_coeffs, trivial_spec
-from oscquant import fixtures
+from oscquant import fixtures, lm
 from oscquant.algebra import (
     A,
     AM,
@@ -239,10 +239,14 @@ def test_shift_clears_primitive_pair_terms():
         assert not first_order_check(unshifted, fam.r(marked=True))[0], key
 
 
-def test_lm_data_follows_table_I(monkeypatch):
+def test_lm_data_follows_table_I(monkeypatch, request):
     # Drop the bp Ap^M summand from the Iplus-standard cell delta(A): the
-    # shift it implied goes, and Table III no longer matches that row.
+    # shift it implied goes, and Table III no longer matches that row.  The
+    # spec memo is emptied once the edit is in, so the edited cell is read,
+    # and again at teardown, so no later test is served the edited spec.
     load = fixtures.load
+    before = family_spec("Iplus-standard")
+    assert not before.shift.is_zero
 
     def edited(name):
         data = load(name)
@@ -252,7 +256,10 @@ def test_lm_data_follows_table_I(monkeypatch):
         return data
 
     monkeypatch.setattr(fixtures, "load", edited)
-    assert family_spec("Iplus-standard").shift.is_zero
+    lm._spec.cache_clear()
+    request.addfinalizer(lm._spec.cache_clear)
+    after = family_spec("Iplus-standard")
+    assert after is not before and after.shift.is_zero
     rows = {r.key: r for r in table_III(order=2)}
     assert not rows["Iplus-standard"].match
     assert all(row.match for key, row in rows.items() if key != "Iplus-standard")
