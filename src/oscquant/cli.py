@@ -101,9 +101,8 @@ class _Row(dict):
 _BUILDS = {
     "key": lambda row, n: row["key"],
     "order": lambda row, n: n,
-    "family_spec": lambda row, n: family_spec(FAMILIES[row["key"]]),
-    "lm_coproduct": lambda row, n: lm_coproduct(row["family_spec", None], n),
-    "family_spec, r": lambda row, n: (row["family_spec", None], FAMILIES[row["key"]].r(marked=True)),
+    "lm_coproduct": lambda row, n: lm_coproduct(family_spec(FAMILIES[row["key"]]), n),
+    "family_spec, r": lambda row, n: (family_spec(FAMILIES[row["key"]]), FAMILIES[row["key"]].r(marked=True)),
     "presentation": lambda row, n: presentation(row["key"], n),
     "universal_R": lambda row, n: universal_R(row["key"], n),
     "fun_presentation": lambda row, n: fun_presentation(row["key"]),

@@ -18,7 +18,7 @@ from oscquant.algebra import (
     spread,
     tensor,
 )
-from oscquant.bialgebra import FAMILIES, GEN_MONOS, RMatrixSkew
+from oscquant.bialgebra import FAMILIES, GEN_MONOS, RMatrixSkew, cocommutator_map
 from oscquant.coeffs import CoefficientField
 from oscquant.hopf import counit_check
 from oscquant.lm import (
@@ -212,8 +212,14 @@ def test_first_order_trivial():
 
 
 def test_first_order_detects_mismatch():
+    # The negated r is a new RMatrixSkew: it forms its own cocommutators
+    # instead of being served the memo of the r it was made from.
     fam = FAMILIES["Iplus-nonstandard"]
-    wrong = map_coeffs(fam.r(marked=True), lambda c: -c)
+    right = fam.r(marked=True)
+    wrong = map_coeffs(right, lambda c: -c)
+    own, shared = cocommutator_map(wrong), cocommutator_map(right)
+    assert own is not shared
+    assert all(own[name] == -shared[name] for name in GEN_NAMES)
     assert not first_order_check(family_spec(fam), wrong)[0]
 
 
