@@ -41,7 +41,7 @@ from .algebra import (
 from .bialgebra import FAMILIES, RMatrixSkew
 from .coeffs import Coefficient, CoefficientField
 from .expr import parse_coefficient
-from .hopf import HopfPresentation, cocommutator_check
+from .hopf import HopfPresentation
 
 
 class NoncommutingEntries(ValueError):
@@ -187,12 +187,6 @@ def lm_coproduct(spec: LMSpec, order: int, r: RMatrixSkew | None = None) -> Hopf
             t = t + spread(alg.gen(M), 2).scale(spec.shift)
         images[GEN_NAMES[xk]] = t
     return HopfPresentation(spec.key, alg, images, None, None, r)
-
-
-def first_order_check(spec: LMSpec, r: RMatrixSkew):
-    """Antisymmetrized order-h part of the coproduct equals delta from r:
-    :func:`.hopf.cocommutator_check` on the order-1 coproduct."""
-    return cocommutator_check(lm_coproduct(spec, 1, r))
 
 
 # -- the published coproduct table ---------------------------------------

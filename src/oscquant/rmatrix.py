@@ -18,9 +18,10 @@ supposed to do:
   factor is conjugated on its own through the factored form;
 * the intertwining property σ∘Δ(X) = R Δ(X) R⁻¹ for all four generators,
   through the same factored conjugation, whose ad_F steps walk each pair once;
-* the two-step conjugation that proves intertwining for the one-parameter
-  creation-type family, and the four auxiliary conjugation identities
-  that prove it for the three-parameter family;
+* the two-step conjugation that proves intertwining on A₋ for the
+  one-parameter creation-type family and, up to central terms, on A₊ and
+  A for the three-parameter family (the four identities of Appendix A),
+  stated once as one conjugation step on R's factors;
 * the exact 3×3 matrix image: representation property, collapse of the
   series R to the 9×9 matrix, and the 27×27 braid identity with no
   truncation, its three factors placed with ``kron`` and the flip P₂₃;
@@ -225,56 +226,60 @@ def intertwining_check(R: UniversalR):
     return held((name, R.conjugate(images[name]) - images[name].swap()) for name in GEN_NAMES)
 
 
-def two_step_intertwining_check(order: int):
+def conjugation_step(R: UniversalR, tag: str) -> TensorElement:
+    """One step of the two-step conjugation behind intertwining on a
+    generator X, ``tag`` being "X inner" or "X outer": the inner factor takes
+    Δ(X) to the primitive coproduct plus a central term c,
+    exp(inner)·Δ(X) = Δ₀(X) + c, and the outer factor takes that on,
+    exp(outer)·Δ₀(X) = σΔ(X) − c.  Returns the step's difference from its
+    expected tensor, zero when it holds.
+
+    ``Uz`` takes A₋ through the factors of its R, exp(−z·Ap⊗A)·exp(z·A⊗Ap),
+    with c = 0.  ``IIn`` takes A₊ and A through its second factorization
+    exp{−M⊗W}·exp{W⊗M}, W = x·A + β₊·A₊ + y₊·A₋; with w±(M) = (1−e^{∓xM})/x,
+    c is y₊·w₋⊗w₋ for A₊ and (β₊y₊/x)·(w₊⊗w₊ − w₋⊗w₋) for A.
+    """
+    name, step = tag.split()
+    alg, field = R.alg, R.alg.field
+    delta, d0 = R.presentation.images[name], spread(alg.gen(GEN_NAMES.index(name)), 2)
+    if R.key == "Uz":
+        (outer, inner), c = R.factors, alg.tensor_zero(2)
+    else:
+        outer, inner = R.alt_factors
+        x = field.marked_param("x")
+        # (1 - e^{-xM})/x and (1 - e^{xM})/x as honest series
+        wm, wp = expm1_over(alg, -x, M), -expm1_over(alg, x, M)
+        if name == "Ap":
+            c = tensor(wm, wm).scale(field.marked_param("yp"))
+        else:
+            # β₊·y₊/x with a single marker power, matching its net parameter degree
+            byx = field.marked_param("bp") * field.param("yp") / field.param("x")
+            c = (tensor(wp, wp) - tensor(wm, wm)).scale(byx)
+    if step == "inner":
+        return exp_ad(inner, delta) - (d0 + c)
+    return exp_ad(outer, d0) - (delta.swap() - c)
+
+
+def two_step_intertwining_check(R: UniversalR):
     """The two conjugations that establish intertwining on A₋ for ``Uz``:
     the inner factor strips Δ(A₋) down to the primitive coproduct, the
-    outer factor then builds up the flipped coproduct.  The factors are
-    those of the ``Uz`` universal R, exp(−z·Ap⊗A)·exp(z·A⊗Ap)."""
-    R = universal_R("Uz", order)
-    outer, inner = R.factors
-    delta, prim = R.presentation.images["Am"], spread(R.alg.gen(AM), 2)
+    outer factor then builds up the flipped coproduct."""
     return held(
         [
-            ("inner: conj(Delta(Am)) = primitive", exp_ad(inner, delta) - prim),
-            ("outer: conj(primitive) = flipped Delta(Am)", exp_ad(outer, prim) - delta.swap()),
+            ("inner: conj(Delta(Am)) = primitive", conjugation_step(R, "Am inner")),
+            ("outer: conj(primitive) = flipped Delta(Am)", conjugation_step(R, "Am outer")),
         ]
     )
 
 
-# The four conjugation identities, in the order they chain together.
+# The four conjugation identities behind intertwining for ``IIn``, in the
+# order they chain together; their central terms cancel between the steps.
 CONJUGATION_CASES = ("Ap inner", "Ap outer", "A inner", "A outer")
 
 
-def conjugation_identities(order: int):
-    """The four auxiliary identities behind intertwining for ``IIn``.
-
-    With W = x·A + β₊·A₊ + y₊·A₋ and w±(M) = (1−e^{∓xM})/x, conjugating
-    by exp{W⊗M} and exp{−M⊗W} (the second factorization of the ``IIn``
-    universal R) moves Δ(X) to σ∘Δ(X) through the primitive coproduct, up
-    to central correction terms that cancel between the two steps.  Returns
-    ``(tag, diff)`` pairs in chain order, after the shared set-up;
-    ``diff()`` runs one conjugation and returns its difference from the
-    expected tensor, zero when the identity holds.
-    """
-    R = universal_R("IIn", order)
-    p, alg, field = R.presentation, R.alg, R.alg.field
-    outer, inner = R.alt_factors
-    x, yp = field.marked_param("x"), field.marked_param("yp")
-    # (1 - e^{-xM})/x and (1 - e^{xM})/x as honest series
-    wm = expm1_over(alg, -x, M)
-    wp = -expm1_over(alg, x, M)
-    # β₊·y₊/x with a single marker power, matching its net parameter degree
-    byx = field.marked_param("bp") * field.param("yp") / field.param("x")
-    central_p = tensor(wm, wm).scale(yp)
-    central_a = (tensor(wp, wp) - tensor(wm, wm)).scale(byx)
-    d0_ap = spread(alg.gen(AP), 2)
-    d0_a = spread(alg.gen(A), 2)
-    return [
-        (CONJUGATION_CASES[0], lambda: exp_ad(inner, p.images["Ap"]) - (d0_ap + central_p)),
-        (CONJUGATION_CASES[1], lambda: exp_ad(outer, d0_ap) - (p.images["Ap"].swap() - central_p)),
-        (CONJUGATION_CASES[2], lambda: exp_ad(inner, p.images["A"]) - (d0_a + central_a)),
-        (CONJUGATION_CASES[3], lambda: exp_ad(outer, d0_a) - (p.images["A"].swap() - central_a)),
-    ]
+def conjugation_check(R: UniversalR, tag: str):
+    """One conjugation identity, reported under its tag."""
+    return held([(tag, conjugation_step(R, tag))])
 
 
 # -- exact 3×3 representation -------------------------------------------

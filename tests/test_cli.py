@@ -17,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from oscquant import bialgebra, cli, hopf
-from oscquant.algebra import AP, Algebra, tensor
+from oscquant import bialgebra, cli, hopf, rmatrix
+from oscquant.algebra import AP, tensor
 from oscquant.cli import main
 from oscquant.expr import MAX_BITS, MAX_DEPTH
 from oscquant.hopf import HopfPresentation
-from oscquant.coeffs import Coefficient, CoefficientField
+from oscquant.coeffs import Coefficient
 from oscquant.rmatrix import CONJUGATION_CASES
 
 
@@ -379,12 +379,14 @@ def test_verify_order0_has_no_failures(capsys):
 def test_verify_prop1_reports_a_broken_coproduct(capsys, monkeypatch):
     """A wrong image of Am fails coassociativity and the counit law, and the
     residuals of both name it.  The extra Ap(x)1 has a unit leg, so the
-    counit sees it: a term like Ap(x)Ap would pass (id (x) eps)."""
+    counit sees it: a term like Ap(x)Ap would pass (id (x) eps).  It is of
+    order h^2, so the first-order line, which reads the row's order-1
+    coproduct, does not see it."""
     built = cli.lm_coproduct
 
-    def perturbed(spec, order):
-        cp = built(spec, order)
-        extra = tensor(cp.alg.gen(AP), cp.alg.one()).scale(spec.field.marked_param("x"))
+    def perturbed(spec, order, r):
+        cp = built(spec, order, r)
+        extra = tensor(cp.alg.gen(AP), cp.alg.one()).scale(spec.field.marked_param("x") ** 2)
         images = {**cp.images, "Am": cp.images["Am"] + extra}
         return HopfPresentation(cp.key, cp.alg, images, None, None, cp.r)
 
@@ -529,30 +531,54 @@ def test_verify_appendixA(capsys):
 
 
 def test_appendix_lines_report_their_own_intervals(monkeypatch):
+    """The universal R the four lines share is charged to the first, and each
+    conjugation to its own line, which reports its own comparison."""
     now = [0.0]
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-    alg = Algebra.classical(CoefficientField.get("z"))
-    zero, off = alg.tensor_zero(2), tensor(alg.gen(AP), alg.one())
+    build, conjugate = cli.universal_R, rmatrix.exp_ad
+    costs, spoiled = iter((1.0, 2.0, 4.0, 8.0)), iter((False, False, True, False))
 
-    def identity(cost, diff):
-        def run_it():
-            now[0] += cost
-            return diff
+    def slow(key, n):
+        now[0] += 10.0  # the shared build
+        return build(key, n)
 
-        return run_it
+    def timed(factor, t):
+        now[0] += next(costs)
+        got = conjugate(factor, t)
+        return got + got.alg.tensor_unit(2) if next(spoiled) else got
 
-    def identities(order):
-        now[0] += 10.0  # the shared set-up
-        costs = (1.0, 2.0, 4.0, 8.0)
-        diffs = (zero, zero, off, zero)
-        return [(tag, identity(c, d)) for tag, c, d in zip(CONJUGATION_CASES, costs, diffs)]
-
-    monkeypatch.setattr(cli, "conjugation_identities", identities)
+    monkeypatch.setattr(cli, "universal_R", slow)
+    monkeypatch.setattr(rmatrix, "exp_ad", timed)
     reports = cli._run(cli.TARGET_JOBS["appendixA"][0], 3)
     assert [r.check for r in reports] == [f"conjugation [{tag}]" for tag in CONJUGATION_CASES]
     assert [r.wall_time_s for r in reports] == [11.0, 2.0, 4.0, 8.0]
     assert [r.status for r in reports] == ["pass", "pass", "fail", "pass"]
     assert reports[2].residuals and all(r.order == 3 for r in reports)
+
+
+@pytest.mark.parametrize("slot, step", [(0, "outer"), (1, "inner")])
+def test_two_step_lines_fail_on_the_factor_they_conjugate_by(monkeypatch, slot, step):
+    """With one factor of the row's R doubled (Uz's R, IIn's second
+    factorization; outer first), the steps that conjugate by it fail and
+    the others pass: the two-step line's one residual and two appendix lines."""
+    build = cli.universal_R
+
+    def mutant(key, n):
+        R = build(key, n)
+        name = "factors" if key == "Uz" else "alt_factors"
+        factors = list(getattr(R, name))
+        factors[slot] = factors[slot].scale(2)
+        setattr(R, name, tuple(factors))
+        return R
+
+    monkeypatch.setattr(cli, "universal_R", mutant)
+    (two_step,) = cli._run(("Uz", ("R-two-step-intertwining",)), 3)
+    assert two_step.status == "fail"
+    assert [line.split(":")[0] for line in two_step.residuals] == [step]
+    appendix = {r.check: r.status for r in cli._run(cli.TARGET_JOBS["appendixA"][0], 3)}
+    assert appendix == {
+        f"conjugation [{tag}]": "fail" if tag.endswith(step) else "pass" for tag in CONJUGATION_CASES
+    }
 
 
 def test_a_row_builds_what_it_is_about_and_charges_what_its_lines_compute(monkeypatch):
@@ -843,3 +869,20 @@ def test_bad_target_choice_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--target", "prop99"])
     assert exc.value.code == 2
+
+
+def test_main_builds_one_parser_for_every_call(capsys):
+    """Two commands in one process share one parser, and each parses from
+    its own arguments: the first's ``--format json`` does not carry over."""
+    cli.build_parser.cache_clear()
+    try:
+        rc, payload, _ = run_json(capsys, ["classify", "--r", "1,0,0,0,0,0", "--format", "json"])
+        assert rc == 0
+        assert (payload["family"], payload["flavor"]) == ("Iplus", "nonstandard")
+        rc, out, _ = run(capsys, ["verify", "--target", "appendixA", "--order", "1"])
+        assert rc == 0
+        assert out.endswith("summary: 4 checks: 4 pass, 0 fail, 0 finding\n")
+        info = cli.build_parser.cache_info()
+    finally:
+        cli.build_parser.cache_clear()
+    assert (info.misses, info.hits) == (1, 1)

@@ -52,3 +52,8 @@ def test_verify_reports_every_kind(capsys):
     assert cli.main(["verify", "--order", "0", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert {r["check"] for r in reports} == set(cli.KINDS)
+
+
+def test_every_build_is_declared_and_read():
+    read = {build for build, *_ in cli.KINDS.values()}
+    assert read == set(cli._BUILDS)

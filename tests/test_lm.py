@@ -20,12 +20,11 @@ from oscquant.algebra import (
 )
 from oscquant.bialgebra import FAMILIES, GEN_MONOS, RMatrixSkew, cocommutator_map
 from oscquant.coeffs import CoefficientField
-from oscquant.hopf import counit_check
+from oscquant.hopf import cocommutator_check, counit_check
 from oscquant.lm import (
     LMSpec,
     NoncommutingEntries,
     family_spec,
-    first_order_check,
     lm_coproduct,
     matrix_exp,
     spec_matrix,
@@ -198,17 +197,17 @@ def test_counit_axiom_all_families():
 
 def test_first_order_matches_cocommutators_all_families():
     for key, fam in FAMILIES.items():
-        assert first_order_check(family_spec(key), fam.r(marked=True))[0], key
+        assert cocommutator_check(lm_coproduct(family_spec(key), 1, fam.r(marked=True)))[0], key
 
 
 def test_first_order_accepts_unmarked_r():
     fam = FAMILIES["Iminus-standard"]
-    assert first_order_check(family_spec(fam), fam.r(marked=False))[0]
+    assert cocommutator_check(lm_coproduct(family_spec(fam), 1, fam.r(marked=False)))[0]
 
 
 def test_first_order_trivial():
     spec = trivial_spec()
-    assert first_order_check(spec, RMatrixSkew(spec.field, [0] * 6))[0]
+    assert cocommutator_check(lm_coproduct(spec, 1, RMatrixSkew(spec.field, [0] * 6)))[0]
 
 
 def test_first_order_detects_mismatch():
@@ -220,7 +219,7 @@ def test_first_order_detects_mismatch():
     own, shared = cocommutator_map(wrong), cocommutator_map(right)
     assert own is not shared
     assert all(own[name] == -shared[name] for name in GEN_NAMES)
-    assert not first_order_check(family_spec(fam), wrong)[0]
+    assert not cocommutator_check(lm_coproduct(family_spec(fam), 1, wrong))[0]
 
 
 # -- the shift -----------------------------------------------------------
@@ -241,8 +240,8 @@ def test_shift_clears_primitive_pair_terms():
         z = spec.field.zero
         nu = [[[m.entries.get((k, l), z) for l in range(m.dim)] for k in range(m.dim)] for m in spec.nu]
         unshifted = LMSpec(spec.field, spec.primitives, spec.vector, nu, key=spec.key)
-        assert first_order_check(spec, fam.r(marked=True))[0], key
-        assert not first_order_check(unshifted, fam.r(marked=True))[0], key
+        assert cocommutator_check(lm_coproduct(spec, 1, fam.r(marked=True)))[0], key
+        assert not cocommutator_check(lm_coproduct(unshifted, 1, fam.r(marked=True)))[0], key
 
 
 def test_lm_data_follows_table_I(monkeypatch, request):
