@@ -574,6 +574,25 @@ class TensorElement(_Terms):
             pairs.append((self.terms[k], " o ".join(s or "1" for s in slots) if any(slots) else ""))
         return signed_sum(pairs)
 
+    def _factor(self, other):
+        """A tensor factor over the same algebra, a scalar lifted to that
+        multiple of the algebra's unit, or None for anything else."""
+        if isinstance(other, TensorElement):
+            if other.alg is not self.alg:
+                raise ValueError(f"cannot tensor an element over {self.alg!r} with one over {other.alg!r}")
+            return other
+        c = self.field.coerce(other)
+        return None if c is None else self.alg.one().scale(c)
+
+    def __matmul__(self, other):
+        """self ⊗ other, through :func:`tensor`."""
+        other = self._factor(other)
+        return NotImplemented if other is None else tensor(self, other)
+
+    def __rmatmul__(self, other):
+        other = self._factor(other)
+        return NotImplemented if other is None else tensor(other, self)
+
     def _product(self, other, minus=(), pairs_of=iter):
         """self·other − Σ z·w over (z, w) in ``minus``, each walk's pairs taken
         through ``pairs_of``.  A pair of terms and its slot constants go into

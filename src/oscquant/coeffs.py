@@ -374,10 +374,13 @@ class CoefficientField:
         return Coefficient(self, {self._mono(0, self._index[name]): 1}, 1, self._one)
 
     def rational(self, p, q=1) -> "Coefficient":
-        """An explicit rational number as a coefficient."""
+        """An explicit rational number as a coefficient; 0 and 1 are the
+        field's own ``zero`` and ``one``, which the product loops skip."""
         val = Fraction(p) / Fraction(q)
         if not val:
             return self.zero
+        if val == 1:
+            return self.one
         return Coefficient(self, {self._zero_mono: val.numerator}, val.denominator, self._one)
 
     def coerce(self, x) -> "Coefficient | None":

@@ -1,19 +1,24 @@
 """Minimal arithmetic-expression evaluator for fixture cells and CLI input.
 
-Grammar: integers, names, binary ``+ - * /``, unary ``-``, powers ``^`` or
-``**`` with integer exponents, parentheses.  Evaluation is generic over any
-value type supporting Python arithmetic operators, so the same parser serves
-exact coefficients and the elements of any algebra, group functions included
-(:func:`parse_element`).
+Grammar, loosest first: sums ``+ -``; the tensor product ``@``; products
+``* /``; unary ``-``; powers ``^`` or ``**`` with integer exponents; then
+integers, names and parentheses.  Every binary operator but the power is
+left-associative, so ``1@Am + Am@E + z*A@M*E`` is
+``(1@Am) + (Am@E) + ((z*A)@(M*E))``.  Evaluation is generic over any value
+type supporting Python arithmetic operators, so the same parser serves exact
+coefficients and the elements and tensors of any algebra, group functions
+included (:func:`parse_element`, :func:`read_element`).  An operator its
+operands do not support, such as ``@`` between scalars, raises
+:class:`ExprError`.
 
 Flat sums and products of any length evaluate; nesting (parentheses, unary
 minus, powers) deeper than ``MAX_DEPTH`` levels raises :class:`ExprError`.
 
 The input budget: the integers a text builds stay below ``2**MAX_BITS`` and
-its polynomials below degree ``MAX_BITS``.  :func:`parse` refuses a text
-over it before anything is computed, however short (``2^100000000000``); the
-estimate can be low by a factor of two, so a caller that prints the integers
-checks them too.  It bounds sizes, not the terms or gcd cost of polynomials.
+its polynomials below degree ``MAX_BITS``, ``@`` counting as a product.
+:func:`parse` refuses a text over it before anything is computed, however
+short (``2^100000000000``); the estimate can be low by a factor of two, so
+a caller that prints the integers checks them too.  It bounds sizes, not the terms or gcd cost of polynomials.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ class ExprError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()])|(\S)")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()@])|(\S)")
 
 
 def _tokenize(text: str):
@@ -50,7 +55,7 @@ def _tokenize(text: str):
     return out
 
 
-_BINDING = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+_BINDING = {"+": 10, "-": 10, "@": 15, "*": 20, "/": 20, "^": 30}
 
 
 class _Parser:
@@ -124,14 +129,15 @@ def _eval_int(node, text) -> int:
     raise ExprError(f"exponent must be an integer constant in {text!r}")
 
 
-_LEFT_ASSOC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_LEFT_ASSOC = {"+": operator.add, "-": operator.sub, "@": operator.matmul, "*": operator.mul, "/": operator.truediv}
 
 
 def _bits(node, text) -> int:
     """The budget's estimate of log2 of the integers and of the degree of the
     polynomials ``node`` builds: a literal's bits less one, a name one, a sum
-    of k terms its largest plus the bits of k - 1, a product or quotient both
-    operands, a power its base times the exponent.  Chains walk as in _eval."""
+    of k terms its largest plus the bits of k - 1, a product, tensor product
+    or quotient both operands, a power its base times the exponent.  Chains
+    walk as in _eval."""
     rights = []
     while node[0] in _LEFT_ASSOC:
         rights.append((node[0], node[2]))
@@ -185,6 +191,8 @@ def evaluate(text: str, env: dict, number):
         return _eval(tree, env, number, text)
     except ZeroDivisionError:
         raise ExprError(f"division by zero in {text!r}") from None
+    except TypeError:
+        raise ExprError(f"an operator its operands do not support in {text!r}") from None
 
 
 def parse_coefficient(field, text: str):
@@ -196,9 +204,15 @@ def parse_coefficient(field, text: str):
 def parse_element(alg, text: str):
     """Read an element of ``alg`` over its letter names and the field's
     parameters: an enveloping-algebra element, or a group function."""
-    from .algebra import TensorElement
-
     env = {name: alg.coord(name) for name in alg.letter_names}
     env.update((p, alg.field.param(p)) for p in alg.field.params)
+    return read_element(alg, text, env)
+
+
+def read_element(alg, text: str, env):
+    """Evaluate ``text`` with names bound by ``env`` as an element or tensor
+    of ``alg``: a scalar result is that multiple of the unit."""
+    from .algebra import TensorElement
+
     val = evaluate(text, env, alg.field.rational)
     return val if isinstance(val, TensorElement) else alg.one().scale(val)

@@ -9,8 +9,9 @@ commutator is a Poisson bracket candidate.
 
 Three deformations are built here, sharing one coalgebra (the pullback of
 the group law) and one antipode (the pullback of group inversion).  Their
-swap rules are stated once, as text in ``_SWAPS`` read by
-:func:`.expr.parse_element`; as commutators they are:
+swap rules are stated once, as text in ``_SWAPS``, and the coalgebra as
+text in ``_IMAGES`` and ``_ANTIPODE``, all read by :func:`.hopf.reader`; as
+commutators the rules are:
 
 ``Uz``   the dual of the one-parameter creation-type deformation:
          [theta, a+] = z(E - 1), [a-, a+] = z a-, [theta, m] = z a-,
@@ -36,9 +37,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import held, rebase, spread, tensor
+from .algebra import held, rebase
 from .bialgebra import deformation
-from .expr import parse_element
 from .hopf import (
     HopfPresentation,
     _tail,
@@ -46,6 +46,7 @@ from .hopf import (
     coassociativity_check,
     counit_check,
     homomorphism_check,
+    reader,
 )
 from .poisson import (
     COORDS,
@@ -60,8 +61,8 @@ from .poisson import (
 # -- the three families --------------------------------------------------
 
 # Each family's adjacent-swap rules, (hi, lo) -> tail for
-# X_hi X_lo = X_lo X_hi + tail.  A tail is read as a group function, and each
-# parameter in it then carries one power of the series marker.
+# X_hi X_lo = X_lo X_hi + tail.  A tail is read as a group function, each
+# parameter in it carrying one power of the series marker.
 _SWAPS = {
     "Uz": {
         ("a_plus", "theta"): "-z*(E - 1)",
@@ -87,56 +88,51 @@ _SWAPS = {
 }
 
 
-def _group_coalgebra(key, alg, r) -> HopfPresentation:
-    """The presentation of a deformed coordinate ring with the (shared)
-    group coalgebra.
-
-    ``images``/``antipode``/``counit`` are keyed by the six letter names;
-    the coproduct is the pullback of the group law, the antipode the
-    pullback of inversion, and the counit evaluation at the identity
-    (1 on any power of E, 0 on the other coordinates).  ``r`` is the
-    classical r-matrix whose Sklyanin bracket the order-h commutators
-    must reproduce.
-    """
-    one = alg.one()
-    th, E, Einv, ap, am, m = alg.gens()
-    images = {
-        "theta": spread(th, 2),
-        "E": tensor(E, E),
-        "Einv": tensor(Einv, Einv),
-        "a_plus": tensor(E, ap) + tensor(ap, one),
-        "a_minus": tensor(Einv, am) + tensor(am, one),
-        "m": tensor(one, m) + tensor(m, one) - tensor(Einv * ap, am),
-    }
-    antipode = {
-        "theta": -th,
-        "E": Einv,
-        "Einv": E,
-        "a_plus": -(Einv * ap),
-        "a_minus": -(E * am),
-        "m": -m - (Einv * ap * E) * am,
-    }
-    p = HopfPresentation(key, alg, images, antipode, None, r)
-    p.counit["E"] = p.counit["Einv"] = alg.field.one
-    return p
+# The group coalgebra every deformation shares, as text over the six letters:
+# the coproduct is the pullback of the group law, the antipode the pullback
+# of inversion.  The counit is evaluation at the identity: 1 on any power of
+# E, 0 on the other coordinates.
+_IMAGES = {
+    "theta": "theta@1 + 1@theta",
+    "E": "E@E",
+    "Einv": "Einv@Einv",
+    "a_plus": "E@a_plus + a_plus@1",
+    "a_minus": "Einv@a_minus + a_minus@1",
+    "m": "1@m + m@1 - Einv*a_plus@a_minus",
+}
+_ANTIPODE = {
+    "theta": "-theta",
+    "E": "Einv",
+    "Einv": "E",
+    "a_plus": "-Einv*a_plus",
+    "a_minus": "-E*a_minus",
+    "m": "-m - Einv*a_plus*E*a_minus",
+}
 
 
 _cache: dict = {}
 
 
 def fun_presentation(key: str) -> HopfPresentation:
-    """The exact quantized coordinate ring of deformation ``key``."""
+    """The exact quantized coordinate ring of deformation ``key``, with the
+    group coalgebra; ``r`` is the classical r-matrix whose Sklyanin bracket
+    the order-h commutators must reproduce."""
     got = _cache.get(key)
     if got is None:
         d = deformation(key)
         field = d.field()
-        ring = GroupRing(field)
+        read_ring = reader(GroupRing(field), key)
         rules = {
-            (LETTER_NAMES.index(hi), LETTER_NAMES.index(lo)): _tail(parse_element(ring, text).scale_params())
+            (LETTER_NAMES.index(hi), LETTER_NAMES.index(lo)): _tail(read_ring(text))
             for (hi, lo), text in _SWAPS[key].items()
         }
         alg = FunAlgebra(field, rules, label=f"Fun-{key}")
-        got = _cache[key] = _group_coalgebra(key, alg, d.r(marked=False))
+        read = reader(alg, key)
+        images = {name: read(text) for name, text in _IMAGES.items()}
+        antipode = {name: read(text) for name, text in _ANTIPODE.items()}
+        got = HopfPresentation(key, alg, images, antipode, None, d.r(marked=False))
+        got.counit["E"] = got.counit["Einv"] = field.one
+        _cache[key] = got
     return got
 
 

@@ -1,8 +1,9 @@
 """Deformed enveloping algebras with their full Hopf structure, and checks.
 
 Three deformations of the oscillator enveloping algebra are fully presented
-here (relations, coproduct, counit, antipode, central element), each
-truncated at a marker order:
+here (relations, coproduct, counit, antipode, central element), each stated
+once as text in ``_PRESENTATIONS``, read by :func:`reader` and truncated at
+a marker order by :func:`_build`:
 
 ``Uz``   one-parameter deformation with primitive Ap and M and relations
          [A, Ap] = (e^{z*Ap} - 1)/z, [Am, Ap] = M e^{z*Ap}; the quantization
@@ -26,35 +27,80 @@ from __future__ import annotations
 import weakref
 from math import factorial
 
-from .algebra import (
-    A,
-    AM,
-    AP,
-    GEN_NAMES,
-    M,
-    Algebra,
-    TensorElement,
-    apply_slot_map,
-    held,
-    multiplicative,
-    rebase,
-    spread,
-    tensor,
-)
+from .algebra import GEN_NAMES, Algebra, TensorElement, apply_slot_map, held, multiplicative, rebase
 from .bialgebra import cocommutator_map, deformation
 from .coeffs import Coefficient
-from .expr import parse_element
+from .expr import evaluate, parse_element, read_element
 
 
-# -- named series in one generator ---------------------------------------
+# -- the stated presentations -------------------------------------------
+
+# Each deformation as the paper states it, in one notation: text over the
+# four letters, the deformation's parameters and its named series, with @
+# for the tensor product, read by :func:`reader`.  A series row
+# (c, letter, lag, step) is the sum of c^{k-lag} X^k / k! over k = lag,
+# lag+step, ...: e^{cX} at lag 0, (e^{cX} - 1)/c at lag 1, v(c) =
+# (e^{cM} - 1 - cM)/c^2 at lag 2 and sinh(cM)/c at lag 1, step 2.  A tail
+# (hi, lo) -> t is the rule X_hi X_lo = X_lo X_hi + t; ``images`` and
+# ``antipode`` give each letter's coproduct and antipode.
+_PRESENTATIONS = {
+    "Uz": {
+        "series": {
+            "E": ("z", "Ap", 0, 1),
+            "Einv": ("-z", "Ap", 0, 1),
+            "wp": ("z", "Ap", 1, 1),  # (e^{z*Ap} - 1)/z
+            "wm": ("-z", "Ap", 1, 1),  # (1 - e^{-z*Ap})/z
+        },
+        "tails": {("Ap", "A"): "-wp", ("Am", "A"): "Am", ("Am", "Ap"): "E*M"},
+        "images": {
+            "A": "1@A + A@E",
+            "Ap": "Ap@1 + 1@Ap",
+            "Am": "1@Am + Am@E + z*A@M*E",
+            "M": "M@1 + 1@M",
+        },
+        "antipode": {"A": "-A*Einv", "Ap": "-Ap", "Am": "-Am*Einv + z*A*M*Einv", "M": "-M"},
+        "casimir": "2*A*M - wm*Am - Am*wm",
+    },
+    "IIn": {
+        "series": {
+            "E": ("x", "M", 0, 1),
+            "Einv": ("-x", "M", 0, 1),
+            "wp": ("x", "M", 1, 1),  # (e^{x*M} - 1)/x
+            "wm": ("-x", "M", 1, 1),  # (1 - e^{-x*M})/x
+            "vp": ("x", "M", 2, 1),  # v(x)
+            "vm": ("-x", "M", 2, 1),  # v(-x)
+        },
+        "tails": {("Ap", "A"): "-Ap + yp*vm", ("Am", "A"): "Am + bp*vp", ("Am", "Ap"): "M"},
+        "images": {
+            "A": "1@A + A@1 + bp*Ap@wm - yp*Am@wp",
+            "Ap": "1@Ap + Ap@Einv",
+            "Am": "1@Am + Am@E",
+            "M": "M@1 + 1@M",
+        },
+        "antipode": {"A": "-A + bp*Ap*wp - yp*Am*wm", "Ap": "-Ap*E", "Am": "-Am*Einv", "M": "-M"},
+        "casimir": "2*A*M - Ap*Am - Am*Ap + 2*yp*vm*Am - 2*bp*vp*Ap",
+    },
+    # The Ap slot is the shifted creation generator Ap' = e^{-z*M}*Ap.
+    "IIs": {
+        "series": {
+            "E": ("z", "M", 0, 1),
+            "Einv": ("-z", "M", 0, 1),
+            "sinh": ("z", "M", 1, 2),  # sinh(z*M)/z
+        },
+        "tails": {("Ap", "A"): "-Ap", ("Am", "A"): "Am", ("Am", "Ap"): "sinh"},
+        "images": {
+            "A": "A@1 + 1@A",
+            "Ap": "Einv@Ap + Ap@1",
+            "Am": "1@Am + Am@E",
+            "M": "M@1 + 1@M",
+        },
+        "antipode": {"A": "-A", "Ap": "-Ap*E", "Am": "-Am*Einv", "M": "-M"},
+        "casimir": "2*A*sinh - Ap*Am - Am*Ap",
+    },
+}
 
 
-def exp_of(alg: Algebra, c: Coefficient, gen: int) -> TensorElement:
-    """e^{c*X}, truncated at the algebra's order (c marker-graded)."""
-    return _series(alg, c, gen, 0)
-
-
-def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> TensorElement:
+def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int) -> TensorElement:
     """sum c^{k-lag} X^k / k! over k = lag, lag+step, ..., term-explicit.
 
     Term k has marker degree k-lag, so the sum runs lag steps past the
@@ -70,27 +116,35 @@ def _series(alg: Algebra, c: Coefficient, gen: int, lag: int, step: int = 1) -> 
     return alg.element(terms)
 
 
+class _Names(dict):
+    """A reader's names: the algebra's letters, each parameter with one power
+    of the series marker, and each series of the deformation, built the first
+    time a text names it."""
+
+    def __init__(self, alg, series):
+        super().__init__((name, alg.coord(name)) for name in alg.letter_names)
+        self.update((p, alg.field.marked_param(p)) for p in alg.field.params)
+        self.alg, self.series = alg, series
+
+    def __missing__(self, name):
+        c, letter, lag, step = self.series[name]
+        c = evaluate(c, self, self.alg.field.rational)
+        got = self[name] = _series(self.alg, c, self.alg.letter_names.index(letter), lag, step)
+        return got
+
+
+def reader(alg: Algebra, key: str):
+    """The one reader of stated structure: text -> element or tensor of
+    ``alg``, over its letters, the parameters of deformation ``key`` each
+    with one marker power, and the series of ``key``'s presentation.  Each
+    series is built once per reader, and only when a text names it."""
+    names = _Names(alg, _PRESENTATIONS[key]["series"])
+    return lambda text: read_element(alg, text, names)
+
+
 def _tail(e: TensorElement) -> dict:
     """An element's terms by monomial, as a rewrite rule's tail holds them."""
     return {k[0]: c for k, c in e.terms.items()}
-
-
-def expm1_over(alg: Algebra, c: Coefficient, gen: int) -> TensorElement:
-    """(e^{c*X} - 1)/c = sum_{k>=1} c^{k-1} X^k / k!."""
-    return _series(alg, c, gen, 1)
-
-
-def v_series(alg: Algebra, c: Coefficient) -> TensorElement:
-    """v(c) = (e^{c*M} - 1 - c*M)/c^2 = sum_{k>=2} c^{k-2} M^k / k!.
-
-    The c -> 0 limit is M^2/2 (the k = 2 term).
-    """
-    return _series(alg, c, M, 2)
-
-
-def sinh_over(alg: Algebra, c: Coefficient) -> TensorElement:
-    """sinh(c*M)/c = sum_{j>=0} c^{2j} M^{2j+1} / (2j+1)!; limit M at c=0."""
-    return _series(alg, c, M, 1, step=2)
 
 
 # -- presentations -------------------------------------------------------
@@ -142,129 +196,21 @@ class HopfPresentation:
         return apply_slot_map(e, 0, self.delta_mono)
 
 
-def uz_presentation(order: int) -> HopfPresentation:
-    """The one-parameter deformation with primitive Ap, M (key ``Uz``)."""
-    d = deformation("Uz")
-    field = d.field()
-    z = field.marked_param("z")
-    base = Algebra.classical(field, order)
-    # Ap*A = A*Ap - (e^{z*Ap}-1)/z ; Am*A = A*Am + Am ; Am*Ap = Ap*Am + M e^{z*Ap}
-    tails = {
-        (AP, A): _tail(-expm1_over(base, z, AP)),
-        (AM, A): _tail(base.gen(AM)),
-        (AM, AP): _tail(exp_of(base, z, AP) * base.gen(M)),
-    }
-    alg = Algebra(field, tails, order, "Uz")
-    gA, gAp, gAm, gM = alg.gens()
-    one = alg.one()
-    E = exp_of(alg, z, AP)
-    Einv = exp_of(alg, -z, AP)
-    images = {
-        "A": tensor(one, gA) + tensor(gA, E),
-        "Ap": spread(gAp, 2),
-        "Am": tensor(one, gAm) + tensor(gAm, E) + tensor(gA.scale(z), gM * E),
-        "M": spread(gM, 2),
-    }
-    antipode = {
-        "A": -(gA * Einv),
-        "Ap": -gAp,
-        "Am": -(gAm * Einv) + (gA * gM * Einv).scale(z),
-        "M": -gM,
-    }
-    # central element 2 A M + F Am + Am F with F = (e^{-z*Ap}-1)/z
-    F = -expm1_over(alg, -z, AP)
-    casimir = (gA * gM).scale(2) + F * gAm + gAm * F
-    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
+def _build(key: str, order: int) -> HopfPresentation:
+    """Deformation ``key``'s stated presentation, truncated at ``order``: its
+    tails read over the classical algebra, everything else over the
+    deformed one."""
+    d = deformation(key)
+    field, stated = d.field(), _PRESENTATIONS[key]
+    base = reader(Algebra.classical(field, order), key)
+    index = GEN_NAMES.index
+    tails = {(index(hi), index(lo)): _tail(base(text)) for (hi, lo), text in stated["tails"].items()}
+    alg = Algebra(field, tails, order, key)
+    read = reader(alg, key)
+    images = {name: read(text) for name, text in stated["images"].items()}
+    antipode = {name: read(text) for name, text in stated["antipode"].items()}
+    return HopfPresentation(key, alg, images, antipode, read(stated["casimir"]), d.r())
 
-
-def ii_nonstandard_presentation(order: int) -> HopfPresentation:
-    """The three-parameter deformation with primitive M (key ``IIn``)."""
-    d = deformation("IIn")
-    field = d.field()
-    x = field.marked_param("x")
-    bp = field.marked_param("bp")
-    yp = field.marked_param("yp")
-    base = Algebra.classical(field, order)
-    # Ap*A = A*Ap - Ap + yp*v(-x) ; Am*A = A*Am + Am + bp*v(x) ; Am*Ap = Ap*Am + M
-    tails = {
-        (AP, A): _tail(-base.gen(AP) + v_series(base, -x).scale(yp)),
-        (AM, A): _tail(base.gen(AM) + v_series(base, x).scale(bp)),
-        (AM, AP): _tail(base.gen(M)),
-    }
-    alg = Algebra(field, tails, order, "IIn")
-    gA, gAp, gAm, gM = alg.gens()
-    one = alg.one()
-    Ep = exp_of(alg, x, M)  # e^{x*M}
-    Em = exp_of(alg, -x, M)
-    w_minus = expm1_over(alg, -x, M)  # (1 - e^{-x*M})/x, leading term +M
-    w_plus = -expm1_over(alg, x, M)  # (1 - e^{x*M})/x, leading term -M
-    images = {
-        "A": tensor(one, gA)
-        + tensor(gA, one)
-        + tensor(gAp, w_minus).scale(bp)
-        + tensor(gAm, w_plus).scale(yp),
-        "Ap": tensor(one, gAp) + tensor(gAp, Em),
-        "Am": tensor(one, gAm) + tensor(gAm, Ep),
-        "M": spread(gM, 2),
-    }
-    antipode = {
-        "A": -gA - (gAp * w_plus).scale(bp) - (gAm * w_minus).scale(yp),
-        "Ap": -(gAp * Ep),
-        "Am": -(gAm * Em),
-        "M": -gM,
-    }
-    casimir = (
-        (gA * gM).scale(2)
-        - gAp * gAm
-        - gAm * gAp
-        + (v_series(alg, -x) * gAm).scale(yp * 2)
-        - (v_series(alg, x) * gAp).scale(bp * 2)
-    )
-    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
-
-
-def ii_standard_presentation(order: int) -> HopfPresentation:
-    """The shifted-basis standard deformation (key ``IIs``).
-
-    The Ap slot denotes the shifted creation generator Ap' = e^{-z*M}*Ap;
-    all structure below is stated on that basis.
-    """
-    d = deformation("IIs")
-    field = d.field()
-    z = field.marked_param("z")
-    base = Algebra.classical(field, order)
-    # Ap'*A = A*Ap' - Ap' ; Am*A = A*Am + Am ; Am*Ap' = Ap'*Am + sinh(z*M)/z
-    tails = {
-        (AP, A): _tail(-base.gen(AP)),
-        (AM, A): _tail(base.gen(AM)),
-        (AM, AP): _tail(sinh_over(base, z)),
-    }
-    alg = Algebra(field, tails, order, "IIs")
-    gA, gAp, gAm, gM = alg.gens()
-    one = alg.one()
-    E = exp_of(alg, z, M)
-    Einv = exp_of(alg, -z, M)
-    images = {
-        "A": spread(gA, 2),
-        "Ap": tensor(Einv, gAp) + tensor(gAp, one),
-        "Am": tensor(one, gAm) + tensor(gAm, E),
-        "M": spread(gM, 2),
-    }
-    antipode = {
-        "A": -gA,
-        "Ap": -(gAp * E),
-        "Am": -(gAm * Einv),
-        "M": -gM,
-    }
-    casimir = (gA * sinh_over(alg, z)).scale(2) - gAp * gAm - gAm * gAp
-    return HopfPresentation(d.key, alg, images, antipode, casimir, d.r())
-
-
-_BUILDERS = {
-    "Uz": uz_presentation,
-    "IIn": ii_nonstandard_presentation,
-    "IIs": ii_standard_presentation,
-}
 
 # (key, order) -> weak reference to its presentation; a key is added on the
 # first build only, so len(_cache) counts first builds
@@ -283,7 +229,7 @@ def presentation(key: str, order: int) -> HopfPresentation:
     got = ref and ref()
     if got is None:
         deformation(key)  # UnknownDeformation on a key that names none
-        got = _BUILDERS[key](order)
+        got = _build(key, order)
         _cache[(key, order)] = weakref.ref(got)
     return got
 

@@ -1,11 +1,11 @@
 """Universal R-matrices for the deformed oscillator algebras.
 
 Each family's R is an ordered product of exponential factors whose
-exponents F_k are marked arity-2 tensors, stated once in ``_exponents``
-over any algebra of the deformation's field.  Over the deformed algebra
-they give the series R, expanded to the truncation order; over the exact
-classical algebra, under the 3×3 representation D, they give the finite
-9×9 matrix ∏ exp((D⊗D)F_k).  The module machine-checks everything the R is
+exponents F_k are marked arity-2 tensors, stated once as text in
+``_EXPONENTS`` and read by :func:`.hopf.reader` over any algebra of the
+deformation's field.  Over the deformed algebra they give the series R,
+expanded to the truncation order; over the exact classical algebra, under
+the 3×3 representation D, they give the finite 9×9 matrix ∏ exp((D⊗D)F_k).  The module machine-checks everything the R is
 supposed to do:
 
 * base behaviour: order-0 part is 1⊗1, order-1 part is the classical
@@ -61,12 +61,11 @@ from .algebra import (
     multiplicative,
     rebase,
     signed_sum,
-    tensor,
     spread,
 )
 from .bialgebra import deformation
 from .funalg import fun_presentation
-from .hopf import HopfPresentation, expm1_over, presentation
+from .hopf import HopfPresentation, presentation, reader
 from .poisson import COORDS, LETTER_NAMES, FunAlgebra, t_matrix
 
 
@@ -147,24 +146,24 @@ def exp_ad(factor: TensorElement, t: TensorElement) -> TensorElement:
     return _exp_sum(t, lambda s: factor.product_difference(s, s, factor), t.alg.order)
 
 
+# The one statement of each universal R: its exponents F_k, in product
+# order, and its second factorization (None where there is none).  For
+# ``IIn`` W = x·A + β₊·A₊ + y₊·A₋; for ``IIs`` the creation slot is the
+# primed generator A₊' = e^{−zM}A₊.
+_W = "(x*A + bp*Ap + yp*Am)"
+_EXPONENTS = {
+    "Uz": (["-z*Ap@A", "z*A@Ap"], None),
+    "IIn": ([f"{_W}@M - M@{_W}"], [f"-M@{_W}", f"{_W}@M"]),
+    "IIs": (["-z*(A@M + M@A)", "2*z*Am@Ap"], ["-z*A@M", "-z*M@A", "2*z*Am@Ap"]),
+}
+
+
 def _exponents(key: str, alg: Algebra):
-    """The one statement of each universal R: its marked exponents F_k, in
-    product order, and its second factorization (``None`` where there is
-    none), over any algebra of the deformation's field.  For ``IIs`` the
-    creation slot is the primed generator A₊' = e^{−zM}A₊."""
-    field = alg.field
-    gA, gAp, gAm, gM = (alg.gen(i) for i in (A, AP, AM, M))
-    if key == "Uz":
-        z = field.marked_param("z")
-        return [tensor(gAp, gA).scale(-z), tensor(gA, gAp).scale(z)], None
-    if key == "IIn":
-        x, bp, yp = (field.marked_param(n) for n in ("x", "bp", "yp"))
-        w = gA.scale(x) + gAp.scale(bp) + gAm.scale(yp)
-        return [tensor(w, gM) - tensor(gM, w)], [-tensor(gM, w), tensor(w, gM)]
-    z = field.marked_param("z")
-    sym = (tensor(gA, gM) + tensor(gM, gA)).scale(-z)
-    skew = tensor(gAm, gAp).scale(2 * z)
-    return [sym, skew], [tensor(gA, gM).scale(-z), tensor(gM, gA).scale(-z), skew]
+    """``_EXPONENTS[key]`` read over ``alg``, any algebra of the
+    deformation's field, each parameter with one marker power."""
+    read = reader(alg, key)
+    factors, alt = _EXPONENTS[key]
+    return [read(t) for t in factors], None if alt is None else [read(t) for t in alt]
 
 
 def universal_R(key: str, order: int) -> UniversalR:
@@ -226,6 +225,12 @@ def intertwining_check(R: UniversalR):
     return held((name, R.conjugate(images[name]) - images[name].swap()) for name in GEN_NAMES)
 
 
+# The central term c of each two-step conjugation that has one, by key and
+# generator, read with the key's series wm = (1 − e^{−xM})/x and
+# wp = (e^{xM} − 1)/x; every other step has c = 0.
+_CENTRAL = {("IIn", "Ap"): "yp*wm@wm", ("IIn", "A"): "bp*yp/x*(wp@wp - wm@wm)"}
+
+
 def conjugation_step(R: UniversalR, tag: str) -> TensorElement:
     """One step of the two-step conjugation behind intertwining on a
     generator X, ``tag`` being "X inner" or "X outer": the inner factor takes
@@ -234,27 +239,17 @@ def conjugation_step(R: UniversalR, tag: str) -> TensorElement:
     exp(outer)·Δ₀(X) = σΔ(X) − c.  Returns the step's difference from its
     expected tensor, zero when it holds.
 
-    ``Uz`` takes A₋ through the factors of its R, exp(−z·Ap⊗A)·exp(z·A⊗Ap),
-    with c = 0.  ``IIn`` takes A₊ and A through its second factorization
-    exp{−M⊗W}·exp{W⊗M}, W = x·A + β₊·A₊ + y₊·A₋; with w±(M) = (1−e^{∓xM})/x,
-    c is y₊·w₋⊗w₋ for A₊ and (β₊y₊/x)·(w₊⊗w₊ − w₋⊗w₋) for A.
+    The two factors are those of R's second factorization, or of R where it
+    has none.  ``Uz`` takes A₋ through exp(−z·Ap⊗A)·exp(z·A⊗Ap), with c = 0.
+    ``IIn`` takes A₊ and A through exp{−M⊗W}·exp{W⊗M}, W = x·A + β₊·A₊ +
+    y₊·A₋, with c from ``_CENTRAL``.
     """
     name, step = tag.split()
-    alg, field = R.alg, R.alg.field
+    alg = R.alg
     delta, d0 = R.presentation.images[name], spread(alg.gen(GEN_NAMES.index(name)), 2)
-    if R.key == "Uz":
-        (outer, inner), c = R.factors, alg.tensor_zero(2)
-    else:
-        outer, inner = R.alt_factors
-        x = field.marked_param("x")
-        # (1 - e^{-xM})/x and (1 - e^{xM})/x as honest series
-        wm, wp = expm1_over(alg, -x, M), -expm1_over(alg, x, M)
-        if name == "Ap":
-            c = tensor(wm, wm).scale(field.marked_param("yp"))
-        else:
-            # β₊·y₊/x with a single marker power, matching its net parameter degree
-            byx = field.marked_param("bp") * field.param("yp") / field.param("x")
-            c = (tensor(wp, wp) - tensor(wm, wm)).scale(byx)
+    outer, inner = R.alt_factors or R.factors
+    text = _CENTRAL.get((R.key, name))
+    c = alg.tensor_zero(2) if text is None else reader(alg, R.key)(text)
     if step == "inner":
         return exp_ad(inner, delta) - (d0 + c)
     return exp_ad(outer, d0) - (delta.swap() - c)

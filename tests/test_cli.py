@@ -349,6 +349,13 @@ def test_classify_division_by_zero_is_usage_error(capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["1@2", "x@x"])
+def test_classify_tensor_of_scalars_is_usage_error(capsys, bad):
+    rc, out, err = run(capsys, ["classify", "--r", f"{bad},0,0,0,0,0"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot parse coefficient: an operator its operands do not support in {bad!r}"]
+
+
 def test_classify_out_file(capsys, tmp_path):
     path = tmp_path / "cls.txt"
     rc, out, _ = run(capsys, ["classify", "--r", "1,0,0,0,0,0", "--out", str(path)])
@@ -613,14 +620,15 @@ def test_verify_releases_what_it_builds(capsys, monkeypatch):
     """Once verify returns, nothing holds the presentation its lines read,
     and the Hopf and R lines of prop6 share one build of it."""
     builds = []
-    build = hopf._BUILDERS["IIs"]
+    build = hopf._build
 
-    def counted(order):
-        builds.append(order)
-        return build(order)
+    def counted(key, order):
+        if key == "IIs":
+            builds.append(order)
+        return build(key, order)
 
     monkeypatch.setattr(hopf, "_cache", {})
-    monkeypatch.setitem(hopf._BUILDERS, "IIs", counted)
+    monkeypatch.setattr(hopf, "_build", counted)
     rc, _, _ = run(capsys, ["verify", "--target", "prop6", "--order", "3"])
     assert rc == 0
     assert builds == [3]

@@ -25,13 +25,13 @@ from oscquant.bialgebra import FAMILIES, SLOT_NAMES
 NAMES = ["x", "y", "ap", "bp", "z_1", "Q"]
 PLAIN = st.one_of(st.integers(0, 12).map(str), st.sampled_from(NAMES))
 HUGE = st.sampled_from(["9" * 300, "9" * 400, "2^1023", "2^1024", "2**4096", "x^1023", "x^100000000000", "0^0"])
-JUNK = st.sampled_from(["h", "1/0", "x/(y-y)", "$", "@x", "1.5", "", "()", "x^y", "2^-1", "x^(1+1)", "--1", "(1"])
+JUNK = st.sampled_from(["h", "1/0", "x/(y-y)", "$", "@x", "1.5", "", "()", "x^y", "2^-1", "x^(1+1)", "--1", "(1", "1@2", "x@x"])
 # One atom in ten is huge or junk, so that most lists still parse.
 ATOMS = st.integers(0, 19).flatmap(lambda i: HUGE if i == 0 else JUNK if i == 1 else PLAIN)
 
 
 def _compound(inner):
-    ops = st.sampled_from(["+", "-", "*", "/", "**"])
+    ops = st.sampled_from(["+", "-", "*", "/", "**", "@"])
     return st.one_of(
         st.tuples(inner, ops, inner).map("".join),
         inner.map(lambda e: f"-{e}"),

@@ -66,6 +66,11 @@ class TestCanonicalForm:
         assert z == F.zero
         assert hash(z) == hash(F.zero)
 
+    def test_rational_zero_and_one_are_the_fields_own(self):
+        assert F.rational(0) is F.zero
+        assert F.rational(1) is F.one and F.rational(3, 3) is F.one
+        assert F.rational(1, 2) * F.rational(2) == F.one
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             F.one / F.zero

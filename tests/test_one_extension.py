@@ -387,7 +387,7 @@ def test_the_function_and_its_memo_die_without_the_cyclic_collector(field):
 
 def test_a_presentation_and_its_memos_die_without_the_cyclic_collector():
     # built past the cache of presentation(), which holds its last results
-    p = hopf._BUILDERS["IIs"](2)
+    p = hopf._build("IIs", 2)
     p.delta(p.alg.gen(AM) * p.alg.gen(AP))
     antipode_of(p, p.alg.gen(AM) * p.alg.gen(AP))
     p.counit_scalar((1, 1, 0, 0))

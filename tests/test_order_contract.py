@@ -72,8 +72,8 @@ def test_a_series_cut_short_at_one_order_fails(monkeypatch):
     monkeypatch.setattr(hopf, "_series", short_at_three)
     for key in KEYS:
         # built afresh, past the cache of presentation()
-        low, high = hopf._BUILDERS[key](3), hopf._BUILDERS[key](4)
+        low, high = hopf._build(key, 3), hopf._build(key, 4)
         assert disagreements(hopf_objects(low), hopf_objects(high), low.alg), key
     monkeypatch.undo()
-    low, high = hopf._BUILDERS["Uz"](3), hopf._BUILDERS["Uz"](4)
+    low, high = hopf._build("Uz", 3), hopf._build("Uz", 4)
     assert disagreements(hopf_objects(low), hopf_objects(high), low.alg) == []
