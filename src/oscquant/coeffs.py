@@ -375,7 +375,8 @@ class CoefficientField:
 
     def rational(self, p, q=1) -> "Coefficient":
         """An explicit rational number as a coefficient; 0 and 1 are the
-        field's own ``zero`` and ``one``, which the product loops skip."""
+        field's own ``zero`` and ``one``, the unit that product loops skip
+        by identity."""
         val = Fraction(p) / Fraction(q)
         if not val:
             return self.zero

@@ -137,7 +137,8 @@ def reader(alg: Algebra, key: str):
     """The one reader of stated structure: text -> element or tensor of
     ``alg``, over its letters, the parameters of deformation ``key`` each
     with one marker power, and the series of ``key``'s presentation.  Each
-    series is built once per reader, and only when a text names it."""
+    series is built once per reader, and only when a text names it; a
+    letter shadows a series of its name (the coordinate rings' ``E``)."""
     names = _Names(alg, _PRESENTATIONS[key]["series"])
     return lambda text: read_element(alg, text, names)
 

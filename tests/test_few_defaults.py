@@ -15,7 +15,7 @@ import oscquant
 
 PACKAGE = Path(oscquant.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-LIMIT = 25
+LIMIT = 24
 
 
 def defaulted(source: str, module: str) -> list[str]:

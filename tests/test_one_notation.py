@@ -184,6 +184,12 @@ def test_a_scalar_factor_is_the_unit_with_the_field_one():
     assert parse_element(alg, "A@2").terms[(a, unit)] == alg.field.rational(2)
 
 
+def test_at_refuses_factors_over_two_algebras():
+    a, b = hopf.presentation("Uz", 2).alg.gen(0), hopf.presentation("IIs", 2).alg.gen(0)
+    with pytest.raises(ValueError, match="cannot tensor"):
+        a @ b
+
+
 def test_at_counts_as_a_product_in_the_budget():
     with pytest.raises(ExprError, match=f"over the budget of {MAX_BITS} bits"):
         parse("x^600@x^600")
